@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class TemporalGraphError(ValueError):
@@ -103,10 +104,14 @@ class Snapshot:
             out.add(v)
         return frozenset(out)
 
+    @cached_property
+    def _edge_set(self):
+        return frozenset(self.edges)
+
     def has_edge(self, u, v):
         if u > v:
             u, v = v, u
-        return (u, v) in set(self.edges)
+        return (u, v) in self._edge_set
 
     def adjacency(self):
         adj = {}

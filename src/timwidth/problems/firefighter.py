@@ -143,7 +143,7 @@ class FirefighterTimPlugin(TimProblemPlugin):
         s1, s2 = sets(prev_labelling), sets(labelling)
         if s2[DEFENDED] != s1[DEFENDED] | s1[NEWDEF]:
             return False
-        adj = comp.adjacency()
+        adj = comp.adjacency
         spread = set()
         for v in s1[BURNING]:
             spread |= adj[v]
@@ -159,8 +159,8 @@ class FirefighterTimPlugin(TimProblemPlugin):
         from itertools import combinations
 
         verts = comp.vertices
-        idx = comp.index()
-        adj = comp.adjacency()
+        idx = comp.index
+        adj = comp.adjacency
         b1 = [v for v, l in zip(verts, prev_labelling) if l == BURNING]
         u1 = [v for v, l in zip(verts, prev_labelling) if l == UNBURNT]
         base = {}

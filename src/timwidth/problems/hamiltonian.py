@@ -98,7 +98,7 @@ class HamiltonianTimPlugin(TimProblemPlugin):
         e = (a, b) if a < b else (b, a)
         if e not in comp.edges:
             return False
-        idx = comp.index()
+        idx = comp.index
         if prev_labelling[idx[b]] != UNVISITED:
             return False
         v1 = {v for v, l in zip(verts, prev_labelling) if l == VISITED}
@@ -111,8 +111,8 @@ class HamiltonianTimPlugin(TimProblemPlugin):
     def successors(self, prev_labelling, comp, instance):
         out = [prev_labelling]
         verts = comp.vertices
-        idx = comp.index()
-        adj = comp.adjacency()
+        idx = comp.index
+        adj = comp.adjacency
         for a, la in zip(verts, prev_labelling):
             if la != CURRENT:
                 continue

@@ -70,7 +70,7 @@ class TredTimPlugin(TimProblemPlugin):
         n2 = {v for v, l in zip(verts, labelling) if l == CURRENT}
         if r2 != r1 | n1:
             return False
-        adj = comp.adjacency()
+        adj = comp.adjacency
         frontier = set()
         for v in r2:
             frontier |= adj[v]
@@ -98,7 +98,7 @@ class TredTimPlugin(TimProblemPlugin):
             if l in (REACHED, CURRENT)
         }
         u1 = [v for v, l in zip(verts, prev_labelling) if l == UNREACHED]
-        adj = comp.adjacency()
+        adj = comp.adjacency
         frontier = [v for v in u1 if any(w in r2 for w in adj[v])]
         out = []
         for k in range(len(frontier) + 1):

@@ -11,6 +11,7 @@ per-bag tables at partial-profile size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .core import TemporalGraph, _components
@@ -30,14 +31,18 @@ class ComponentGraph:
     vertices: tuple
     edges: tuple
 
+    @cached_property
     def adjacency(self):
+        """Vertex -> frozenset of neighbours, built once per component."""
         adj = {v: set() for v in self.vertices}
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        return adj
+        return {v: frozenset(ns) for v, ns in adj.items()}
 
+    @cached_property
     def index(self):
+        """Vertex -> its position in the labelling tuples."""
         return {v: i for i, v in enumerate(self.vertices)}
 
 
@@ -47,6 +52,9 @@ class TimProblemPlugin:
     Labellings are tuples aligned with a component's sorted vertex tuple.
     The boolean routines are authoritative; vector_candidates and successors
     only narrow the enumeration and every candidate they emit is re-checked.
+    On a component of one vertex and no edges, val, fin and tr must not
+    depend on which vertex it holds: inside runs of idle bags the engine
+    asks them once per timestep for all such components.
     """
 
     labels: tuple = ()
@@ -132,8 +140,37 @@ def _leq(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def _minimal(totals):
+    """The totals that no other total is componentwise at or below.
+
+    Dropping the rest keeps every answer: answers ask whether some sum of
+    totals is <= v_upper, and a dominated total can always be swapped for
+    one below it. A total below another comes first in sorted order.
+    """
+    kept = []
+    for total in sorted(totals):
+        if not any(_leq(low, total) for low in kept):
+            kept.append(total)
+    return set(kept)
+
+
+def _idle_runs(rd, comps, own_comps):
+    """Maximal runs of idle singleton bags ({v}, no edge of v at the bag's
+    time), each the only child of the next: top node -> run bottom-up."""
+    idle = [len(bag) == 1 and not comps[own_comps[s][0]].edges for s, bag in enumerate(rd.bags)]
+    folds = [idle[s] and len(ch) == 1 and idle[ch[0]] for s, ch in enumerate(rd.children)]
+    runs = {}
+    for s, p in enumerate(rd.parent):
+        if folds[s] and (p is None or not folds[p]):
+            run = [s]
+            while folds[rd.children[run[-1]][0]]:
+                run.append(rd.children[run[-1]][0])
+            runs[s] = tuple(reversed(run))
+    return runs
+
+
 class TwoStepStructure:
-    """Static data shared by a solve: components, homes, and Tr sites."""
+    """Static data shared by a solve: components, homes, Tr sites and idle runs."""
 
     def __init__(self, g: TemporalGraph, root_override=None):
         self.graph = g
@@ -173,6 +210,8 @@ class TwoStepStructure:
                     done.add(key)
                     seen.append(key)
             self.own_comps.append(tuple(seen))
+
+        self.runs = _idle_runs(rd, comps, self.own_comps)
 
         children_sets = [set(c) for c in rd.children]
         self.tr_site = {}
@@ -396,6 +435,61 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     return results
 
 
+def fold_idle_run(structure, plugin, instance, run, base_results, seen):
+    """Realisable profiles of the top of an idle run, walked in one step.
+
+    run lists idle singleton bags bottom-up, each the only child of the next;
+    base_results is the profile table of the bottom bag's only child, itself an
+    idle singleton. Every key of such a table is ((((label,), vector),), ()),
+    and a bag's profiles depend on its child's only through the child's label
+    and totals, so the walk keeps one totals set per label, pruned to its
+    minimal totals on entry. The top bag's table holds a subset of what
+    realisable_profiles would return for it, with the same answers.
+
+    seen caches the plugin's answers on one-vertex edgeless components for
+    the whole solve: assignments by time, Tr by (later time, earlier label,
+    later label). Time 0 is looked up at most once, since a time-0 bag has
+    a child only when it is the root.
+    """
+    rd = structure.rooted
+    lam = structure.graph.lifetime
+    by_label = {}
+    for (((labelling, _vec),), _extra), totals in base_results.items():
+        by_label.setdefault(labelling, set()).update(totals)
+    by_label = {labelling: _minimal(totals) for labelling, totals in by_label.items()}
+    below = rd.children[run[0]][0]
+    for node in run:
+        t = rd.times[node]
+        if t not in seen:
+            role = "start" if t == 0 else ("fin" if t == lam else "val")
+            comp = structure.comps[structure.own_comps[node][0]]
+            seen[t] = plugin.assignments(comp, t, role, instance)
+        # Tr relates a component to the step before it: the child's component
+        # when the child is later in time, the bag's own when it is earlier
+        child_later = rd.times[below] > t
+        later = below if child_later else node
+        tr_comp = structure.comps[structure.own_comps[later][0]]
+        step = {}
+        for labelling, vec in seen[t]:
+            incoming = set()
+            for child_labelling, totals in by_label.items():
+                pair = (labelling, child_labelling) if child_later else (child_labelling, labelling)
+                key = (tr_comp.t,) + pair
+                if key not in seen:
+                    seen[key] = plugin.tr(*pair, tr_comp, instance)
+                if seen[key]:
+                    incoming |= totals
+            if incoming:
+                step[(labelling, vec)] = {
+                    tuple(a + b for a, b in zip(total, vec)) for total in incoming
+                }
+        by_label = {}
+        for (labelling, _vec), totals in step.items():
+            by_label.setdefault(labelling, set()).update(totals)
+        below = node
+    return {(((labelling, vec),), ()): totals for (labelling, vec), totals in step.items()}
+
+
 def solve_component_exchangeable(
     plugin: TimProblemPlugin,
     instance,
@@ -410,15 +504,28 @@ def solve_component_exchangeable(
         structure = TwoStepStructure(g, root_override)
     rd = structure.rooted
 
+    # the bags below a run's top are walked from the top, not visited alone
+    inside_runs = {s for run in structure.runs.values() for s in run[:-1]}
+    idle_seen = {}
     results = {}
     profile_counts = {}
     for node in structure.postorder():
-        child_results = {c: results[c] for c in rd.children[node]}
-        res = realisable_profiles(structure, plugin, instance, node, child_results, cap)
+        if node in inside_runs:
+            continue
+        run = structure.runs.get(node)
+        if run is None:
+            children = rd.children[node]
+            child_results = {c: results[c] for c in children}
+            res = realisable_profiles(structure, plugin, instance, node, child_results, cap)
+        else:
+            children = rd.children[run[0]]
+            res = fold_idle_run(
+                structure, plugin, instance, run, results[children[0]], idle_seen
+            )
+        for c in children:
+            del results[c]
         results[node] = res
         profile_counts[node] = sum(len(v) for v in res.values())
-        for c in rd.children[node]:
-            del results[c]
 
     per_tree = []
     for root in rd.roots:

@@ -1,18 +1,32 @@
+import random
 from itertools import product
 
 import pytest
 
 from timwidth.core import TemporalGraph, _components
+from timwidth.generators import gen_hard_ham_path, gen_random
+from timwidth.oracles import oracle_firefighter_max, oracle_ham, oracle_matching, oracle_tred
 from timwidth.problems import (
+    FirefighterInstance,
     HamiltonianInstance,
+    MatchingInstance,
     TredInstance,
+    ff_tim_plugin,
     ham_tim_plugin,
+    matching_tim_plugin,
+    normalize_firefighter,
+    solve_firefighter,
+    solve_hamiltonian,
+    solve_matching,
+    solve_tred,
     tred_tim_plugin,
 )
 from timwidth.tim_engine import (
     ComponentGraph,
     TwoStepStructure,
     aggregate_child_totals,
+    fold_idle_run,
+    realisable_profiles,
     solve_component_exchangeable,
 )
 from timwidth.vim_engine import ResourceLimitError
@@ -221,3 +235,92 @@ def test_engine_requires_lifetime():
         solve_component_exchangeable(
             ham_tim_plugin(), HamiltonianInstance(TemporalGraph(2, []))
         )
+
+
+def _sparse_long_graph(rng):
+    """n 3-6, lifetime 8-14 and few edges: most (vertex, time) cells are
+    idle, so the rooted decomposition has long runs of idle singleton bags."""
+    while True:
+        n = rng.randint(3, 6)
+        g = gen_random(n, rng.randint(8, 14), 0.3, max_times_per_edge=2,
+                       seed=rng.randrange(1 << 30))
+        if g.lifetime >= 8:
+            return g
+
+
+def _run_directions(structure):
+    """'up' for runs whose bags have later-time children, else 'down'."""
+    rd = structure.rooted
+    return {
+        "up" if rd.times[rd.children[run[0]][0]] > rd.times[run[0]] else "down"
+        for run in structure.runs.values()
+    }
+
+
+def test_long_idle_runs_match_oracles():
+    rng = random.Random(8)
+    directions = set()
+    folded = 0
+    for _ in range(20):
+        g = _sparse_long_graph(rng)
+        expected = oracle_ham(g)
+        default = TwoStepStructure(g)
+        mid = len(default.decomposition.bags) // 2
+        for structure in (default, TwoStepStructure(g, 0), TwoStepStructure(g, mid)):
+            directions |= _run_directions(structure)
+            folded += sum(len(run) for run in structure.runs.values())
+            assert solve_hamiltonian(g, "tim", structure=structure)[0] == expected, g
+
+        root = rng.randrange(g.n)
+        inst = FirefighterInstance(g, root, rng.randint(g.n // 2, g.n))
+        expected = oracle_firefighter_max(g, root) >= inst.saves_target
+        assert solve_firefighter(inst, "tim")[0] == expected, inst
+
+        inst = MatchingInstance(g, rng.randint(1, 3), rng.randint(1, len(g.time_edges)))
+        assert solve_matching(inst)[0] == oracle_matching(g, inst.delta, inst.size_target), inst
+
+        inst = TredInstance(g, rng.randrange(g.n), rng.randint(1, g.n), rng.randint(0, 1))
+        expected = oracle_tred(g, inst.source, inst.max_reached, inst.max_deletions)
+        assert solve_tred(inst)[0] == expected, inst
+    assert directions == {"up", "down"}
+    assert folded > 500
+
+
+def test_folded_runs_match_bag_by_bag_tables():
+    # the reference is the general step applied to every bag of the run
+    rng = random.Random(9)
+    for _ in range(8):
+        g = _sparse_long_graph(rng)
+        root = rng.choice([v for e in g.time_edges for v in e[:2]])
+        cases = (
+            (ham_tim_plugin(), HamiltonianInstance(g)),
+            (ff_tim_plugin(), normalize_firefighter(FirefighterInstance(g, root, 1))),
+            (matching_tim_plugin(), MatchingInstance(g, rng.randint(1, 3), 1)),
+            (tred_tim_plugin(), TredInstance(g, root, g.n, 1)),
+        )
+        for plugin, inst in cases:
+            structure = TwoStepStructure(inst.graph)
+            rd = structure.rooted
+            tables = {}
+            for node in structure.postorder():
+                children = {c: tables[c] for c in rd.children[node]}
+                tables[node] = realisable_profiles(structure, plugin, inst, node, children)
+            for top, run in structure.runs.items():
+                below = rd.children[run[0]][0]
+                folded = fold_idle_run(structure, plugin, inst, run, tables[below], {})
+                assert folded.keys() == tables[top].keys()
+                for key, totals in folded.items():
+                    # a subset that keeps a total at or below every dropped one
+                    assert totals <= tables[top][key]
+                    assert all(
+                        any(all(a <= b for a, b in zip(low, total)) for low in totals)
+                        for total in tables[top][key]
+                    )
+
+
+def test_hard_family_materialises_few_profiles():
+    # run folding keeps one table per run, not one per idle bag; without it
+    # this solve materialised 83,446 profile entries
+    answer, (res,) = solve_hamiltonian(gen_hard_ham_path(80), "tim")
+    assert not answer
+    assert sum(res.profile_counts.values()) < 83_446 // 2
