@@ -1,11 +1,11 @@
 """Interval-membership width parameters and DP engines for temporal graphs."""
 
 from .core import (
+    ComponentGraph,
     Snapshot,
     StaticGraph,
     TemporalGraph,
     TemporalGraphError,
-    TimedComponent,
     components_at,
     is_strict_temporal_path,
     prefix_graph,
@@ -41,7 +41,6 @@ from .vim_engine import (
     solve_locally_uniform,
 )
 from .tim_engine import (
-    ComponentGraph,
     TimProblemPlugin,
     TimSolveResult,
     TwoStepStructure,

@@ -122,11 +122,26 @@ class Snapshot:
 
 
 @dataclass(frozen=True)
-class TimedComponent:
-    """One connected component of a snapshot: a time plus a sorted vertex tuple."""
+class ComponentGraph:
+    """One timed connected component with its snapshot edges."""
 
     t: int
     vertices: tuple
+    edges: tuple
+
+    @cached_property
+    def adjacency(self):
+        """Vertex -> frozenset of neighbours, built once per component."""
+        adj = {v: set() for v in self.vertices}
+        for u, v in self.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        return {v: frozenset(ns) for v, ns in adj.items()}
+
+    @cached_property
+    def index(self):
+        """Vertex -> its position in the labelling tuples."""
+        return {v: i for i, v in enumerate(self.vertices)}
 
 
 @dataclass(frozen=True)
@@ -173,12 +188,22 @@ def snapshot(g: TemporalGraph, t: int) -> Snapshot:
     return Snapshot(g.n, t, g.edges_at(t) if t >= 1 else ())
 
 
+def component_graphs(t, comps, edges):
+    """comps (disjoint sorted vertex tuples) as ComponentGraphs at time t,
+    each holding the edges of `edges` that lie inside it."""
+    home = {v: i for i, comp in enumerate(comps) if len(comp) > 1 for v in comp}
+    inside = {}
+    for e in edges:
+        inside.setdefault(home[e[0]], []).append(e)
+    return [ComponentGraph(t, comp, tuple(inside.get(i, ()))) for i, comp in enumerate(comps)]
+
+
 def components_at(g: TemporalGraph, t: int):
     """Connected components of the snapshot at t, ordered by smallest member."""
     if t < 0 or t > g.lifetime:
         raise TemporalGraphError(f"time {t} outside [0, {g.lifetime}]")
     edges = g.edges_at(t) if t >= 1 else ()
-    return [TimedComponent(t, comp) for comp in _components(g.n, edges)]
+    return component_graphs(t, _components(g.n, edges), edges)
 
 
 def prefix_graph(g: TemporalGraph, t: int) -> StaticGraph:

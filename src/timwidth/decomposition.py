@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import TemporalGraph, _components
 from .widths import vim_sequence
@@ -495,50 +496,55 @@ def root_and_augment(d: TimDecomposition, root_override=None) -> RootedTimDecomp
 class TwoStepDecomposition:
     """2-step bags over a rooted decomposition.
 
-    pairs[s] is the frozenset of (vertex, time) pairs of bag B2(s): the node's
-    own pairs plus each child's pairs at the child's time. components[s] lists
-    the timed components of the bag as (t, vertex-tuple) entries; time-0 pairs
-    take the component structure of the first snapshot, mirroring F_0 = F_1.
+    The 2-step bag B2(s) holds the node's own (vertex, time) pairs plus each
+    child's pairs at the child's time. components[s] lists the timed
+    components of B2(s) as (t, vertex-tuple) entries ordered by time, then
+    smallest member; time-0 pairs take the component structure of the first
+    snapshot, mirroring F_0 = F_1. pairs[s], the pair set of B2(s), is
+    derived from components[s] on first access. width is max |B2(s)|: a
+    child's time differs from its parent's and bags at one time are
+    disjoint, so it is |B(s)| plus the children's |B(c)|.
     """
 
     rooted: RootedTimDecomposition
-    pairs: tuple
     components: tuple
+    width: int
 
-    @property
-    def width(self):
-        return max((len(p) for p in self.pairs), default=0)
+    @cached_property
+    def pairs(self):
+        return tuple(
+            frozenset((v, t) for t, verts in comps for v in verts) for comps in self.components
+        )
 
 
 def build_two_step(rd: RootedTimDecomposition, g: TemporalGraph) -> TwoStepDecomposition:
-    comp_lookup = {}  # (structural time, vertex) -> component tuple
+    # snapshot components once per timestep, with each vertex's component index
+    comps_at = [()]
+    index_at = [()]
+    for t in range(1, rd.lifetime + 1):
+        comps = _components(g.n, g.edges_at(t))
+        index = [0] * g.n
+        for i, comp in enumerate(comps):
+            for v in comp:
+                index[v] = i
+        comps_at.append(comps)
+        index_at.append(index)
+    if rd.lifetime:
+        comps_at[0], index_at[0] = comps_at[1], index_at[1]
 
-    def comp_of(v, t):
-        st = 1 if t == 0 else t
-        key = (st, v)
-        if key not in comp_lookup:
-            for comp in _components(g.n, g.edges_at(st)):
-                for x in comp:
-                    comp_lookup[(st, x)] = comp
-        return comp_lookup[key]
-
-    pairs = []
-    components = []
-    for s in range(len(rd.bags)):
-        p = {(v, rd.times[s]) for v in rd.bags[s]}
-        for c in rd.children[s]:
-            p |= {(v, rd.times[c]) for v in rd.bags[c]}
-        pairs.append(frozenset(p))
-        by_time = {}
-        for v, t in p:
-            by_time.setdefault(t, set()).add(v)
-        comps = []
-        for t in sorted(by_time):
-            rest = set(by_time[t])
-            while rest:
-                comp = comp_of(min(rest), t)
-                assert set(comp) <= rest, "bag pairs must cover whole components"
-                comps.append((t, comp))
-                rest -= set(comp)
-        components.append(tuple(comps))
-    return TwoStepDecomposition(rd, tuple(pairs), tuple(components))
+    own = []
+    for bag, t in zip(rd.bags, rd.times):
+        comps, index = comps_at[t], index_at[t]
+        mine = [comps[i] for i in sorted({index[v] for v in bag})]
+        assert sum(map(len, mine)) == len(bag), "bag pairs must cover whole components"
+        own.append([(t, comp) for comp in mine])
+    components = tuple(
+        tuple(sorted(own[s] + [entry for c in children for entry in own[c]]))
+        for s, children in enumerate(rd.children)
+    )
+    width = max(
+        (len(bag) + sum(len(rd.bags[c]) for c in children)
+         for bag, children in zip(rd.bags, rd.children)),
+        default=0,
+    )
+    return TwoStepDecomposition(rd, components, width)

@@ -11,10 +11,9 @@ per-bag tables at partial-profile size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 
-from .core import TemporalGraph, _components
+from .core import ComponentGraph, TemporalGraph, component_graphs
 from .decomposition import (
     build_two_step,
     compute_tim_decomposition,
@@ -23,35 +22,13 @@ from .decomposition import (
 from .vim_engine import ResourceLimitError
 
 
-@dataclass(frozen=True)
-class ComponentGraph:
-    """One timed connected component with its snapshot edges."""
-
-    t: int
-    vertices: tuple
-    edges: tuple
-
-    @cached_property
-    def adjacency(self):
-        """Vertex -> frozenset of neighbours, built once per component."""
-        adj = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(ns) for v, ns in adj.items()}
-
-    @cached_property
-    def index(self):
-        """Vertex -> its position in the labelling tuples."""
-        return {v: i for i, v in enumerate(self.vertices)}
-
-
 class TimProblemPlugin:
     """Problem bundle for the component-exchangeable engine.
 
     Labellings are tuples aligned with a component's sorted vertex tuple.
-    The boolean routines are authoritative; vector_candidates and successors
-    only narrow the enumeration and every candidate they emit is re-checked.
+    The boolean routines are authoritative. successors and
+    vector_candidates generate the labellings and vectors worth trying,
+    and the engine re-checks every one it keeps with tr and St/Val/Fin.
     On a component of one vertex and no edges, val, fin and tr must not
     depend on which vertex it holds: inside runs of idle bags the engine
     asks them once per timestep for all such components.
@@ -85,12 +62,12 @@ class TimProblemPlugin:
         raise NotImplementedError
 
     def vector_candidates(self, labelling, comp, t, role, instance):
-        """Vectors worth pairing with a labelling, or None for a full range scan."""
-        return None
+        """The vectors worth pairing with a labelling."""
+        raise NotImplementedError
 
     def successors(self, prev_labelling, comp, instance):
-        """Labellings reachable from prev_labelling, or None for all labellings."""
-        return None
+        """The labellings worth trying after prev_labelling."""
+        raise NotImplementedError
 
     def check(self, role, labelling, vector, comp, t, instance):
         if role == "start":
@@ -103,12 +80,7 @@ class TimProblemPlugin:
         """All admissible (labelling, vector) pairs of one timed component."""
         out = []
         for labelling in product(self.label_set(instance), repeat=len(comp.vertices)):
-            vecs = self.vector_candidates(labelling, comp, t, role, instance)
-            if vecs is None:
-                k = self.arity(instance)
-                b = self.counter_bound(instance)
-                vecs = product(range(-b, b + 1), repeat=k)
-            for vec in vecs:
+            for vec in self.vector_candidates(labelling, comp, t, role, instance):
                 vec = tuple(vec)
                 if self.check(role, labelling, vector=vec, comp=comp, t=t, instance=instance):
                     out.append((labelling, vec))
@@ -180,36 +152,27 @@ class TwoStepStructure:
         rd = self.rooted
         lam = g.lifetime
 
+        # every snapshot component of 0..lam is the own-time component of
+        # exactly one bag; (t, i) keys the i-th by smallest member
+        at_time = [[] for _ in range(lam + 1)]
+        for s, t in enumerate(rd.times):
+            at_time[t] += [(verts, s) for ct, verts in self.two_step.components[s] if ct == t]
         comps = {}
-        comp_id_of = {}  # (t, vertex) -> (t, cid); t in 0..lam, 0 shares G_1 ids
-        for t in range(0, lam + 1):
-            st = 1 if t == 0 else t
-            edge_pool = g.edges_at(st)
-            for cid, verts in enumerate(_components(g.n, edge_pool)):
-                vset = set(verts)
-                edges = tuple(e for e in edge_pool if e[0] in vset)
-                comps[(t, cid)] = ComponentGraph(t, verts, edges)
-                for v in verts:
-                    comp_id_of[(t, v)] = (t, cid)
+        own_comps = [[] for _ in rd.bags]
+        for t, entries in enumerate(at_time):
+            entries.sort()
+            views = component_graphs(t, [verts for verts, _ in entries], g.edges_at(t or 1))
+            for i, ((_, s), view) in enumerate(zip(entries, views)):
+                comps[(t, i)] = view
+                own_comps[s].append((t, i))
         self.comps = comps
+        self.own_comps = [tuple(keys) for keys in own_comps]
 
         node_of = {}  # (t, vertex) -> node id
         for s in range(len(rd.bags)):
             for v in rd.bags[s]:
                 node_of[(rd.times[s], v)] = s
         self.node_of = node_of
-
-        self.own_comps = []  # node -> tuple of (t, cid)
-        for s in range(len(rd.bags)):
-            t = rd.times[s]
-            seen = []
-            done = set()
-            for v in sorted(rd.bags[s]):
-                key = comp_id_of[(t, v)]
-                if key not in done:
-                    done.add(key)
-                    seen.append(key)
-            self.own_comps.append(tuple(seen))
 
         self.runs = _idle_runs(rd, comps, self.own_comps)
 
@@ -368,30 +331,14 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
         for key in a_checked:
             comp = structure.comps[key]
             prev = tuple(prev_label_at[v] for v in comp.vertices)
-            succ = plugin.successors(prev, comp, instance)
             cands = []
-            if succ is None:
-                for labelling, vec in plugin.assignments(comp, t, role, instance):
-                    if plugin.tr(prev, labelling, comp, instance):
+            for labelling in plugin.successors(prev, comp, instance):
+                if not plugin.tr(prev, labelling, comp, instance):
+                    continue
+                for vec in plugin.vector_candidates(labelling, comp, t, role, instance):
+                    vec = tuple(vec)
+                    if plugin.check(role, labelling, vec, comp, t, instance):
                         cands.append((labelling, vec))
-            else:
-                for labelling in succ:
-                    if not plugin.tr(prev, labelling, comp, instance):
-                        continue
-                    vecs = plugin.vector_candidates(labelling, comp, t, role, instance)
-                    if vecs is None:
-                        vecs = [
-                            vec
-                            for lab2, vec in plugin.assignments(comp, t, role, instance)
-                            if lab2 == labelling
-                        ]
-                        for vec in vecs:
-                            cands.append((labelling, tuple(vec)))
-                        continue
-                    for vec in vecs:
-                        vec = tuple(vec)
-                        if plugin.check(role, labelling, vec, comp, t, instance):
-                            cands.append((labelling, vec))
             if not cands:
                 feasible = False
                 break

@@ -85,12 +85,22 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+def _sweep(g: TemporalGraph, direction: str):
+    """Yield (t, find) over times ascending (le) or descending (ge); find
+    maps a vertex to its component root in the prefix (suffix) graph at t,
+    maintained incrementally with one union-find."""
+    lam = g.lifetime
+    uf = _UnionFind(g.n)
+    for t in range(1, lam + 1) if direction == "le" else range(lam, 0, -1):
+        for u, v in g.edges_at(t):
+            uf.union(u, v)
+        yield t, uf.find
+
+
 def connected_vim_width(g: TemporalGraph, direction: str, vs=None) -> ConnectedVimResult:
     """The d-connected-VIM width for d in {"le", "ge"}.
 
-    Components of the prefix (suffix) graphs are maintained incrementally
-    with a union-find over times ascending (descending). A precomputed
-    VimSequence may be passed to avoid recomputation.
+    A precomputed VimSequence may be passed to avoid recomputation.
     """
     if direction not in ("le", "ge"):
         raise ValueError("direction must be 'le' or 'ge'")
@@ -99,69 +109,18 @@ def connected_vim_width(g: TemporalGraph, direction: str, vs=None) -> ConnectedV
         return ConnectedVimResult(1, ((),))
     if vs is None:
         vs = vim_sequence(g)
-    times = range(1, lam + 1) if direction == "le" else range(lam, 0, -1)
-    uf = _UnionFind(g.n)
-    per_time = [None] * (lam + 1)
-    width = 0
-    for t in times:
-        for u, v in g.edges_at(t):
-            uf.union(u, v)
+    per_time = [()] * (lam + 1)
+    width = 1
+    for t, find in _sweep(g, direction):
         groups = {}
         for x in vs.bags[t]:
-            groups.setdefault(uf.find(x), []).append(x)
-        bags_t = tuple(tuple(sorted(vs_)) for _, vs_ in sorted(groups.items()))
+            groups.setdefault(find(x), []).append(x)
+        bags_t = tuple(tuple(sorted(members)) for _, members in sorted(groups.items()))
         per_time[t] = bags_t
         for b in bags_t:
             if len(b) > width:
                 width = len(b)
-    per_time[0] = ()
-    return ConnectedVimResult(max(width, 1), tuple(per_time))
-
-
-def _cvim_width(g: TemporalGraph, direction: str, vs=None) -> int:
-    # width-only variant of connected_vim_width, skipping bag materialisation
-    lam = g.lifetime
-    if lam == 0:
-        return 1
-    if vs is None:
-        vs = vim_sequence(g)
-    times = range(1, lam + 1) if direction == "le" else range(lam, 0, -1)
-    uf = _UnionFind(g.n)
-    find = uf.find
-    width = 1
-    for t in times:
-        for u, v in g.edges_at(t):
-            uf.union(u, v)
-        sizes = {}
-        for x in vs.bags[t]:
-            r = find(x)
-            c = sizes.get(r, 0) + 1
-            sizes[r] = c
-            if c > width:
-                width = c
-    return width
-
-
-def _cvim_per_time(g: TemporalGraph, direction: str, vs) -> list:
-    # largest |component of G_d(t) intersected with F_t| for each t
-    lam = g.lifetime
-    times = range(1, lam + 1) if direction == "le" else range(lam, 0, -1)
-    uf = _UnionFind(g.n)
-    find = uf.find
-    out = [0] * (lam + 1)
-    for t in times:
-        for u, v in g.edges_at(t):
-            uf.union(u, v)
-        sizes = {}
-        best = 0
-        for x in vs.bags[t]:
-            r = find(x)
-            c = sizes.get(r, 0) + 1
-            sizes[r] = c
-            if c > best:
-                best = c
-        out[t] = best
-    return out
+    return ConnectedVimResult(width, tuple(per_time))
 
 
 def bidirectional_cvim_width(g: TemporalGraph) -> int:
@@ -178,8 +137,20 @@ def bidirectional_cvim_width(g: TemporalGraph) -> int:
     if lam == 0:
         return 1
     vs = vim_sequence(g)
-    le = _cvim_per_time(g, "le", vs)
-    ge = _cvim_per_time(g, "ge", vs)
+    # largest |component of G_d(t) intersected with F_t| for each t
+    le = [0] * (lam + 1)
+    ge = [0] * (lam + 1)
+    for per_time, direction in ((le, "le"), (ge, "ge")):
+        for t, find in _sweep(g, direction):
+            sizes = {}
+            best = 0
+            for x in vs.bags[t]:
+                r = find(x)
+                c = sizes.get(r, 0) + 1
+                sizes[r] = c
+                if c > best:
+                    best = c
+            per_time[t] = best
     prefix_le = [0] * (lam + 2)
     for t in range(1, lam + 1):
         prefix_le[t] = max(prefix_le[t - 1], le[t])

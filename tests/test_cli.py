@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import timwidth
 from timwidth.cli import main
 
 
@@ -110,10 +113,15 @@ def test_gen_hardness(capsys, tmp_path):
 
 
 def test_console_entry_point(single_edge):
+    # the child imports timwidth from where this process found it, so the
+    # test also runs from a checkout that is not installed
+    package_root = str(Path(timwidth.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "timwidth.cli", "widths", single_edge],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("vim=2")

@@ -55,6 +55,7 @@ def test_snapshot_union_partitions_edges(g):
 def test_components_examples():
     g = TemporalGraph(4, [(0, 1, 1), (2, 3, 1)])
     assert [c.vertices for c in components_at(g, 1)] == [(0, 1), (2, 3)]
+    assert [c.edges for c in components_at(g, 1)] == [((0, 1),), ((2, 3),)]
     g2 = TemporalGraph(3, [(0, 1, 2)])
     assert [c.vertices for c in components_at(g2, 1)] == [(0,), (1,), (2,)]
 

@@ -175,6 +175,17 @@ def test_every_component_tr_checked_exactly_once(rng):
     for _ in range(25):
         g = random_graph(rng, n_max=6, lam_max=4)
         structure = TwoStepStructure(g)
+        # comps holds each snapshot component once, with that snapshot's
+        # edges inside it; time 0 mirrors time 1, and an edgeless graph has
+        # no bags and so no components
+        expected_comps = sorted(
+            (t, verts, tuple(e for e in g.edges_at(t or 1) if e[0] in verts))
+            for t in range(g.lifetime + 1 if g.lifetime else 0)
+            for verts in _components(g.n, g.edges_at(t or 1))
+        )
+        got = sorted((c.t, c.vertices, c.edges) for c in structure.comps.values())
+        assert got == expected_comps
+        assert all(structure.comps[key].t == key[0] for key in structure.comps)
         expected = set()
         for node, keys in enumerate(structure.own_comps):
             for key in keys:

@@ -51,6 +51,7 @@ def test_two_step_bag_shape(g):
     ts = build_two_step(rd, g)
     phi = d.width
     assert ts.width <= 3 * phi * phi
+    assert ts.width == max(len(p) for p in ts.pairs)
     for s in range(len(rd.bags)):
         times_present = {t for _, t in ts.pairs[s]}
         assert times_present <= {rd.times[s] - 1, rd.times[s], rd.times[s] + 1}
