@@ -44,7 +44,6 @@ from .tim_engine import (
     TimProblemPlugin,
     TimSolveResult,
     TwoStepStructure,
-    aggregate_child_totals,
     realisable_profiles,
     solve_component_exchangeable,
 )

@@ -36,14 +36,18 @@ CSV_COLUMNS = (
 )
 
 
-def _peak(runs):
-    peak = 0
+def table_peak(runs):
+    """(bags, peak) over engine results: the most tables one run kept
+    (VIM timesteps or TIM bags) and the largest table of any run."""
+    bags = peak = 0
     for r in runs:
         if hasattr(r, "table_sizes"):
-            peak = max(peak, max(r.table_sizes, default=0))
+            count, sizes = len(r.table_sizes), r.table_sizes
         else:
-            peak = max(peak, max(r.profile_counts.values(), default=0))
-    return peak
+            count, sizes = r.bag_count, r.profile_counts.values()
+        bags = max(bags, count)
+        peak = max(peak, max(sizes, default=0))
+    return bags, peak
 
 
 def _row(instance_id, g, problem, engine, solver):
@@ -60,7 +64,7 @@ def _row(instance_id, g, problem, engine, solver):
         "engine": engine,
         "answer": "yes" if answer else "no",
         "micros": micros,
-        "peak_table_entries": _peak(runs),
+        "peak_table_entries": table_peak(runs)[1],
     }
 
 

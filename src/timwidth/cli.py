@@ -11,7 +11,7 @@ import random
 import sys
 import time
 
-from .bench import run_suite, write_csv
+from .bench import run_suite, table_peak, write_csv
 from .core import TemporalGraphError
 from .decomposition import (
     build_two_step,
@@ -147,15 +147,7 @@ def cmd_solve(args):
     answer, runs = _solve_instance(problem, gf, args, args.engine)
     elapsed_ms = (time.perf_counter() - start) * 1000
     print("yes" if answer else "no")
-    bag_count = 0
-    peak = 0
-    for r in runs:
-        if hasattr(r, "table_sizes"):
-            bag_count = max(bag_count, len(r.table_sizes))
-            peak = max(peak, max(r.table_sizes, default=0))
-        else:
-            bag_count = max(bag_count, r.bag_count)
-            peak = max(peak, max(r.profile_counts.values(), default=0))
+    bag_count, peak = table_peak(runs)
     print(f"bags={bag_count} max_table={peak}")
     print(f"time_ms={elapsed_ms:.1f}", file=sys.stderr)
     return 0

@@ -97,6 +97,7 @@ class Snapshot:
     t: int
     edges: tuple
 
+    @cached_property
     def active_vertices(self):
         out = set()
         for u, v in self.edges:
@@ -113,12 +114,14 @@ class Snapshot:
             u, v = v, u
         return (u, v) in self._edge_set
 
+    @cached_property
     def adjacency(self):
+        """Vertex -> frozenset of neighbours, over the active vertices only."""
         adj = {}
         for u, v in self.edges:
             adj.setdefault(u, set()).add(v)
             adj.setdefault(v, set()).add(u)
-        return adj
+        return {v: frozenset(ns) for v, ns in adj.items()}
 
 
 @dataclass(frozen=True)

@@ -497,18 +497,34 @@ class TwoStepDecomposition:
     """2-step bags over a rooted decomposition.
 
     The 2-step bag B2(s) holds the node's own (vertex, time) pairs plus each
-    child's pairs at the child's time. components[s] lists the timed
-    components of B2(s) as (t, vertex-tuple) entries ordered by time, then
-    smallest member; time-0 pairs take the component structure of the first
-    snapshot, mirroring F_0 = F_1. pairs[s], the pair set of B2(s), is
-    derived from components[s] on first access. width is max |B2(s)|: a
-    child's time differs from its parent's and bags at one time are
-    disjoint, so it is |B(s)| plus the children's |B(c)|.
+    child's pairs at the child's time. snapshot_components[t] lists the
+    components of snapshot t as sorted vertex tuples ordered by smallest
+    member; time 0 takes those of the first snapshot, mirroring F_0 = F_1.
+    own_comps[s] lists the (t, i) keys of the components bag s covers, t its
+    time and i the index into snapshot_components[t]; each component of
+    snapshot t is covered by exactly one bag at time t. components[s], the
+    timed components of B2(s) as (t, vertex-tuple) entries ordered by time,
+    then smallest member, and pairs[s], the pair set of B2(s), are derived on
+    first access. width is max |B2(s)|: a child's time differs from its
+    parent's and bags at one time are disjoint, so it is |B(s)| plus the
+    children's |B(c)|.
     """
 
     rooted: RootedTimDecomposition
-    components: tuple
+    snapshot_components: tuple
+    own_comps: tuple
     width: int
+
+    @cached_property
+    def components(self):
+        own = self.own_comps
+        return tuple(
+            tuple(
+                (t, self.snapshot_components[t][i])
+                for t, i in sorted(own[s] + tuple(key for c in children for key in own[c]))
+            )
+            for s, children in enumerate(self.rooted.children)
+        )
 
     @cached_property
     def pairs(self):
@@ -522,7 +538,7 @@ def build_two_step(rd: RootedTimDecomposition, g: TemporalGraph) -> TwoStepDecom
     comps_at = [()]
     index_at = [()]
     for t in range(1, rd.lifetime + 1):
-        comps = _components(g.n, g.edges_at(t))
+        comps = tuple(_components(g.n, g.edges_at(t)))
         index = [0] * g.n
         for i, comp in enumerate(comps):
             for v in comp:
@@ -535,16 +551,12 @@ def build_two_step(rd: RootedTimDecomposition, g: TemporalGraph) -> TwoStepDecom
     own = []
     for bag, t in zip(rd.bags, rd.times):
         comps, index = comps_at[t], index_at[t]
-        mine = [comps[i] for i in sorted({index[v] for v in bag})]
-        assert sum(map(len, mine)) == len(bag), "bag pairs must cover whole components"
-        own.append([(t, comp) for comp in mine])
-    components = tuple(
-        tuple(sorted(own[s] + [entry for c in children for entry in own[c]]))
-        for s, children in enumerate(rd.children)
-    )
+        mine = sorted({index[v] for v in bag})
+        assert sum(len(comps[i]) for i in mine) == len(bag), "bag pairs must cover whole components"
+        own.append(tuple((t, i) for i in mine))
     width = max(
         (len(bag) + sum(len(rd.bags[c]) for c in children)
          for bag, children in zip(rd.bags, rd.children)),
         default=0,
     )
-    return TwoStepDecomposition(rd, components, width)
+    return TwoStepDecomposition(rd, tuple(comps_at), tuple(own), width)

@@ -52,8 +52,7 @@ class FirefighterVimPlugin(VimProblemPlugin):
         if not d1 <= d2:
             return False
         newly = d2 - d1
-        active = snap.active_vertices()
-        if not newly <= active:
+        if not newly <= snap.active_vertices:
             return False
         if any(prev.label(v) != UNBURNT for v in newly):
             return False
@@ -61,10 +60,10 @@ class FirefighterVimPlugin(VimProblemPlugin):
         h2, bud2 = new.counters
         if bud2 != bud1 - len(newly) + 1 or bud2 < 1:
             return False
-        adj = snap.adjacency()
+        adj = snap.adjacency
         closed = set(b1)
         for v in b1:
-            closed |= adj.get(v, set())
+            closed |= adj.get(v, frozenset())
         if b2 != closed - d2:
             return False
         return h2 == h1 + len(b2 - b1)

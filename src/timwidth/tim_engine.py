@@ -87,20 +87,6 @@ class TimProblemPlugin:
         return out
 
 
-def aggregate_child_totals(per_child_totals, target) -> bool:
-    """True iff one vector per child can be picked summing exactly to target."""
-    target = tuple(target)
-    acc = {tuple([0] * len(target))}
-    for totals in per_child_totals:
-        totals = {tuple(t) for t in totals}
-        if not totals:
-            return False
-        acc = {
-            tuple(a + b for a, b in zip(x, y)) for x in acc for y in totals
-        }
-    return target in acc
-
-
 def _sumset(base, sets):
     acc = {tuple(base)}
     for s in sets:
@@ -142,7 +128,17 @@ def _idle_runs(rd, comps, own_comps):
 
 
 class TwoStepStructure:
-    """Static data shared by a solve: components, homes, Tr sites and idle runs."""
+    """Static data shared by a solve: components, homes, Tr sites and idle runs.
+
+    comps maps each (t, i) key of build_two_step's table to its
+    ComponentGraph, own_comps[s] lists the keys bag s covers and home maps a
+    key back to that bag. tr_site maps each key at t >= 1 to the bag that
+    checks its Tr: the home's parent when the parent is at t-1 and holds one
+    of its vertices, else the home. checks_from_child groups the keys moved
+    to a parent by (parent, home), and extra_vertices[s] lists the vertices
+    of those keys outside the parent's bag, whose labels s hands up.
+    runs maps the top of each idle run to the run, bottom-up.
+    """
 
     def __init__(self, g: TemporalGraph, root_override=None):
         self.graph = g
@@ -150,66 +146,39 @@ class TwoStepStructure:
         self.rooted = root_and_augment(self.decomposition, root_override)
         self.two_step = build_two_step(self.rooted, g)
         rd = self.rooted
-        lam = g.lifetime
 
-        # every snapshot component of 0..lam is the own-time component of
-        # exactly one bag; (t, i) keys the i-th by smallest member
-        at_time = [[] for _ in range(lam + 1)]
-        for s, t in enumerate(rd.times):
-            at_time[t] += [(verts, s) for ct, verts in self.two_step.components[s] if ct == t]
+        # (t, i) keys the i-th component of snapshot t by smallest member
         comps = {}
-        own_comps = [[] for _ in rd.bags]
-        for t, entries in enumerate(at_time):
-            entries.sort()
-            views = component_graphs(t, [verts for verts, _ in entries], g.edges_at(t or 1))
-            for i, ((_, s), view) in enumerate(zip(entries, views)):
+        for t, at_t in enumerate(self.two_step.snapshot_components):
+            for i, view in enumerate(component_graphs(t, at_t, g.edges_at(t or 1))):
                 comps[(t, i)] = view
-                own_comps[s].append((t, i))
         self.comps = comps
-        self.own_comps = [tuple(keys) for keys in own_comps]
-
-        node_of = {}  # (t, vertex) -> node id
-        for s in range(len(rd.bags)):
-            for v in rd.bags[s]:
-                node_of[(rd.times[s], v)] = s
-        self.node_of = node_of
-
+        self.own_comps = self.two_step.own_comps
         self.runs = _idle_runs(rd, comps, self.own_comps)
 
-        children_sets = [set(c) for c in rd.children]
-        self.tr_site = {}
-        for s in range(len(rd.bags)):
-            t = rd.times[s]
-            if t == 0:
-                continue
-            for key in self.own_comps[s]:
-                comp = comps[key]
-                prev_nodes = {node_of[(t - 1, v)] for v in comp.vertices}
-                if prev_nodes <= children_sets[s]:
-                    self.tr_site[key] = s
-                else:
-                    self.tr_site[key] = rd.parent[s]
-
-        # B-checks grouped by (site, up-child home)
-        self.checks_from_child = {}  # (site, child) -> tuple of comp keys
+        # Tr of a component at time t runs where its time-(t-1) labels are
+        # visible. Every bag at t-1 holding one of its vertices is a tree
+        # neighbour of its home, so that is the home unless the parent is one.
         self.home = {}
-        for s in range(len(rd.bags)):
-            for key in self.own_comps[s]:
-                self.home[key] = s
-        for key, site in self.tr_site.items():
-            h = self.home[key]
-            if site != h:
-                self.checks_from_child.setdefault((site, h), []).append(key)
-
-        # boundary labels each node must expose to its parent
+        self.tr_site = {}
+        self.checks_from_child = {}
         self.extra_vertices = []
-        for s in range(len(rd.bags)):
-            p = rd.parent[s]
+        for s, keys in enumerate(self.own_comps):
+            t, p = rd.times[s], rd.parent[s]
+            up_child = p is not None and rd.times[p] == t - 1
             extra = set()
-            if p is not None:
-                for key in self.checks_from_child.get((p, s), ()):
-                    extra |= set(self.comps[key].vertices) - rd.bags[p]
-            self.extra_vertices.append(tuple(sorted(extra)))
+            for key in keys:
+                self.home[key] = s
+                if t == 0:
+                    continue
+                verts = comps[key].vertices
+                if up_child and not rd.bags[p].isdisjoint(verts):
+                    self.tr_site[key] = p
+                    self.checks_from_child.setdefault((p, s), []).append(key)
+                    extra.update(verts)
+                else:
+                    self.tr_site[key] = s
+            self.extra_vertices.append(tuple(sorted(extra - rd.bags[p])) if extra else ())
 
     def postorder(self):
         rd = self.rooted

@@ -24,7 +24,6 @@ from timwidth.problems import (
 from timwidth.tim_engine import (
     ComponentGraph,
     TwoStepStructure,
-    aggregate_child_totals,
     fold_idle_run,
     realisable_profiles,
     solve_component_exchangeable,
@@ -32,27 +31,6 @@ from timwidth.tim_engine import (
 from timwidth.vim_engine import ResourceLimitError
 
 from .conftest import random_graph
-
-
-def test_aggregate_trivia():
-    assert aggregate_child_totals([], (0,))
-    assert not aggregate_child_totals([], (1,))
-    assert aggregate_child_totals([{(1,), (3,)}], (3,))
-    assert not aggregate_child_totals([{(1,), (3,)}], (2,))
-
-
-def test_aggregate_matches_cartesian_oracle(rng):
-    for _ in range(60):
-        children = [
-            {tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(rng.randint(1, 4))}
-            for _ in range(rng.randint(0, 3))
-        ]
-        target = tuple(rng.randint(-4, 4) for _ in range(2))
-        brute = any(
-            tuple(map(sum, zip(*combo))) == target if combo else target == (0, 0)
-            for combo in product(*children)
-        )
-        assert aggregate_child_totals(children, target) == brute
 
 
 def configuration_oracle(plugin, instance):
@@ -171,30 +149,59 @@ def test_realisable_profiles_empty_when_children_incompatible():
     assert realisable_profiles(structure, plugin, inst, node, child_results) == {}
 
 
+def reference_tr_site(structure, key):
+    """The Tr site by a scan of the rooted bags at t-1 that hold the
+    component's vertices: its home if all of them are children of the
+    home, otherwise the home's parent."""
+    rd = structure.rooted
+    home = structure.home[key]
+    verts = set(structure.comps[key].vertices)
+    prev = {x for x, bag in enumerate(rd.bags) if rd.times[x] == key[0] - 1 and bag & verts}
+    return home if prev <= set(rd.children[home]) else rd.parent[home]
+
+
 def test_every_component_tr_checked_exactly_once(rng):
-    for _ in range(25):
-        g = random_graph(rng, n_max=6, lam_max=4)
-        structure = TwoStepStructure(g)
-        # comps holds each snapshot component once, with that snapshot's
-        # edges inside it; time 0 mirrors time 1, and an edgeless graph has
-        # no bags and so no components
-        expected_comps = sorted(
-            (t, verts, tuple(e for e in g.edges_at(t or 1) if e[0] in verts))
-            for t in range(g.lifetime + 1 if g.lifetime else 0)
-            for verts in _components(g.n, g.edges_at(t or 1))
-        )
-        got = sorted((c.t, c.vertices, c.edges) for c in structure.comps.values())
-        assert got == expected_comps
-        assert all(structure.comps[key].t == key[0] for key in structure.comps)
-        expected = set()
-        for node, keys in enumerate(structure.own_comps):
-            for key in keys:
-                if key[0] >= 1:
-                    expected.add(key)
-        assert set(structure.tr_site) == expected
-        for key, site in structure.tr_site.items():
-            home = structure.home[key]
-            assert site == home or site == structure.rooted.parent[home]
+    graphs = [random_graph(rng, n_max=6, lam_max=4) for _ in range(25)]
+    for g in graphs + [gen_hard_ham_path(20)]:
+        base = TwoStepStructure(g)
+        # a mid-tree root and a time-0 copy as root
+        copies = sorted(base.rooted.copy_of)
+        overrides = [len(base.decomposition.bags) // 2, copies[len(copies) // 2]] if copies else []
+        for structure in [base] + [TwoStepStructure(g, ov) for ov in overrides]:
+            check_tr_sites(g, structure)
+
+
+def check_tr_sites(g, structure):
+    rd = structure.rooted
+    # comps holds each snapshot component once, with that snapshot's
+    # edges inside it; time 0 mirrors time 1, and an edgeless graph has
+    # no bags and so no components
+    expected_comps = sorted(
+        (t, verts, tuple(e for e in g.edges_at(t or 1) if e[0] in verts))
+        for t in range(g.lifetime + 1 if g.lifetime else 0)
+        for verts in _components(g.n, g.edges_at(t or 1))
+    )
+    got = sorted((c.t, c.vertices, c.edges) for c in structure.comps.values())
+    assert got == expected_comps
+    assert all(structure.comps[key].t == key[0] for key in structure.comps)
+    expected = set()
+    for node, keys in enumerate(structure.own_comps):
+        for key in keys:
+            assert structure.home[key] == node
+            if key[0] >= 1:
+                expected.add(key)
+    assert set(structure.tr_site) == expected
+    moved = {}
+    for key, site in structure.tr_site.items():
+        assert site == reference_tr_site(structure, key)
+        home = structure.home[key]
+        if site != home:
+            moved.setdefault((site, home), []).append(key)
+    assert structure.checks_from_child == moved
+    for s, p in enumerate(rd.parent):
+        verts = {v for key in moved.get((p, s), ()) for v in structure.comps[key].vertices}
+        extra = tuple(sorted(verts - rd.bags[p])) if verts else ()
+        assert structure.extra_vertices[s] == extra
 
 
 def test_root_choice_invariance(rng):

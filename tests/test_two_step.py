@@ -1,6 +1,6 @@
 from hypothesis import given, settings
 
-from timwidth.core import TemporalGraph
+from timwidth.core import TemporalGraph, _components
 from timwidth.decomposition import (
     build_two_step,
     compute_tim_decomposition,
@@ -95,3 +95,21 @@ def test_component_pairs_live_in_at_most_one_child(g):
             assert len(children_holding) <= 1
             for c in children_holding:
                 assert pair_set <= ts.pairs[c]
+
+
+@settings(max_examples=50, deadline=None)
+@given(temporal_graphs(n_max=5, lam_max=4))
+def test_components_are_the_snapshot_components_of_the_bags(g):
+    if g.lifetime == 0:
+        return
+    rd = rooted(g)
+    ts = build_two_step(rd, g)
+    for s, children in enumerate(rd.children):
+        # time 0 takes the components of the first snapshot
+        expected = sorted(
+            (rd.times[x], comp)
+            for x in (s, *children)
+            for comp in _components(g.n, g.edges_at(rd.times[x] or 1))
+            if rd.bags[x] & set(comp)
+        )
+        assert ts.components[s] == tuple(expected)
