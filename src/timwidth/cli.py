@@ -182,6 +182,9 @@ def cmd_gen(args):
 
 
 def cmd_verify(args):
+    """Cross-check engines and oracles; each disagreeing instance goes to
+    stderr as a .tg file headed by a '#' line with its problem, its
+    `timwidth solve` options and the answers given."""
     rng = random.Random(args.seed)
     agree = 0
     total = 0
@@ -190,44 +193,43 @@ def cmd_verify(args):
         lam = rng.randint(1, 4)
         g = gen_random(n, lam, 0.4, max_times_per_edge=2, seed=rng.randrange(1 << 30))
         checks = []
-        checks.append(
-            (
-                solve_hamiltonian(g, "vim")[0],
-                solve_hamiltonian(g, "tim")[0],
-                oracle_ham(g),
-            )
+        answers = dict(
+            vim=solve_hamiltonian(g, "vim")[0],
+            tim=solve_hamiltonian(g, "tim")[0],
+            oracle=oracle_ham(g),
         )
+        checks.append(("ham", emit_graph_file(g), answers))
         root = rng.randrange(n)
         h = rng.randint(0, n)
         inst = FirefighterInstance(g, root, h)
-        checks.append(
-            (
-                solve_firefighter(inst, "vim")[0],
-                solve_firefighter(inst, "tim")[0],
-                oracle_firefighter(g, root, h),
-            )
+        answers = dict(
+            vim=solve_firefighter(inst, "vim")[0],
+            tim=solve_firefighter(inst, "tim")[0],
+            oracle=oracle_firefighter(g, root, h),
         )
+        checks.append((f"ff --saves {h}", emit_graph_file(g, root=root), answers))
         delta = rng.randint(1, 3)
         hm = rng.randint(0, 3)
-        checks.append(
-            (
-                solve_matching(MatchingInstance(g, delta, hm))[0],
-                oracle_matching(g, delta, hm),
-            )
+        answers = dict(
+            tim=solve_matching(MatchingInstance(g, delta, hm))[0],
+            oracle=oracle_matching(g, delta, hm),
         )
+        checks.append((f"matching --delta {delta} --size {hm}", emit_graph_file(g), answers))
         src = rng.randrange(n)
         r = rng.randint(1, n)
         hd = rng.randint(0, 2)
-        checks.append(
-            (
-                solve_tred(TredInstance(g, src, r, hd))[0],
-                oracle_tred(g, src, r, hd),
-            )
+        answers = dict(
+            tim=solve_tred(TredInstance(g, src, r, hd))[0],
+            oracle=oracle_tred(g, src, r, hd),
         )
-        for tup in checks:
+        checks.append((f"tred --reach {r} --deletions {hd}", emit_graph_file(g, source=src), answers))
+        for problem, text, answers in checks:
             total += 1
-            if len(set(tup)) == 1:
+            if len(set(answers.values())) == 1:
                 agree += 1
+            else:
+                given = " ".join(f"{k}={'yes' if a else 'no'}" for k, a in answers.items())
+                sys.stderr.write(f"# {problem} ({given})\n{text}")
     print(f"{agree}/{total} agree")
     return 0 if agree == total else 1
 

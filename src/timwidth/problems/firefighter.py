@@ -105,30 +105,18 @@ class FirefighterTimPlugin(TimProblemPlugin):
             + (beta + lam - 1,)
         )
 
-    def _expected_vector(self, labelling, t, role, instance):
+    def check(self, labelling, comp, t, role, instance):
         lam = instance.graph.lifetime
         d = labelling.count(NEWDEF)
         if role == "start":
+            for v, l in zip(comp.vertices, labelling):
+                if l != (BURNING if v == instance.root else UNBURNT):
+                    return None
             return (0,) * (lam + 2)
         if role == "fin":
             saved = sum(1 for l in labelling if l != BURNING)
             return (-saved,) + (0,) * (lam - 1) + (d, d)
         return (0,) + tuple(0 if i < t else d for i in range(1, lam + 1)) + (d,)
-
-    def st(self, labelling, vector, comp, instance):
-        if vector != self._expected_vector(labelling, 0, "start", instance):
-            return False
-        for v, l in zip(comp.vertices, labelling):
-            want = BURNING if v == instance.root else UNBURNT
-            if l != want:
-                return False
-        return True
-
-    def val(self, labelling, vector, comp, t, instance):
-        return vector == self._expected_vector(labelling, t, "val", instance)
-
-    def fin(self, labelling, vector, comp, instance):
-        return vector == self._expected_vector(labelling, 0, "fin", instance)
 
     def tr(self, prev_labelling, labelling, comp, instance):
         verts = comp.vertices
@@ -150,9 +138,6 @@ class FirefighterTimPlugin(TimProblemPlugin):
         if s2[BURNING] != s1[BURNING] | (spread - blocked):
             return False
         return (s2[UNBURNT] | s2[NEWDEF]) <= s1[UNBURNT]
-
-    def vector_candidates(self, labelling, comp, t, role, instance):
-        return (self._expected_vector(labelling, t, role, instance),)
 
     def successors(self, prev_labelling, comp, instance):
         from itertools import combinations

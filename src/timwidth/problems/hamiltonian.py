@@ -69,21 +69,15 @@ class HamiltonianTimPlugin(TimProblemPlugin):
         # one current location per timestep 0..Lambda
         return (instance.graph.lifetime + 1,)
 
-    def st(self, labelling, vector, comp, instance):
+    def check(self, labelling, comp, t, role, instance):
         cur = labelling.count(CURRENT)
-        return (
-            vector == (cur,)
-            and cur <= 1
-            and all(l in (CURRENT, UNVISITED) for l in labelling)
-        )
-
-    def val(self, labelling, vector, comp, t, instance):
-        cur = labelling.count(CURRENT)
-        return vector == (cur,) and cur <= 1
-
-    def fin(self, labelling, vector, comp, instance):
-        cur = labelling.count(CURRENT)
-        return vector == (cur,) and cur <= 1 and UNVISITED not in labelling
+        if cur > 1:
+            return None
+        if role == "start" and VISITED in labelling:
+            return None
+        if role == "fin" and UNVISITED in labelling:
+            return None
+        return (cur,)
 
     def tr(self, prev_labelling, labelling, comp, instance):
         if prev_labelling == labelling:
@@ -104,9 +98,6 @@ class HamiltonianTimPlugin(TimProblemPlugin):
         v1 = {v for v, l in zip(verts, prev_labelling) if l == VISITED}
         v2 = {v for v, l in zip(verts, labelling) if l == VISITED}
         return v1 | {a} == v2
-
-    def vector_candidates(self, labelling, comp, t, role, instance):
-        return ((labelling.count(CURRENT),),)
 
     def successors(self, prev_labelling, comp, instance):
         out = [prev_labelling]

@@ -79,29 +79,15 @@ class MatchingTimPlugin(TimProblemPlugin):
     def v_upper(self, instance):
         return (-instance.size_target,)
 
-    def st(self, labelling, vector, comp, instance):
+    def check(self, labelling, comp, t, role, instance):
         d = instance.delta
-        if vector != (0,):
-            return False
-        return all(l[0] == 0 and l[1] == d for l in labelling)
-
-    def _matching_ok(self, labelling, vector, comp, instance):
-        matched = [
-            v
-            for v, l in zip(comp.vertices, labelling)
-            if l == matched_label(instance.delta)
-        ]
-        if len(matched) % 2:
-            return False
-        if vector != (-(len(matched) // 2),):
-            return False
-        return has_perfect_matching(matched, comp.edges)
-
-    def val(self, labelling, vector, comp, t, instance):
-        return self._matching_ok(labelling, vector, comp, instance)
-
-    def fin(self, labelling, vector, comp, instance):
-        return self._matching_ok(labelling, vector, comp, instance)
+        if role == "start":
+            return (0,) if all(l[0] == 0 and l[1] == d for l in labelling) else None
+        m = matched_label(d)
+        matched = [v for v, l in zip(comp.vertices, labelling) if l == m]
+        if not has_perfect_matching(matched, comp.edges):
+            return None
+        return (-(len(matched) // 2),)
 
     def _next_options(self, label, delta):
         if label == matched_label(delta):
@@ -121,16 +107,6 @@ class MatchingTimPlugin(TimProblemPlugin):
             if after not in self._next_options(before, d):
                 return False
         return True
-
-    def vector_candidates(self, labelling, comp, t, role, instance):
-        if role == "start":
-            return ((0,),)
-        matched = sum(
-            1 for l in labelling if l == matched_label(instance.delta)
-        )
-        if matched % 2:
-            return ()
-        return ((-(matched // 2),),)
 
     def successors(self, prev_labelling, comp, instance):
         d = instance.delta

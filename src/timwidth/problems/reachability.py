@@ -39,27 +39,13 @@ class TredTimPlugin(TimProblemPlugin):
     def v_upper(self, instance):
         return (instance.max_deletions, instance.max_reached)
 
-    def st(self, labelling, vector, comp, instance):
-        if instance.source in comp.vertices:
-            want = (0, 1)
+    def check(self, labelling, comp, t, role, instance):
+        if role == "start":
             for v, l in zip(comp.vertices, labelling):
-                expected = CURRENT if v == instance.source else UNREACHED
-                if l != expected:
-                    return False
-            return vector == want
-        return vector == (0, 0) and all(l == UNREACHED for l in labelling)
-
-    def _vec_ok(self, labelling, vector, comp):
-        return vector == (
-            label_validity_deletions(labelling, comp),
-            labelling.count(CURRENT),
-        )
-
-    def val(self, labelling, vector, comp, t, instance):
-        return self._vec_ok(labelling, vector, comp)
-
-    def fin(self, labelling, vector, comp, instance):
-        return self._vec_ok(labelling, vector, comp)
+                if l != (CURRENT if v == instance.source else UNREACHED):
+                    return None
+            return (0, 1) if instance.source in comp.vertices else (0, 0)
+        return (label_validity_deletions(labelling, comp), labelling.count(CURRENT))
 
     def tr(self, prev_labelling, labelling, comp, instance):
         verts = comp.vertices
@@ -77,18 +63,6 @@ class TredTimPlugin(TimProblemPlugin):
         # keeping any connecting edge makes a vertex newly reached; deleting
         # all of them leaves it unreached, so only containment is forced
         return n2 <= (u1 & frontier)
-
-    def vector_candidates(self, labelling, comp, t, role, instance):
-        if role == "start":
-            if instance.source in comp.vertices:
-                return ((0, 1),)
-            return ((0, 0),)
-        return (
-            (
-                label_validity_deletions(labelling, comp),
-                labelling.count(CURRENT),
-            ),
-        )
 
     def successors(self, prev_labelling, comp, instance):
         verts = comp.vertices

@@ -1,11 +1,12 @@
 """Realisable-profile DP over rooted 2-step TIM decompositions.
 
 The engine answers component-exchangeable temporally uniform problems:
-plugins supply St / Fin / Val / Tr routines on timed components plus a
-componentwise upper bound on the summed counter vectors. Realisability is
-computed bottom-up; per bag only the assignments of its own-time components
-and a small boundary labelling are visible to the parent, which keeps the
-per-bag tables at partial-profile size.
+plugins supply St / Val / Fin (one check hook that returns a labelling's
+counter vector) and Tr on timed components, plus a componentwise upper
+bound on the summed counter vectors. Realisability is computed bottom-up;
+per bag only the assignments of its own-time components and a small
+boundary labelling are visible to the parent, which keeps the per-bag
+tables at partial-profile size.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ class TimProblemPlugin:
     """Problem bundle for the component-exchangeable engine.
 
     Labellings are tuples aligned with a component's sorted vertex tuple.
-    The boolean routines are authoritative. successors and
-    vector_candidates generate the labellings and vectors worth trying,
-    and the engine re-checks every one it keeps with tr and St/Val/Fin.
-    On a component of one vertex and no edges, val, fin and tr must not
+    check and tr are authoritative. check is St, Val or Fin by role and
+    returns the counter vector a labelling fixes, or None when the role
+    rejects it; successors generates the labellings worth trying, and the
+    engine re-checks every one it keeps with tr and check. On a component
+    of one vertex and no edges, check (roles val and fin) and tr must not
     depend on which vertex it holds: inside runs of idle bags the engine
     asks them once per timestep for all such components.
     """
@@ -49,42 +51,30 @@ class TimProblemPlugin:
     def v_upper(self, instance) -> tuple:
         raise NotImplementedError
 
-    def st(self, labelling, vector, comp: ComponentGraph, instance) -> bool:
-        raise NotImplementedError
-
-    def val(self, labelling, vector, comp: ComponentGraph, t, instance) -> bool:
-        raise NotImplementedError
-
-    def fin(self, labelling, vector, comp: ComponentGraph, instance) -> bool:
+    def check(self, labelling, comp: ComponentGraph, t, role, instance):
+        """St ("start"), Val ("val") or Fin ("fin"): the labelling's vector
+        as a tuple, or None when the role does not admit the labelling."""
         raise NotImplementedError
 
     def tr(self, prev_labelling, labelling, comp: ComponentGraph, instance) -> bool:
-        raise NotImplementedError
-
-    def vector_candidates(self, labelling, comp, t, role, instance):
-        """The vectors worth pairing with a labelling."""
         raise NotImplementedError
 
     def successors(self, prev_labelling, comp, instance):
         """The labellings worth trying after prev_labelling."""
         raise NotImplementedError
 
-    def check(self, role, labelling, vector, comp, t, instance):
-        if role == "start":
-            return self.st(labelling, vector, comp, instance)
-        if role == "fin":
-            return self.fin(labelling, vector, comp, instance)
-        return self.val(labelling, vector, comp, t, instance)
-
     def assignments(self, comp, t, role, instance):
         """All admissible (labelling, vector) pairs of one timed component."""
         out = []
         for labelling in product(self.label_set(instance), repeat=len(comp.vertices)):
-            for vec in self.vector_candidates(labelling, comp, t, role, instance):
-                vec = tuple(vec)
-                if self.check(role, labelling, vector=vec, comp=comp, t=t, instance=instance):
-                    out.append((labelling, vec))
+            vec = self.check(labelling, comp, t, role, instance)
+            if vec is not None:
+                out.append((labelling, vec))
         return out
+
+
+def _role(t, lam):
+    return "start" if t == 0 else ("fin" if t == lam else "val")
 
 
 def _sumset(base, sets):
@@ -216,10 +206,8 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     needs; each key maps to the set of achievable subtree total vectors.
     """
     rd = structure.rooted
-    g = structure.graph
-    lam = g.lifetime
     t = rd.times[node]
-    role = "start" if t == 0 else ("fin" if t == lam else "val")
+    role = _role(t, structure.graph.lifetime)
     down = [c for c in rd.children[node] if rd.times[c] == t - 1]
     up = [c for c in rd.children[node] if rd.times[c] == t + 1]
 
@@ -239,11 +227,9 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     if estimate > cap:
         raise ResourceLimitError(f"bag {node}", estimate, cap)
 
-    free_assignments = {
-        key: plugin.assignments(structure.comps[key], t, role, instance)
-        for key in own
-        if key not in a_set
-    }
+    free_keys = [key for key in own if key not in a_set]
+    free_lists = [plugin.assignments(structure.comps[key], t, role, instance) for key in free_keys]
+    zero = tuple([0] * plugin.arity(instance))
 
     up_checks = {c: structure.checks_from_child.get((node, c), ()) for c in up}
     up_need = {
@@ -304,19 +290,15 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
             for labelling in plugin.successors(prev, comp, instance):
                 if not plugin.tr(prev, labelling, comp, instance):
                     continue
-                for vec in plugin.vector_candidates(labelling, comp, t, role, instance):
-                    vec = tuple(vec)
-                    if plugin.check(role, labelling, vec, comp, t, instance):
-                        cands.append((labelling, vec))
+                vec = plugin.check(labelling, comp, t, role, instance)
+                if vec is not None:
+                    cands.append((labelling, vec))
             if not cands:
                 feasible = False
                 break
             a_candidates.append(cands)
         if not feasible:
             continue
-
-        free_lists = [free_assignments[key] for key in own if key not in a_set]
-        free_keys = [key for key in own if key not in a_set]
 
         for a_choice in product(*a_candidates) if a_candidates else [()]:
             for f_choice in product(*free_lists) if free_lists else [()]:
@@ -340,10 +322,9 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
                 if not ok:
                     continue
 
-                k = plugin.arity(instance)
                 own_sum = tuple(
                     sum(vals) for vals in zip(*(assignment[key][1] for key in own))
-                ) if own else tuple([0] * k)
+                ) if own else zero
                 totals = _sumset(own_sum, down_totals + up_totals)
                 extra = tuple((v, prev_label_at[v]) for v in extra_vs)
                 results.setdefault((rho, extra), set()).update(totals)
@@ -377,9 +358,8 @@ def fold_idle_run(structure, plugin, instance, run, base_results, seen):
     for node in run:
         t = rd.times[node]
         if t not in seen:
-            role = "start" if t == 0 else ("fin" if t == lam else "val")
             comp = structure.comps[structure.own_comps[node][0]]
-            seen[t] = plugin.assignments(comp, t, role, instance)
+            seen[t] = plugin.assignments(comp, t, _role(t, lam), instance)
         # Tr relates a component to the step before it: the child's component
         # when the child is later in time, the bag's own when it is earlier
         child_later = rd.times[below] > t

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 import timwidth
 from timwidth.cli import main
+from timwidth.io import parse_graph_file
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +87,28 @@ def test_verify_small(capsys):
     assert code == 0
     done, total = out.strip().split()[0].split("/")
     assert done == total
+
+
+def test_verify_prints_each_disagreement(capsys, monkeypatch):
+    real = timwidth.cli.solve_matching
+    seen = []
+
+    def wrong_matching(inst):
+        seen.append(inst)
+        return not real(inst)[0], []
+
+    monkeypatch.setattr(timwidth.cli, "solve_matching", wrong_matching)
+    code, out, err = run_cli(capsys, "verify", "--count", "3", "--seed", "5")
+    assert code == 1
+    assert out == "9/12 agree\n"
+    # one block per disagreement, each opened by its '#' line
+    blocks = [b for b in re.split(r"(?m)^(?=# )", err) if b]
+    assert len(blocks) == len(seen) == 3
+    for block, inst in zip(blocks, seen):
+        header = block.splitlines()[0]
+        assert header.startswith(f"# matching --delta {inst.delta} --size {inst.size_target} (")
+        g = parse_graph_file(block).graph
+        assert (g.n, sorted(g.time_edges)) == (inst.graph.n, sorted(inst.graph.time_edges))
 
 
 def test_bench_csv(capsys):

@@ -33,9 +33,9 @@ def test_tim_st_examples():
     plugin = ham_tim_plugin()
     comp = ComponentGraph(1, (0, 1), ((0, 1),))
     inst = HamiltonianInstance(TemporalGraph(2, [(0, 1, 1)]))
-    assert plugin.st(("C", "U"), (1,), comp, inst)
-    assert not plugin.st(("C", "C"), (2,), comp, inst)
-    assert not plugin.st(("V", "U"), (0,), comp, inst)
+    assert plugin.check(("C", "U"), comp, 0, "start", inst) == (1,)
+    assert plugin.check(("C", "C"), comp, 0, "start", inst) is None
+    assert plugin.check(("V", "U"), comp, 0, "start", inst) is None
 
 
 def test_tim_transition_example():

@@ -131,7 +131,7 @@ def test_realisable_profiles_at_time0_leaf():
     for (rho, extra), totals in profiles.items():
         assert extra == ()
         ((labelling, vector),) = rho
-        assert plugin.st(labelling, vector, structure.comps[(0, 0)], inst)
+        assert plugin.check(labelling, structure.comps[(0, 0)], 0, "start", inst) == vector
         assert totals == {vector}
 
 
@@ -334,6 +334,30 @@ def test_folded_runs_match_bag_by_bag_tables():
                         any(all(a <= b for a, b in zip(low, total)) for low in totals)
                         for total in tables[top][key]
                     )
+
+
+def test_one_vertex_answers_do_not_depend_on_the_vertex():
+    # fold_idle_run asks check and tr once per timestep for all one-vertex
+    # edgeless components, so their answers there must not name the vertex
+    g = TemporalGraph(4, [(0, 1, 1), (1, 2, 2), (0, 3, 2), (2, 3, 3)])
+    cases = (
+        (ham_tim_plugin(), HamiltonianInstance(g)),
+        (ff_tim_plugin(), FirefighterInstance(g, 0, 1)),
+        (matching_tim_plugin(), MatchingInstance(g, 2, 1)),
+        (tred_tim_plugin(), TredInstance(g, 0, g.n, 1)),
+    )
+    for plugin, inst in cases:
+        labels = plugin.label_set(inst)
+        for t in range(1, g.lifetime + 1):
+            answers = set()
+            for v in range(g.n):
+                comp = ComponentGraph(t, (v,), ())
+                checks = tuple(
+                    plugin.check((l,), comp, t, role, inst) for role in ("val", "fin") for l in labels
+                )
+                trs = tuple(plugin.tr((a,), (b,), comp, inst) for a in labels for b in labels)
+                answers.add((checks, trs))
+            assert len(answers) == 1, (type(plugin).__name__, t)
 
 
 def test_hard_family_materialises_few_profiles():
