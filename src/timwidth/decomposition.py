@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .core import TemporalGraph, _components
 from .widths import vim_sequence
@@ -30,13 +31,6 @@ class TimDecomposition:
 
     def node_count(self):
         return len(self.bags)
-
-    def neighbours(self):
-        adj = [[] for _ in self.bags]
-        for i, j in self.arcs:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -87,22 +81,22 @@ class _BagState:
         return max((len(b) for b in self.bags.values()), default=0)
 
     def is_acyclic(self):
-        seen = set()
-        for start in self.adj:
-            if start in seen:
+        adj = self.adj
+        parent = {}
+        for start in adj:
+            if start in parent:
                 continue
-            parent = {start: None}
-            seen.add(start)
+            parent[start] = None
             stack = [start]
             while stack:
                 node = stack.pop()
-                for nb in self.adj[node]:
-                    if nb == parent[node]:
+                up = parent[node]
+                for nb in adj[node]:
+                    if nb == up:
                         continue
                     if nb in parent:
                         return False
                     parent[nb] = node
-                    seen.add(nb)
                     stack.append(nb)
         return True
 
@@ -138,20 +132,22 @@ class _BagState:
 
 
 def _forced_merge_pass(state):
-    """Apply one forced merge if any exists; return True when one was made.
+    """Apply the forced merges of the first direction sweep that finds any;
+    return True when one was made.
 
     If two same-time neighbours of a node w are connected through nodes at
     strictly earlier times (or strictly later, symmetrically), any tree whose
     bags contain the current ones must identify them: removing the image of
     w from a tree separates its neighbours, and the connecting path cannot
     pass through the image of w because every node on it has a different
-    timestep. Only such provably forced merges happen here.
+    timestep. Only such provably forced merges happen here. A merge joins
+    two nodes the union-find already connects, so the sweep goes on with it.
     """
+    times, adj = state.times, state.adj
+    by_time = {}
+    for i, t in times.items():
+        by_time.setdefault(t, []).append(i)
     for direction in (1, -1):
-        by_time = {}
-        for i, t in state.times.items():
-            by_time.setdefault(t, []).append(i)
-        order = sorted(by_time) if direction == 1 else sorted(by_time, reverse=True)
         uf = {}
 
         def find(x):
@@ -160,42 +156,48 @@ def _forced_merge_pass(state):
                 x = uf[x]
             return x
 
-        prev_level = None
-        for t in order:
-            level = sorted(by_time[t])
-            # connect the strictly-before lattice, then test each node's
-            # same-side neighbour groups
-            if prev_level is not None:
-                for i in prev_level:
-                    for nb in state.adj[i]:
-                        if nb in uf and state.times[nb] == state.times[i] - direction:
-                            ra, rb = find(i), find(nb)
-                            if ra != rb:
-                                uf[ra] = rb
+        merged = False
+        prev_level = ()
+        for t in sorted(by_time, reverse=direction == -1):
+            back = t - direction
+            # connect the strictly-before lattice, then group each node's
+            # same-side neighbours by the lattice component they lie in
+            for i in prev_level:
+                for nb in adj[i]:
+                    if times[nb] == back - direction:
+                        ra, rb = find(i), find(nb)
+                        if ra != rb:
+                            uf[ra] = rb
+            level = by_time[t]
             for w in level:
+                side = [nb for nb in adj[w] if times[nb] == back]
+                if len(side) < 2:
+                    continue
                 groups = {}
-                for nb in state.adj[w]:
-                    if state.times[nb] == t - direction:
-                        groups.setdefault(find(nb), []).append(nb)
+                for nb in side:
+                    groups.setdefault(find(nb), []).append(nb)
                 for members in groups.values():
                     if len(members) >= 2:
                         members.sort()
-                        keep = members[0]
                         for other in members[1:]:
-                            state.merge(keep, other)
-                        return True
+                            state.merge(members[0], other)
+                        merged = True
             for i in level:
                 uf[i] = i
             prev_level = level
+        if merged:
+            return True
     return False
 
 
-def _minimise(state, cap):
+def _minimise(state, cap, seen):
     """Smallest achievable width from this state; None if >= cap everywhere.
 
     Forced merges first; leftover cycles admit genuine choices (any valid
     decomposition must identify some same-time pair of the cycle), so those
-    are branched exhaustively with width-based pruning.
+    are branched exhaustively with width-based pruning. seen holds the bag
+    partitions already searched: the cap passed down is always the best
+    width found so far, so a partition searched before cannot beat it.
     """
     while _forced_merge_pass(state):
         pass
@@ -204,25 +206,55 @@ def _minimise(state, cap):
     cycle = state.find_cycle()
     if cycle is None:
         return state
-    candidates = []
+    key = frozenset((state.times[i], frozenset(b)) for i, b in state.bags.items())
+    if key in seen:
+        return None
+    seen.add(key)
     by_time = {}
     for node in sorted(cycle):
         by_time.setdefault(state.times[node], []).append(node)
-    for t in sorted(by_time):
-        nodes = by_time[t]
-        for a in range(len(nodes)):
-            for b in range(a + 1, len(nodes)):
-                candidates.append((nodes[a], nodes[b]))
     best = None
-    best_width = cap
-    for x, y in candidates:
-        trial = state.clone()
-        trial.merge(x, y)
-        result = _minimise(trial, best_width)
-        if result is not None and result.width() < best_width:
-            best = result
-            best_width = result.width()
+    for t in sorted(by_time):
+        for x, y in combinations(by_time[t], 2):
+            if len(state.bags[x]) + len(state.bags[y]) >= cap:
+                continue
+            trial = state.clone()
+            trial.merge(x, y)
+            result = _minimise(trial, cap, seen)
+            if result is not None:
+                best, cap = result, result.width()
     return best
+
+
+def _forest(n, groups_at):
+    """The bag forest with one node per group in the t-th entry of groups_at
+    (time t, from 1), and an edge between the nodes that hold a vertex at
+    consecutive times."""
+    bags, times, adj = {}, {}, {}
+    prev = None
+    for t, groups in enumerate(groups_at, start=1):
+        node_of = [0] * n
+        for group in groups:
+            nid = len(bags)
+            bags[nid], times[nid], adj[nid] = set(group), t, set()
+            for v in group:
+                node_of[v] = nid
+        if prev is not None:
+            for a, b in zip(prev, node_of):
+                adj[a].add(b)
+                adj[b].add(a)
+        prev = node_of
+    return _BagState(bags, times, adj)
+
+
+def _as_decomposition(g, state):
+    live = sorted(state.bags)
+    remap = {old: new for new, old in enumerate(live)}
+    times = state.times
+    arcs = [(remap[i], remap[j]) for i in live for j in state.adj[i] if times[j] > times[i]]
+    arcs.sort()
+    bags = tuple(frozenset(state.bags[i]) for i in live)
+    return TimDecomposition(g.n, g.lifetime, bags, tuple(times[i] for i in live), tuple(arcs))
 
 
 def compute_tim_decomposition(g: TemporalGraph) -> TimDecomposition:
@@ -234,43 +266,10 @@ def compute_tim_decomposition(g: TemporalGraph) -> TimDecomposition:
     tree shape still requires. Disconnected underlying graphs yield one tree
     per underlying component.
     """
-    lam = g.lifetime
-    if lam == 0:
-        return TimDecomposition(g.n, 0, (), (), ())
-
-    bags = {}
-    times = {}
-    node_at = []
-    for t in range(1, lam + 1):
-        lookup = [0] * g.n
-        for comp in _components(g.n, g.edges_at(t)):
-            nid = len(bags)
-            bags[nid] = set(comp)
-            times[nid] = t
-            for v in comp:
-                lookup[v] = nid
-        node_at.append(lookup)
-
-    adj = {i: set() for i in bags}
-    for t in range(1, lam):
-        prev, nxt = node_at[t - 1], node_at[t]
-        for v in range(g.n):
-            adj[prev[v]].add(nxt[v])
-            adj[nxt[v]].add(prev[v])
-
-    state = _BagState(bags, times, adj)
+    state = _forest(g.n, (_components(g.n, g.edges_at(t)) for t in range(1, g.lifetime + 1)))
     if not state.is_acyclic():
-        state = _minimise(state, g.n + 1)
-    live = sorted(state.bags)
-    remap = {old: new for new, old in enumerate(live)}
-    out_bags = tuple(frozenset(state.bags[i]) for i in live)
-    out_times = tuple(state.times[i] for i in live)
-    out_arcs = []
-    for i in live:
-        for j in state.adj[i]:
-            if state.times[j] == state.times[i] + 1:
-                out_arcs.append((remap[i], remap[j]))
-    return TimDecomposition(g.n, lam, out_bags, out_times, tuple(sorted(out_arcs)))
+        state = _minimise(state, g.n + 1, set())
+    return _as_decomposition(g, state)
 
 
 def tim_width(g: TemporalGraph) -> int:
@@ -357,35 +356,12 @@ def validate_decomposition(g: TemporalGraph, d: TimDecomposition) -> ValidationR
 
 def decomposition_from_vim(g: TemporalGraph) -> TimDecomposition:
     """The width-omega decomposition with one F_t bag plus singletons per time."""
-    lam = g.lifetime
-    if lam == 0:
-        return TimDecomposition(g.n, 0, (), (), ())
     vs = vim_sequence(g)
-    bags = []
-    times = []
-    node_at = []
-    for t in range(1, lam + 1):
-        lookup = [0] * g.n
-        ft = vs.bags[t]
-        if ft:
-            nid = len(bags)
-            bags.append(frozenset(ft))
-            times.append(t)
-            for v in ft:
-                lookup[v] = nid
-        for v in range(g.n):
-            if v not in ft:
-                nid = len(bags)
-                bags.append(frozenset((v,)))
-                times.append(t)
-                lookup[v] = nid
-        node_at.append(lookup)
-    arcs = set()
-    for t in range(1, lam):
-        prev, nxt = node_at[t - 1], node_at[t]
-        for v in range(g.n):
-            arcs.add((prev[v], nxt[v]))
-    return TimDecomposition(g.n, lam, tuple(bags), tuple(times), tuple(sorted(arcs)))
+    groups_at = (
+        ([ft] if ft else []) + [(v,) for v in range(g.n) if v not in ft]
+        for ft in vs.bags[1 : g.lifetime + 1]
+    )
+    return _as_decomposition(g, _forest(g.n, groups_at))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,14 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+def _ints(line_no, fields, message):
+    """The fields as integers, or a ParseError with message at line_no."""
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise ParseError(line_no, message) from None
+
+
 @dataclass(frozen=True)
 class GraphFile:
     graph: TemporalGraph
@@ -143,16 +151,18 @@ def parse_decomposition(text: str, n: int, lifetime: int) -> TimDecomposition:
         if parts[0] == "node":
             if len(parts) != 4:
                 raise ParseError(line_no, "node needs: node <id> time=<t> bag=<..>")
-            nid = int(parts[1])
             if not parts[2].startswith("time=") or not parts[3].startswith("bag="):
                 raise ParseError(line_no, "malformed node record")
-            times[nid] = int(parts[2][5:])
-            body = parts[3][4:]
-            bags[nid] = frozenset(int(x) for x in body.split(",") if x != "")
+            nid, t = _ints(line_no, (parts[1], parts[2][5:]), "node id and time must be integers")
+            if nid in bags:
+                raise ParseError(line_no, f"duplicate node {nid}")
+            times[nid] = t
+            body = [x for x in parts[3][4:].split(",") if x != ""]
+            bags[nid] = frozenset(_ints(line_no, body, "bag vertices must be integers"))
         elif parts[0] == "arc":
             if len(parts) != 3:
                 raise ParseError(line_no, "arc needs: arc <i> <j>")
-            arcs.append((int(parts[1]), int(parts[2])))
+            arcs.append(tuple(_ints(line_no, parts[1:], "arc fields must be integers")))
         else:
             raise ParseError(line_no, f"unknown record {parts[0]!r}")
     ids = sorted(bags)
@@ -191,11 +201,11 @@ def parse_dimacs_2cnf(text: str) -> TwoCnf:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(line_no, "header needs: p cnf <vars> <clauses>")
-            num_vars, expect = int(parts[2]), int(parts[3])
+            num_vars, expect = _ints(line_no, parts[2:], "header fields must be integers")
             continue
         if num_vars is None:
             raise ParseError(line_no, "clause before header")
-        lits = [int(x) for x in line.split()]
+        lits = _ints(line_no, line.split(), "literals must be integers")
         if not lits or lits[-1] != 0:
             raise ParseError(line_no, "clause must end with 0")
         lits = lits[:-1]

@@ -147,25 +147,6 @@ def oracle_tred(g: TemporalGraph, source: int, r: int, h: int) -> bool:
     return False
 
 
-def oracle_tred_all_sources(g: TemporalGraph, r: int, h: int) -> bool:
-    """Multi-source comparison variant: one deletion set must bound the
-    reachability of every vertex at once."""
-    edges = g.time_edges
-
-    def all_within(removed):
-        return all(
-            len(reachable_set(g, s, removed)) <= r for s in range(g.n)
-        )
-
-    if all_within(frozenset()):
-        return True
-    for k in range(1, min(h, len(edges)) + 1):
-        for subset in combinations(edges, k):
-            if all_within(frozenset(subset)):
-                return True
-    return False
-
-
 def oracle_firefighter_max(g: TemporalGraph, root: int, mode: str = "endangered") -> int:
     """Maximum number of vertices a reserve strategy can save.
 

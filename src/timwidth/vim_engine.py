@@ -65,9 +65,9 @@ class VimProblemPlugin:
 
     Subclasses fix the label alphabet (with a distinguished default label),
     the counter arity, and the Tr / Ac routines plus initial states. The
-    optional counter_candidates hook narrows the counter vectors paired with
-    each candidate labelling; it must over-approximate the Tr-feasible ones,
-    and Tr remains the arbiter.
+    counter_candidates hook yields the counter vectors paired with each
+    candidate labelling; it must over-approximate the Tr-feasible ones, and
+    Tr remains the arbiter.
     """
 
     labels: tuple = ()
@@ -94,7 +94,7 @@ class VimProblemPlugin:
         raise NotImplementedError
 
     def counter_candidates(self, prev: KXState, label_map, snap, instance):
-        return None
+        raise NotImplementedError
 
 
 def enumerate_bag_states(bag, plugin, instance):
@@ -138,9 +138,8 @@ def solve_locally_uniform(
     g = instance.graph
     vs = vim_sequence(g)
     lam = g.lifetime
-    ranges = plugin.counter_ranges(instance)
     range_size = 1
-    for lo, hi in ranges:
+    for lo, hi in plugin.counter_ranges(instance):
         range_size *= hi - lo + 1
 
     states = set()
@@ -167,10 +166,7 @@ def solve_locally_uniform(
                         label_map.pop(v, None)
                     else:
                         label_map[v] = l
-                cands = plugin.counter_candidates(r, label_map, snap, instance)
-                if cands is None:
-                    cands = product(*[range(lo, hi + 1) for lo, hi in ranges])
-                for counters in cands:
+                for counters in plugin.counter_candidates(r, label_map, snap, instance):
                     cand = KXState.make(label_map, counters, plugin.default_label)
                     if cand in new_states:
                         continue

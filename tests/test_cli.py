@@ -136,6 +136,14 @@ def test_gen_hardness(capsys, tmp_path):
     assert "tgraph 37" in out.splitlines()[1]
 
 
+def test_gen_hardness_names_bad_cnf_line(capsys, tmp_path):
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_text("p cnf 2 1\n1 a 0\n")
+    code, out, err = run_cli(capsys, "gen", "hardness", "--cnf", str(cnf), "--satisfied", "1")
+    assert code == 2 and out == ""
+    assert "line 2:" in err
+
+
 def test_console_entry_point(single_edge):
     # the child imports timwidth from where this process found it, so the
     # test also runs from a checkout that is not installed

@@ -1,3 +1,8 @@
+import hashlib
+import random
+import signal
+from contextlib import contextmanager
+
 from hypothesis import given, settings
 
 from timwidth.core import TemporalGraph
@@ -9,8 +14,10 @@ from timwidth.decomposition import (
     tim_width,
     validate_decomposition,
 )
+from timwidth.generators import gen_hard_ham_path, gen_ordered_tree, gen_random
+from timwidth.io import emit_decomposition
 from timwidth.oracles import enumerate_tim_decompositions, min_tim_width_exhaustive
-from timwidth.widths import vim_sequence
+from timwidth.widths import bidirectional_cvim_width, connected_vim_width, vim_sequence
 
 from .conftest import random_graph, temporal_graphs
 
@@ -135,3 +142,96 @@ def test_forest_on_disconnected_underlying():
     assert validate_decomposition(g, d).ok
     rd = root_and_augment(d)
     assert len(rd.roots) == 2
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError instead of hanging when the body runs too long."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+SEARCH_GRAPH = TemporalGraph(
+    5, [(0, 1, 1), (0, 1, 2), (3, 4, 2), (0, 2, 3), (0, 2, 5), (2, 3, 7), (0, 3, 8), (1, 4, 9)]
+)
+
+
+def test_search_revisits_no_partition():
+    # same-time merges commute: without the seen set, the search reaches one
+    # merged state along 3^7 orders
+    with deadline(30):
+        assert tim_width(SEARCH_GRAPH) == min_tim_width_exhaustive(SEARCH_GRAPH) == 4
+
+
+def test_widths_pool_graph_decomposes_quickly():
+    # from the widths benchmark pool (seed 70); a search that restarts after
+    # every forced merge and revisits partitions runs for minutes on it, and
+    # the exhaustive oracle does not finish
+    g = TemporalGraph(9, [
+        (1, 3, 1), (2, 8, 1), (5, 6, 2), (7, 8, 2), (0, 6, 3), (1, 4, 3), (5, 6, 3), (7, 8, 3),
+        (0, 5, 4), (0, 5, 5), (2, 8, 5), (1, 3, 7), (0, 8, 8), (3, 7, 8), (4, 5, 8),
+    ])
+    with deadline(30):
+        d = compute_tim_decomposition(g)
+    assert validate_decomposition(g, d).ok
+    assert d.width == 4
+    vs = vim_sequence(g)
+    le = connected_vim_width(g, "le", vs).width
+    ge = connected_vim_width(g, "ge", vs).width
+    assert d.width <= min(le, ge) and d.width <= bidirectional_cvim_width(g)
+    assert le <= vs.width and ge <= vs.width
+
+
+def golden_graphs():
+    rng = random.Random(8080)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        lam = rng.randint(1, 8)
+        p = rng.choice((0.1, 0.25, 0.4, 0.6))
+        yield gen_random(n, lam, p, max_times_per_edge=2, seed=rng.randrange(1 << 30))
+    # sparse and long-lived, where cycles more often survive the forced merges
+    for _ in range(50):
+        n = rng.randint(4, 9)
+        lam = rng.randint(6, 10)
+        p = rng.choice((0.25, 0.4))
+        yield gen_random(n, lam, p, max_times_per_edge=2, seed=rng.randrange(1 << 30))
+    for _ in range(50):
+        n = rng.randint(2, 12)
+        yield gen_ordered_tree(n, seed=rng.randrange(1 << 30), max_times_per_edge=rng.randint(1, 3))
+    yield gen_hard_ham_path(20)
+    yield SEARCH_GRAPH
+
+
+def golden_digest():
+    h = hashlib.sha256()
+    for g in golden_graphs():
+        h.update(emit_decomposition(compute_tim_decomposition(g)).encode())
+        h.update(b"--\n")
+        h.update(emit_decomposition(decomposition_from_vim(g)).encode())
+        h.update(b"==\n")
+    return h.hexdigest()
+
+
+GOLDEN_DIGEST = "f1ade38f4fd9d75d5dfa3bdb6652dccf36f6e0ab054fcc1f11c632679c95743b"
+
+
+def test_decomposition_output_is_pinned():
+    """Both builders' output on 302 graphs, pinned by one digest.
+
+    Refactors of the decomposition must leave this digest unchanged. To
+    regenerate it, run
+    `PYTHONPATH=src python -c "from tests.test_decomposition import golden_digest; print(golden_digest())"`
+    from the repository root and paste the value into GOLDEN_DIGEST. A change
+    that moves the digest must say why in CHANGES.md.
+    """
+    with deadline(60):
+        assert golden_digest() == GOLDEN_DIGEST

@@ -82,3 +82,27 @@ def test_dimacs_errors():
         parse_dimacs_2cnf("1 2 0\n")
     with pytest.raises(ParseError):
         parse_dimacs_2cnf("p cnf 2 2\n1 2 0\n")
+
+
+def test_dimacs_non_integer_fields_name_lines():
+    with pytest.raises(ParseError) as err:
+        parse_dimacs_2cnf("p cnf 2 1\n1 a 0\n")
+    assert err.value.line_no == 2
+    with pytest.raises(ParseError) as err:
+        parse_dimacs_2cnf("c comment\np cnf two 1\n1 2 0\n")
+    assert err.value.line_no == 2
+
+
+def test_decomposition_errors_name_lines():
+    good = "node 0 time=1 bag=0,1\nnode 1 time=2 bag=0,1\narc 0 1\n"
+    assert parse_decomposition(good, 2, 2).arcs == ((0, 1),)
+    for bad, line_no in (
+        ("node x time=1 bag=0,1\n", 1),
+        ("node 0 time=1 bag=0,1\nnode 1 time=two bag=0,1\n", 2),
+        ("node 0 time=1 bag=0,y\n", 1),
+        ("node 0 time=1 bag=0,1\nnode 1 time=2 bag=0,1\narc 0 z\n", 3),
+        ("node 0 time=1 bag=0,1\nnode 0 time=2 bag=0,1\n", 2),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_decomposition(bad, 2, 2)
+        assert err.value.line_no == line_no, bad

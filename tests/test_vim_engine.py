@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from timwidth.core import TemporalGraph, snapshot
@@ -15,11 +17,11 @@ from .conftest import random_graph
 
 
 class TinyPlugin(HamiltonianVimPlugin):
-    """Hamiltonian routines without the derived-counter shortcut, so the
-    engine exercises its full counter-range enumeration."""
+    """Hamiltonian routines without the derived-counter shortcut: every
+    labelling is paired with the full counter-range product."""
 
     def counter_candidates(self, prev, label_map, snap, instance):
-        return None
+        return product(*[range(lo, hi + 1) for lo, hi in self.counter_ranges(instance)])
 
 
 def reference_algorithm2(plugin, instance):
