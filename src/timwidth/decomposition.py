@@ -296,6 +296,9 @@ def validate_decomposition(g: TemporalGraph, d: TimDecomposition) -> ValidationR
             return fail("bags", f"bag {i} is empty", (i,))
         if not (1 <= d.times[i] <= lam):
             return fail("bags", f"bag {i} has time {d.times[i]} outside [1, {lam}]", (i,))
+        stray = sorted(v for v in bag if not 0 <= v < g.n)
+        if stray:
+            return fail("bags", f"bag {i} holds vertex {stray[0]} outside 0..{g.n - 1}", (i, stray[0]))
     if len(d.bags) > g.n * lam:
         return fail("bags", f"{len(d.bags)} nodes exceed n*Lambda = {g.n * lam}")
 

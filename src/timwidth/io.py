@@ -43,6 +43,7 @@ class GraphFile:
 
 def parse_graph_file(text: str) -> GraphFile:
     header = None
+    header_line = 0
     edges = []
     root = None
     source = None
@@ -58,10 +59,10 @@ def parse_graph_file(text: str) -> GraphFile:
                 raise ParseError(line_no, "duplicate header")
             if len(parts) != 3:
                 raise ParseError(line_no, "header needs: tgraph <n> <lifetime>")
-            try:
-                header = (int(parts[1]), int(parts[2]))
-            except ValueError:
-                raise ParseError(line_no, "header fields must be integers") from None
+            header = tuple(_ints(line_no, parts[1:], "header fields must be integers"))
+            if header[0] < 0:
+                raise ParseError(line_no, "vertex count must be nonnegative")
+            header_line = line_no
         elif kind == "e":
             if header is None:
                 raise ParseError(line_no, "edge before header")
@@ -94,6 +95,8 @@ def parse_graph_file(text: str) -> GraphFile:
                 raise ParseError(line_no, "vertex id must be an integer") from None
             if not (0 <= v < header[0]):
                 raise ParseError(line_no, "vertex out of range")
+            if (root if kind == "root" else source) is not None:
+                raise ParseError(line_no, f"duplicate {kind}")
             if kind == "root":
                 root = v
             else:
@@ -106,10 +109,10 @@ def parse_graph_file(text: str) -> GraphFile:
     try:
         g = TemporalGraph(n, edges)
     except TemporalGraphError as exc:
-        raise ParseError(0, str(exc)) from None
+        raise ParseError(header_line, str(exc)) from None
     if g.lifetime != lam:
         raise ParseError(
-            0, f"header lifetime {lam} but latest edge time is {g.lifetime}"
+            header_line, f"header lifetime {lam} but latest edge time is {g.lifetime}"
         )
     return GraphFile(g, root, source)
 
@@ -199,6 +202,8 @@ def parse_dimacs_2cnf(text: str) -> TwoCnf:
             continue
         if line.startswith("p"):
             parts = line.split()
+            if num_vars is not None:
+                raise ParseError(line_no, "duplicate header")
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(line_no, "header needs: p cnf <vars> <clauses>")
             num_vars, expect = _ints(line_no, parts[2:], "header fields must be integers")

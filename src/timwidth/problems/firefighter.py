@@ -39,7 +39,7 @@ class FirefighterVimPlugin(VimProblemPlugin):
         n = max(instance.graph.n, 1)
         return ((1, n), (1, instance.start_budget + instance.graph.lifetime))
 
-    def initial_states(self, instance, f0):
+    def initial_states(self, instance):
         return [
             KXState.make(
                 {instance.root: BURNING}, (1, instance.start_budget), UNBURNT

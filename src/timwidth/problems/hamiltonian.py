@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from ..core import shift_graph
 from ..tim_engine import TimProblemPlugin, solve_component_exchangeable
 from ..vim_engine import KXState, VimProblemPlugin, solve_locally_uniform
 from .instances import HamiltonianInstance
@@ -12,22 +11,26 @@ VISITED, UNVISITED, CURRENT = "V", "U", "C"
 
 class HamiltonianVimPlugin(VimProblemPlugin):
     """One counter h tracks path length; the current endpoint walks over
-    snapshot edges onto unvisited vertices."""
+    snapshot edges onto unvisited vertices. The initial state (no labels,
+    h = 0) is the path not started yet. Starting goes to h = 2 and labels a V,
+    b C for a snapshot edge (a, b): a strict path's first edge fixes its
+    start time, so one run covers every start."""
 
     labels = (VISITED, UNVISITED, CURRENT)
     default_label = UNVISITED
     counter_arity = 1
 
     def counter_ranges(self, instance):
-        return ((1, max(instance.graph.n, 1)),)
+        return ((0, max(instance.graph.n, 1)),)
 
-    def initial_states(self, instance, f0):
-        return [
-            KXState.make({v: CURRENT}, (1,), self.default_label) for v in sorted(f0)
-        ]
+    def initial_states(self, instance):
+        return [KXState.make({}, (0,), self.default_label)]
 
     def transition(self, prev, new, snap):
         c1, c2 = prev.labelled(CURRENT), new.labelled(CURRENT)
+        if prev.counters[0] == 0 and new.counters[0] == 2:
+            v2 = new.labelled(VISITED)
+            return len(v2) == len(c2) == 1 and snap.has_edge(next(iter(v2)), next(iter(c2)))
         gone, arrived = c1 - c2, c2 - c1
         if len(gone) == 1 and len(arrived) == 1:
             a, b = next(iter(gone)), next(iter(arrived))
@@ -45,9 +48,9 @@ class HamiltonianVimPlugin(VimProblemPlugin):
 
     def counter_candidates(self, prev, label_map, snap, instance):
         h = prev.counters[0]
-        if h < instance.graph.n:
-            return ((h,), (h + 1,))
-        return ((h,),)
+        if h == 0:
+            return ((0,), (2,))
+        return ((h,), (h + 1,)) if h < instance.graph.n else ((h,),)
 
 
 def ham_vim_plugin() -> HamiltonianVimPlugin:
@@ -134,14 +137,7 @@ def solve_hamiltonian(g, engine="vim", **kwargs):
         return res.answer, [res]
     if engine != "vim":
         raise ValueError(f"unknown engine {engine!r}")
-    runs = []
-    plugin = ham_vim_plugin()
-    for shift in range(g.lifetime):
-        shifted = shift_graph(g, shift + 1)
-        if len(shifted.time_edges) < g.n - 1:
-            continue
-        res = solve_locally_uniform(plugin, HamiltonianInstance(shifted), **kwargs)
-        runs.append(res)
-        if res.answer:
-            return True, runs
-    return False, runs
+    if len(g.time_edges) < g.n - 1:
+        return False, []
+    res = solve_locally_uniform(ham_vim_plugin(), HamiltonianInstance(g), **kwargs)
+    return res.answer, [res]

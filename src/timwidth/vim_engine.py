@@ -64,7 +64,8 @@ class VimProblemPlugin:
     """A problem definition the VIM engine can run.
 
     Subclasses fix the label alphabet (with a distinguished default label),
-    the counter arity, and the Tr / Ac routines plus initial states. The
+    the counter arity, the Tr / Ac routines, and the initial states, which
+    depend on the instance alone (the engine restricts them to F_0). The
     counter_candidates hook yields the counter vectors paired with each
     candidate labelling; it must over-approximate the Tr-feasible ones, and
     Tr remains the arbiter.
@@ -90,7 +91,7 @@ class VimProblemPlugin:
     def accept(self, state: KXState, instance) -> bool:
         raise NotImplementedError
 
-    def initial_states(self, instance, f0):
+    def initial_states(self, instance):
         raise NotImplementedError
 
     def counter_candidates(self, prev: KXState, label_map, snap, instance):
@@ -143,7 +144,7 @@ def solve_locally_uniform(
         range_size *= hi - lo + 1
 
     states = set()
-    for s in plugin.initial_states(instance, vs.bags[0]):
+    for s in plugin.initial_states(instance):
         states.add(s.restrict(vs.bags[0]))
     table_sizes = [len(states)]
     tables = [frozenset(states)] if record else None

@@ -15,7 +15,7 @@ from timwidth.decomposition import (
     validate_decomposition,
 )
 from timwidth.generators import gen_hard_ham_path, gen_ordered_tree, gen_random
-from timwidth.io import emit_decomposition
+from timwidth.io import emit_decomposition, parse_decomposition
 from timwidth.oracles import enumerate_tim_decompositions, min_tim_width_exhaustive
 from timwidth.widths import bidirectional_cvim_width, connected_vim_width, vim_sequence
 
@@ -62,6 +62,17 @@ def test_validator_catches_split_time_edge():
     report = validate_decomposition(g, bad)
     assert not report.ok
     assert report.violation.condition == "condition2"
+
+
+def test_validator_rejects_vertex_outside_graph():
+    g = TemporalGraph(2, [(0, 1, 1)])
+    for stray in (7, -3):
+        d = parse_decomposition(f"node 0 time=1 bag=0,1,{stray}\n", 2, 1)
+        report = validate_decomposition(g, d)
+        assert not report.ok
+        assert report.violation.condition == "bags"
+        assert report.violation.witness == (0, stray)
+        assert f"bag 0 holds vertex {stray}" in report.violation.message
 
 
 def test_validator_catches_wrong_arcs():

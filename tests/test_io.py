@@ -43,6 +43,23 @@ def test_parse_errors_name_lines():
         parse_graph_file("tgraph 2 5\ne 0 1 1\n")  # header lifetime mismatch
 
 
+def test_parse_rejects_repeated_directives():
+    for kind in ("root", "source"):
+        with pytest.raises(ParseError) as err:
+            parse_graph_file(f"tgraph 3 1\n{kind} 0\ne 0 1 1\n{kind} 2\n")
+        assert err.value.line_no == 4
+        assert f"duplicate {kind}" in str(err.value)
+
+
+def test_parse_header_errors_name_header_line():
+    with pytest.raises(ParseError) as err:
+        parse_graph_file("# negative\ntgraph -2 1\n")
+    assert err.value.line_no == 2
+    with pytest.raises(ParseError) as err:
+        parse_graph_file("\ntgraph 2 5\ne 0 1 1\n")
+    assert err.value.line_no == 2
+
+
 def test_round_trip_fuzz(rng):
     for _ in range(40):
         g = random_graph(rng, n_max=7, lam_max=5)
@@ -82,6 +99,13 @@ def test_dimacs_errors():
         parse_dimacs_2cnf("1 2 0\n")
     with pytest.raises(ParseError):
         parse_dimacs_2cnf("p cnf 2 2\n1 2 0\n")
+
+
+def test_dimacs_duplicate_header_names_line():
+    with pytest.raises(ParseError) as err:
+        parse_dimacs_2cnf("p cnf 2 1\n1 2 0\nc again\np cnf 3 1\n")
+    assert err.value.line_no == 4
+    assert "duplicate header" in str(err.value)
 
 
 def test_dimacs_non_integer_fields_name_lines():

@@ -1,8 +1,13 @@
-from timwidth.core import TemporalGraph, Snapshot
+import random
+
+from timwidth.core import TemporalGraph, Snapshot, shift_graph
+from timwidth.generators import gen_hard_ham_path
 from timwidth.oracles import oracle_ham
 from timwidth.problems import HamiltonianInstance, ham_tim_plugin, ham_vim_plugin, solve_hamiltonian
+from timwidth.problems.hamiltonian import HamiltonianVimPlugin
 from timwidth.tim_engine import ComponentGraph
-from timwidth.vim_engine import KXState
+from timwidth.vim_engine import KXState, solve_locally_uniform
+from timwidth.widths import vim_sequence
 
 from .conftest import random_graph
 
@@ -27,6 +32,28 @@ def test_vim_transition_identity():
     s1 = state({0: "C"}, 1)
     assert plugin.transition(s1, s1, snap)
     assert not plugin.transition(s1, state({0: "C"}, 2), snap)
+
+
+def test_vim_start_over_snapshot_edge():
+    plugin = ham_vim_plugin()
+    snap = Snapshot(3, 1, ((0, 1),))
+    start = state({}, 0)
+    assert plugin.transition(start, state({0: "V", 1: "C"}, 2), snap)
+    assert plugin.transition(start, state({1: "V", 0: "C"}, 2), snap)
+    # a non-edge of the snapshot
+    assert not plugin.transition(start, state({0: "V", 2: "C"}, 2), snap)
+    # a start must take its first edge in the same step
+    assert not plugin.transition(start, state({1: "C"}, 1), snap)
+    # not starting is always allowed
+    assert plugin.transition(start, start, snap)
+
+
+def test_vim_start_counters():
+    plugin = ham_vim_plugin()
+    inst = HamiltonianInstance(TemporalGraph(3, [(0, 1, 1)]))
+    assert plugin.initial_states(inst) == [state({}, 0)]
+    assert plugin.counter_ranges(inst) == ((0, 3),)
+    assert plugin.counter_candidates(state({}, 0), {}, None, inst) == ((0,), (2,))
 
 
 def test_tim_st_examples():
@@ -89,3 +116,38 @@ def test_successor_generator_matches_full_enumeration(rng):
             if plugin.tr(prev, lab, comp, inst)
         }
         assert slow <= fast
+
+
+class StartOnF0Plugin(HamiltonianVimPlugin):
+    """The per-start-time formulation: the path starts as C on F_0 with h = 1."""
+
+    def initial_states(self, instance):
+        f0 = vim_sequence(instance.graph).bags[0]
+        return [state({v: "C"}, 1) for v in sorted(f0)]
+
+
+def solve_per_shift(g):
+    """Hamiltonian VIM by one engine run per start time, each on the graph
+    with the earlier time-edges dropped."""
+    for shift in range(g.lifetime):
+        shifted = shift_graph(g, shift + 1)
+        if len(shifted.time_edges) >= g.n - 1:
+            if solve_locally_uniform(StartOnF0Plugin(), HamiltonianInstance(shifted)).answer:
+                return True
+    return False
+
+
+def test_one_run_matches_per_shift_runs():
+    rng = random.Random(4242)
+    graphs = [random_graph(rng, n_max=6, lam_max=5, n_min=2) for _ in range(200)]
+    graphs.append(gen_hard_ham_path(8))
+    yes = sparse = 0
+    for g in graphs:
+        answer, runs = solve_hamiltonian(g, "vim")
+        assert answer == solve_per_shift(g), g
+        assert len(runs) <= 1
+        if len(g.time_edges) < g.n - 1:
+            assert runs == []
+            sparse += 1
+        yes += answer
+    assert yes >= 20 and sparse >= 10

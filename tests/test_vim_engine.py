@@ -29,9 +29,7 @@ def reference_algorithm2(plugin, instance):
     every bag state per timestep and filter against every predecessor."""
     g = instance.graph
     vs = vim_sequence(g)
-    states = {
-        s.restrict(vs.bags[0]) for s in plugin.initial_states(instance, vs.bags[0])
-    }
+    states = {s.restrict(vs.bags[0]) for s in plugin.initial_states(instance)}
     for t in range(1, g.lifetime + 1):
         snap = snapshot(g, t)
         ft = vs.bags[t]
