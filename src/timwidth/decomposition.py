@@ -291,6 +291,12 @@ def validate_decomposition(g: TemporalGraph, d: TimDecomposition) -> ValidationR
         return ValidationReport(False, Violation(cond, msg, tuple(witness)))
 
     lam = g.lifetime
+    if (d.n, d.lifetime) != (g.n, lam):
+        return fail(
+            "bags",
+            f"decomposition has n={d.n}, Lambda={d.lifetime} but the graph has n={g.n}, Lambda={lam}",
+            (d.n, d.lifetime),
+        )
     for i, bag in enumerate(d.bags):
         if not bag:
             return fail("bags", f"bag {i} is empty", (i,))

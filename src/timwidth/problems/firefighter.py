@@ -46,38 +46,31 @@ class FirefighterVimPlugin(VimProblemPlugin):
             )
         ]
 
-    def transition(self, prev, new, snap):
+    def transition(self, prev, labels, snap):
         b1, d1 = prev.labelled(BURNING), prev.labelled(DEFENDED)
-        b2, d2 = new.labelled(BURNING), new.labelled(DEFENDED)
+        b2 = {v for v, l in labels.items() if l == BURNING}
+        d2 = {v for v, l in labels.items() if l == DEFENDED}
         if not d1 <= d2:
-            return False
+            return None
         newly = d2 - d1
         if not newly <= snap.active_vertices:
-            return False
+            return None
         if any(prev.label(v) != UNBURNT for v in newly):
-            return False
+            return None
         h1, bud1 = prev.counters
-        h2, bud2 = new.counters
-        if bud2 != bud1 - len(newly) + 1 or bud2 < 1:
-            return False
+        bud2 = bud1 - len(newly) + 1
+        if bud2 < 1:
+            return None
         adj = snap.adjacency
         closed = set(b1)
         for v in b1:
             closed |= adj.get(v, frozenset())
         if b2 != closed - d2:
-            return False
-        return h2 == h1 + len(b2 - b1)
+            return None
+        return (h1 + len(b2 - b1), bud2)
 
     def accept(self, state, instance):
         return instance.graph.n - state.counters[0] >= instance.saves_target
-
-    def counter_candidates(self, prev, label_map, snap, instance):
-        d1 = prev.labelled(DEFENDED)
-        b1 = prev.labelled(BURNING)
-        d2 = {v for v, l in label_map.items() if l == DEFENDED}
-        b2 = {v for v, l in label_map.items() if l == BURNING}
-        h1, bud1 = prev.counters
-        return ((h1 + len(b2 - b1), bud1 - len(d2 - d1) + 1),)
 
 
 def ff_vim_plugin() -> FirefighterVimPlugin:
@@ -175,6 +168,8 @@ def ff_tim_plugin() -> FirefighterTimPlugin:
 def solve_firefighter(inst: FirefighterInstance, engine="vim", **kwargs):
     """Decide reserve temporal firefighter; returns (answer, engine runs)."""
     g = inst.graph
+    if engine not in ("vim", "tim"):
+        raise ValueError(f"unknown engine {engine!r}")
     if inst.root < 0 or inst.root >= g.n:
         raise ValueError("root out of range")
     if not any(inst.root in (u, v) for u, v, _ in g.time_edges):
@@ -182,8 +177,6 @@ def solve_firefighter(inst: FirefighterInstance, engine="vim", **kwargs):
     norm = normalize_firefighter(inst)
     if engine == "vim":
         res = solve_locally_uniform(ff_vim_plugin(), norm, **kwargs)
-    elif engine == "tim":
-        res = solve_component_exchangeable(ff_tim_plugin(), norm, **kwargs)
     else:
-        raise ValueError(f"unknown engine {engine!r}")
+        res = solve_component_exchangeable(ff_tim_plugin(), norm, **kwargs)
     return res.answer, [res]

@@ -26,31 +26,28 @@ class HamiltonianVimPlugin(VimProblemPlugin):
     def initial_states(self, instance):
         return [KXState.make({}, (0,), self.default_label)]
 
-    def transition(self, prev, new, snap):
-        c1, c2 = prev.labelled(CURRENT), new.labelled(CURRENT)
-        if prev.counters[0] == 0 and new.counters[0] == 2:
-            v2 = new.labelled(VISITED)
-            return len(v2) == len(c2) == 1 and snap.has_edge(next(iter(v2)), next(iter(c2)))
-        gone, arrived = c1 - c2, c2 - c1
-        if len(gone) == 1 and len(arrived) == 1:
-            a, b = next(iter(gone)), next(iter(arrived))
-            if (
-                snap.has_edge(a, b)
-                and prev.label(b) == UNVISITED
-                and new.counters[0] == prev.counters[0] + 1
-                and prev.labelled(VISITED) | {a} == new.labelled(VISITED)
-            ):
-                return True
-        return prev.labels == new.labels and prev.counters == new.counters
+    def transition(self, prev, labels, snap):
+        h = prev.counters[0]
+        c2 = {v for v, l in labels.items() if l == CURRENT}
+        v2 = {v for v, l in labels.items() if l == VISITED}
+        if h == 0:
+            if len(v2) == len(c2) == 1 and snap.has_edge(next(iter(v2)), next(iter(c2))):
+                return (2,)
+        else:
+            c1 = prev.labelled(CURRENT)
+            gone, arrived = c1 - c2, c2 - c1
+            if len(gone) == 1 and len(arrived) == 1:
+                a, b = next(iter(gone)), next(iter(arrived))
+                if (
+                    snap.has_edge(a, b)
+                    and prev.label(b) == UNVISITED
+                    and prev.labelled(VISITED) | {a} == v2
+                ):
+                    return (h + 1,)
+        return prev.counters if labels == prev.label_dict() else None
 
     def accept(self, state, instance):
         return state.counters[0] == instance.graph.n
-
-    def counter_candidates(self, prev, label_map, snap, instance):
-        h = prev.counters[0]
-        if h == 0:
-            return ((0,), (2,))
-        return ((h,), (h + 1,)) if h < instance.graph.n else ((h,),)
 
 
 def ham_vim_plugin() -> HamiltonianVimPlugin:
@@ -126,6 +123,8 @@ def ham_tim_plugin() -> HamiltonianTimPlugin:
 
 def solve_hamiltonian(g, engine="vim", **kwargs):
     """Decide Temporal Hamiltonian Path; returns (answer, engine runs)."""
+    if engine not in ("vim", "tim"):
+        raise ValueError(f"unknown engine {engine!r}")
     if g.n <= 1:
         return True, []
     if not g.time_edges:
@@ -135,8 +134,6 @@ def solve_hamiltonian(g, engine="vim", **kwargs):
             ham_tim_plugin(), HamiltonianInstance(g), **kwargs
         )
         return res.answer, [res]
-    if engine != "vim":
-        raise ValueError(f"unknown engine {engine!r}")
     if len(g.time_edges) < g.n - 1:
         return False, []
     res = solve_locally_uniform(ham_vim_plugin(), HamiltonianInstance(g), **kwargs)

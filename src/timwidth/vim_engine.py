@@ -65,10 +65,9 @@ class VimProblemPlugin:
 
     Subclasses fix the label alphabet (with a distinguished default label),
     the counter arity, the Tr / Ac routines, and the initial states, which
-    depend on the instance alone (the engine restricts them to F_0). The
-    counter_candidates hook yields the counter vectors paired with each
-    candidate labelling; it must over-approximate the Tr-feasible ones, and
-    Tr remains the arbiter.
+    depend on the instance alone (the engine restricts them to F_0). Tr is
+    one hook: transition maps a state and the next step's labels to the
+    counters of the state that follows, or None when Tr rejects the step.
     """
 
     labels: tuple = ()
@@ -76,7 +75,8 @@ class VimProblemPlugin:
     counter_arity: int = 0
 
     def counter_ranges(self, instance):
-        """Inclusive (lo, hi) per counter; also used for table-size bounds."""
+        """Inclusive (lo, hi) per counter that Tr can return; the engine does
+        not read it, table-size bounds and enumerate_bag_states do."""
         raise NotImplementedError
 
     def counter_bound(self, instance):
@@ -85,16 +85,14 @@ class VimProblemPlugin:
             default=0,
         )
 
-    def transition(self, prev: KXState, new: KXState, snap) -> bool:
+    def transition(self, prev: KXState, labels, snap):
+        """Counters after prev with labels (its non-default labels), or None."""
         raise NotImplementedError
 
     def accept(self, state: KXState, instance) -> bool:
         raise NotImplementedError
 
     def initial_states(self, instance):
-        raise NotImplementedError
-
-    def counter_candidates(self, prev: KXState, label_map, snap, instance):
         raise NotImplementedError
 
 
@@ -133,15 +131,13 @@ def solve_locally_uniform(
 
     Candidate states at time t agree with some kept predecessor outside A_t,
     which is exactly the set of states any transition can reach, so only the
-    A_t labellings (and the counters) are enumerated. Every candidate is
-    still validated with the plugin's Tr before being kept.
+    A_t labellings are enumerated; Tr gives each one's counters or rejects it.
+    The guard counts those candidates before a timestep tries them.
     """
     g = instance.graph
     vs = vim_sequence(g)
     lam = g.lifetime
-    range_size = 1
-    for lo, hi in plugin.counter_ranges(instance):
-        range_size *= hi - lo + 1
+    default = plugin.default_label
 
     states = set()
     for s in plugin.initial_states(instance):
@@ -151,7 +147,7 @@ def solve_locally_uniform(
 
     for t in range(1, lam + 1):
         ft, at = vs.bags[t], vs.actives[t]
-        estimate = len(plugin.labels) ** len(ft) * range_size
+        estimate = len(states) * len(plugin.labels) ** len(at)
         if estimate > state_cap:
             raise ResourceLimitError(f"timestep {t}", estimate, state_cap)
         snap = snapshot(g, t)
@@ -163,16 +159,13 @@ def solve_locally_uniform(
             for assignment in product(plugin.labels, repeat=len(active)):
                 label_map = dict(base)
                 for v, l in zip(active, assignment):
-                    if l == plugin.default_label:
+                    if l == default:
                         label_map.pop(v, None)
                     else:
                         label_map[v] = l
-                for counters in plugin.counter_candidates(r, label_map, snap, instance):
-                    cand = KXState.make(label_map, counters, plugin.default_label)
-                    if cand in new_states:
-                        continue
-                    if plugin.transition(r, cand, snap):
-                        new_states.add(cand)
+                counters = plugin.transition(r, label_map, snap)
+                if counters:
+                    new_states.add(KXState.make(label_map, counters, default))
         states = new_states
         table_sizes.append(len(states))
         if record:

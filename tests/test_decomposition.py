@@ -75,6 +75,17 @@ def test_validator_rejects_vertex_outside_graph():
         assert f"bag 0 holds vertex {stray}" in report.violation.message
 
 
+def test_validator_rejects_decomposition_of_other_shape():
+    g = TemporalGraph(2, [(0, 1, 1)])
+    d = parse_decomposition("node 0 time=1 bag=0,1\n", 3, 4)
+    report = validate_decomposition(g, d)
+    assert not report.ok
+    assert report.violation.condition == "bags"
+    assert report.violation.witness == (3, 4)
+    assert "n=3, Lambda=4" in report.violation.message
+    assert "n=2, Lambda=1" in report.violation.message
+
+
 def test_validator_catches_wrong_arcs():
     g = TemporalGraph(2, [(0, 1, 1), (0, 1, 2)])
     d = compute_tim_decomposition(g)

@@ -1,3 +1,5 @@
+import pytest
+
 from timwidth.core import Snapshot, TemporalGraph
 from timwidth.oracles import oracle_firefighter_max
 from timwidth.problems import (
@@ -25,19 +27,25 @@ def test_vim_transition_defend():
     plugin = ff_vim_plugin()
     snap = Snapshot(2, 1, ((0, 1),))
     s1 = state({0: "B"}, 1, 1)
-    s2 = state({0: "B", 1: "D"}, 1, 1)
-    assert plugin.transition(s1, s2, snap)
+    assert plugin.transition(s1, {0: "B", 1: "D"}, snap) == (1, 1)
 
 
 def test_vim_transition_spread():
     plugin = ff_vim_plugin()
     snap = Snapshot(2, 1, ((0, 1),))
     s1 = state({0: "B"}, 1, 1)
-    s2 = state({0: "B", 1: "B"}, 2, 2)
-    assert plugin.transition(s1, s2, snap)
-    # cannot defend without budget afterwards dropping below 1
-    s_bad = state({0: "B", 1: "D"}, 1, 0)
-    assert not plugin.transition(s1, s_bad, snap)
+    assert plugin.transition(s1, {0: "B", 1: "B"}, snap) == (2, 2)
+    # an undefended neighbour must burn
+    assert plugin.transition(s1, {0: "B"}, snap) is None
+
+
+def test_vim_transition_budget_stays_positive():
+    plugin = ff_vim_plugin()
+    snap = Snapshot(3, 1, ((0, 1), (0, 2)))
+    s1 = state({0: "B"}, 1, 1)
+    assert plugin.transition(s1, {0: "B", 1: "D", 2: "B"}, snap) == (2, 1)
+    # two defences from budget 1 would leave budget 0
+    assert plugin.transition(s1, {0: "B", 1: "D", 2: "D"}, snap) is None
 
 
 def test_tim_transition_examples():
@@ -66,6 +74,12 @@ def test_isolated_root_saves_everything_else():
     assert solve_firefighter(inst, "vim")[0]
     assert solve_firefighter(inst, "tim")[0]
     assert not solve_firefighter(FirefighterInstance(g, 0, 4), "vim")[0]
+
+
+def test_unknown_engine_rejected_before_shortcuts():
+    inst = FirefighterInstance(TemporalGraph(3, [(1, 2, 1)]), 0, 1)
+    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+        solve_firefighter(inst, "bogus")
 
 
 def test_star_single_round():

@@ -1,6 +1,8 @@
 import random
 
-from timwidth.core import TemporalGraph, Snapshot, shift_graph
+import pytest
+
+from timwidth.core import TemporalGraph, Snapshot, shift_graph, snapshot
 from timwidth.generators import gen_hard_ham_path
 from timwidth.oracles import oracle_ham
 from timwidth.problems import HamiltonianInstance, ham_tim_plugin, ham_vim_plugin, solve_hamiltonian
@@ -20,32 +22,32 @@ def test_vim_transition_move():
     plugin = ham_vim_plugin()
     snap = Snapshot(2, 1, ((0, 1),))
     s1 = state({0: "C"}, 1)
-    s2 = state({0: "V", 1: "C"}, 2)
-    assert plugin.transition(s1, s2, snap)
-    # same move with h unchanged is rejected
-    assert not plugin.transition(s1, state({0: "V", 1: "C"}, 1), snap)
+    assert plugin.transition(s1, {0: "V", 1: "C"}, snap) == (2,)
+    # the current vertex may not move onto a visited vertex
+    assert plugin.transition(state({0: "C", 1: "V"}, 2), {0: "V", 1: "C"}, snap) is None
 
 
 def test_vim_transition_identity():
     plugin = ham_vim_plugin()
     snap = Snapshot(2, 1, ())
     s1 = state({0: "C"}, 1)
-    assert plugin.transition(s1, s1, snap)
-    assert not plugin.transition(s1, state({0: "C"}, 2), snap)
+    assert plugin.transition(s1, {0: "C"}, snap) == (1,)
+    # a move needs a snapshot edge
+    assert plugin.transition(s1, {0: "V", 1: "C"}, snap) is None
 
 
 def test_vim_start_over_snapshot_edge():
     plugin = ham_vim_plugin()
     snap = Snapshot(3, 1, ((0, 1),))
     start = state({}, 0)
-    assert plugin.transition(start, state({0: "V", 1: "C"}, 2), snap)
-    assert plugin.transition(start, state({1: "V", 0: "C"}, 2), snap)
+    assert plugin.transition(start, {0: "V", 1: "C"}, snap) == (2,)
+    assert plugin.transition(start, {1: "V", 0: "C"}, snap) == (2,)
     # a non-edge of the snapshot
-    assert not plugin.transition(start, state({0: "V", 2: "C"}, 2), snap)
+    assert plugin.transition(start, {0: "V", 2: "C"}, snap) is None
     # a start must take its first edge in the same step
-    assert not plugin.transition(start, state({1: "C"}, 1), snap)
+    assert plugin.transition(start, {1: "C"}, snap) is None
     # not starting is always allowed
-    assert plugin.transition(start, start, snap)
+    assert plugin.transition(start, {}, snap) == (0,)
 
 
 def test_vim_start_counters():
@@ -53,7 +55,7 @@ def test_vim_start_counters():
     inst = HamiltonianInstance(TemporalGraph(3, [(0, 1, 1)]))
     assert plugin.initial_states(inst) == [state({}, 0)]
     assert plugin.counter_ranges(inst) == ((0, 3),)
-    assert plugin.counter_candidates(state({}, 0), {}, None, inst) == ((0,), (2,))
+    assert plugin.transition(state({}, 0), {0: "V", 1: "C"}, snapshot(inst.graph, 1)) == (2,)
 
 
 def test_tim_st_examples():
@@ -79,6 +81,11 @@ def test_single_vertex_and_edgeless():
     assert solve_hamiltonian(TemporalGraph(1, []), "tim")[0]
     assert not solve_hamiltonian(TemporalGraph(3, []), "vim")[0]
     assert not solve_hamiltonian(TemporalGraph(3, []), "tim")[0]
+
+
+def test_unknown_engine_rejected_before_shortcuts():
+    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+        solve_hamiltonian(TemporalGraph(1, []), "bogus")
 
 
 def test_late_start_needs_shift_wrapper():

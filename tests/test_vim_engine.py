@@ -1,9 +1,9 @@
-from itertools import product
-
 import pytest
 
 from timwidth.core import TemporalGraph, snapshot
-from timwidth.problems import HamiltonianInstance
+from timwidth.oracles import oracle_ham
+from timwidth.problems import FirefighterInstance, HamiltonianInstance, normalize_firefighter
+from timwidth.problems.firefighter import ff_vim_plugin
 from timwidth.problems.hamiltonian import HamiltonianVimPlugin, ham_vim_plugin
 from timwidth.vim_engine import (
     KXState,
@@ -16,31 +16,30 @@ from timwidth.widths import vim_sequence
 from .conftest import random_graph
 
 
-class TinyPlugin(HamiltonianVimPlugin):
-    """Hamiltonian routines without the derived-counter shortcut: every
-    labelling is paired with the full counter-range product."""
-
-    def counter_candidates(self, prev, label_map, snap, instance):
-        return product(*[range(lo, hi + 1) for lo, hi in self.counter_ranges(instance)])
-
-
 def reference_algorithm2(plugin, instance):
     """Direct transcription of the chronological meta-algorithm: enumerate
-    every bag state per timestep and filter against every predecessor."""
+    every bag state per timestep (all labellings times the whole counter
+    range) and keep it iff Tr takes some kept predecessor to exactly it.
+    Returns the per-timestep tables, stopping at the first empty one."""
     g = instance.graph
     vs = vim_sequence(g)
     states = {s.restrict(vs.bags[0]) for s in plugin.initial_states(instance)}
+    tables = [frozenset(states)]
     for t in range(1, g.lifetime + 1):
+        if not states:
+            break
         snap = snapshot(g, t)
         ft = vs.bags[t]
         kept = set()
         for cand in enumerate_bag_states(ft, plugin, instance):
+            labels = cand.label_dict()
             for prev in states:
-                if plugin.transition(prev.restrict(ft), cand, snap):
+                if plugin.transition(prev.restrict(ft), labels, snap) == cand.counters:
                     kept.add(cand)
                     break
         states = kept
-    return any(plugin.accept(s, instance) for s in states)
+        tables.append(frozenset(states))
+    return tables
 
 
 def test_enumerate_counts():
@@ -72,14 +71,22 @@ def test_trivial_ham_solves():
 
 
 def test_engine_matches_reference_algorithm(rng):
-    plugin = ham_vim_plugin()
-    naive = TinyPlugin()
+    ham, ff = ham_vim_plugin(), ff_vim_plugin()
     for _ in range(25):
         g = random_graph(rng, n_max=4, lam_max=3)
         inst = HamiltonianInstance(g)
-        expected = reference_algorithm2(naive, inst)
-        assert solve_locally_uniform(plugin, inst).answer == expected
-        assert solve_locally_uniform(naive, inst).answer == expected
+        assert solve_locally_uniform(ham, inst, record=True).tables == reference_algorithm2(ham, inst)
+    checked = 0
+    while checked < 25:
+        g = random_graph(rng, n_max=4, lam_max=3)
+        roots = sorted({v for u, w, _ in g.time_edges for v in (u, w)})
+        if not roots:
+            continue
+        inst = normalize_firefighter(
+            FirefighterInstance(g, rng.choice(roots), rng.randint(0, g.n))
+        )
+        assert solve_locally_uniform(ff, inst, record=True).tables == reference_algorithm2(ff, inst)
+        checked += 1
 
 
 def test_table_sizes_respect_bound(rng):
@@ -121,6 +128,20 @@ def test_resource_guard_names_timestep():
     with pytest.raises(ResourceLimitError) as err:
         solve_locally_uniform(ham_vim_plugin(), HamiltonianInstance(g), state_cap=10)
     assert "timestep 1" in str(err.value)
+
+
+def test_guard_counts_candidates_not_bag_labellings():
+    # omega 14 but at most 3 active vertices per timestep: 3**|F_t| times the
+    # counter range exceeds the default cap, the candidates tried stay far below it
+    edges = [(2 * i, 2 * i + 1, i + 1) for i in range(7)]
+    edges += [(2 * i, 2 * i + 1, i + 8) for i in range(7)]
+    edges += [(2 * i + 1, 2 * i + 2, i + 8) for i in range(6)]
+    g = TemporalGraph(14, edges)
+    vs = vim_sequence(g)
+    assert vs.width == 14
+    assert max(len(a) for a in vs.actives) <= 3
+    res = solve_locally_uniform(ham_vim_plugin(), HamiltonianInstance(g))
+    assert res.answer == oracle_ham(g)
 
 
 def test_kxstate_accessors():
