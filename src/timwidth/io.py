@@ -145,6 +145,7 @@ def emit_decomposition(d: TimDecomposition) -> str:
 def parse_decomposition(text: str, n: int, lifetime: int) -> TimDecomposition:
     bags = {}
     times = {}
+    node_lines = {}
     arcs = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -160,23 +161,29 @@ def parse_decomposition(text: str, n: int, lifetime: int) -> TimDecomposition:
             if nid in bags:
                 raise ParseError(line_no, f"duplicate node {nid}")
             times[nid] = t
+            node_lines[nid] = line_no
             body = [x for x in parts[3][4:].split(",") if x != ""]
             bags[nid] = frozenset(_ints(line_no, body, "bag vertices must be integers"))
         elif parts[0] == "arc":
             if len(parts) != 3:
                 raise ParseError(line_no, "arc needs: arc <i> <j>")
-            arcs.append(tuple(_ints(line_no, parts[1:], "arc fields must be integers")))
+            arcs.append((tuple(_ints(line_no, parts[1:], "arc fields must be integers")), line_no))
         else:
             raise ParseError(line_no, f"unknown record {parts[0]!r}")
     ids = sorted(bags)
-    if ids != list(range(len(ids))):
-        raise ParseError(0, "node ids must be dense from 0")
+    for i, nid in enumerate(ids):
+        if nid != i:
+            raise ParseError(node_lines[nid], f"node ids must be dense from 0, got {nid}")
+    for arc, line_no in arcs:
+        for nid in arc:
+            if nid not in bags:
+                raise ParseError(line_no, f"arc names undeclared node {nid}")
     return TimDecomposition(
         n,
         lifetime,
         tuple(bags[i] for i in ids),
         tuple(times[i] for i in ids),
-        tuple(sorted(arcs)),
+        tuple(sorted(arc for arc, _ in arcs)),
     )
 
 

@@ -111,27 +111,6 @@ class FirefighterTimPlugin(TimProblemPlugin):
             return (-saved,) + (0,) * (lam - 1) + (d, d)
         return (0,) + tuple(0 if i < t else d for i in range(1, lam + 1)) + (d,)
 
-    def tr(self, prev_labelling, labelling, comp, instance):
-        verts = comp.vertices
-
-        def sets(lab):
-            out = {BURNING: set(), UNBURNT: set(), NEWDEF: set(), DEFENDED: set()}
-            for v, l in zip(verts, lab):
-                out[l].add(v)
-            return out
-
-        s1, s2 = sets(prev_labelling), sets(labelling)
-        if s2[DEFENDED] != s1[DEFENDED] | s1[NEWDEF]:
-            return False
-        adj = comp.adjacency
-        spread = set()
-        for v in s1[BURNING]:
-            spread |= adj[v]
-        blocked = s2[DEFENDED] | s2[NEWDEF]
-        if s2[BURNING] != s1[BURNING] | (spread - blocked):
-            return False
-        return (s2[UNBURNT] | s2[NEWDEF]) <= s1[UNBURNT]
-
     def successors(self, prev_labelling, comp, instance):
         from itertools import combinations
 

@@ -79,26 +79,6 @@ class HamiltonianTimPlugin(TimProblemPlugin):
             return None
         return (cur,)
 
-    def tr(self, prev_labelling, labelling, comp, instance):
-        if prev_labelling == labelling:
-            return True
-        verts = comp.vertices
-        c1 = {v for v, l in zip(verts, prev_labelling) if l == CURRENT}
-        c2 = {v for v, l in zip(verts, labelling) if l == CURRENT}
-        gone, arrived = c1 - c2, c2 - c1
-        if len(gone) != 1 or len(arrived) != 1:
-            return False
-        a, b = next(iter(gone)), next(iter(arrived))
-        e = (a, b) if a < b else (b, a)
-        if e not in comp.edges:
-            return False
-        idx = comp.index
-        if prev_labelling[idx[b]] != UNVISITED:
-            return False
-        v1 = {v for v, l in zip(verts, prev_labelling) if l == VISITED}
-        v2 = {v for v, l in zip(verts, labelling) if l == VISITED}
-        return v1 | {a} == v2
-
     def successors(self, prev_labelling, comp, instance):
         out = [prev_labelling]
         verts = comp.vertices

@@ -101,13 +101,6 @@ class MatchingTimPlugin(TimProblemPlugin):
             options.append(matched_label(delta))
         return options
 
-    def tr(self, prev_labelling, labelling, comp, instance):
-        d = instance.delta
-        for before, after in zip(prev_labelling, labelling):
-            if after not in self._next_options(before, d):
-                return False
-        return True
-
     def successors(self, prev_labelling, comp, instance):
         d = instance.delta
         per_vertex = [self._next_options(l, d) for l in prev_labelling]

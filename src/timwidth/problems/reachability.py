@@ -47,23 +47,6 @@ class TredTimPlugin(TimProblemPlugin):
             return (0, 1) if instance.source in comp.vertices else (0, 0)
         return (label_validity_deletions(labelling, comp), labelling.count(CURRENT))
 
-    def tr(self, prev_labelling, labelling, comp, instance):
-        verts = comp.vertices
-        r1 = {v for v, l in zip(verts, prev_labelling) if l == REACHED}
-        n1 = {v for v, l in zip(verts, prev_labelling) if l == CURRENT}
-        u1 = {v for v, l in zip(verts, prev_labelling) if l == UNREACHED}
-        r2 = {v for v, l in zip(verts, labelling) if l == REACHED}
-        n2 = {v for v, l in zip(verts, labelling) if l == CURRENT}
-        if r2 != r1 | n1:
-            return False
-        adj = comp.adjacency
-        frontier = set()
-        for v in r2:
-            frontier |= adj[v]
-        # keeping any connecting edge makes a vertex newly reached; deleting
-        # all of them leaves it unreached, so only containment is forced
-        return n2 <= (u1 & frontier)
-
     def successors(self, prev_labelling, comp, instance):
         verts = comp.vertices
         r2 = {

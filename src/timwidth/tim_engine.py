@@ -2,11 +2,11 @@
 
 The engine answers component-exchangeable temporally uniform problems:
 plugins supply St / Val / Fin (one check hook that returns a labelling's
-counter vector) and Tr on timed components, plus a componentwise upper
-bound on the summed counter vectors. Realisability is computed bottom-up;
-per bag only the assignments of its own-time components and a small
-boundary labelling are visible to the parent, which keeps the per-bag
-tables at partial-profile size.
+counter vector) and Tr (one successors hook) on timed components, plus a
+componentwise upper bound on the summed counter vectors. Realisability is
+computed bottom-up; per bag only the assignments of its own-time components
+and a small boundary labelling are visible to the parent, which keeps the
+per-bag tables at partial-profile size.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ class TimProblemPlugin:
     """Problem bundle for the component-exchangeable engine.
 
     Labellings are tuples aligned with a component's sorted vertex tuple.
-    check and tr are authoritative. check is St, Val or Fin by role and
-    returns the counter vector a labelling fixes, or None when the role
-    rejects it; successors generates the labellings worth trying, and the
-    engine re-checks every one it keeps with tr and check. On a component
-    of one vertex and no edges, check (roles val and fin) and tr must not
-    depend on which vertex it holds: inside runs of idle bags the engine
-    asks them once per timestep for all such components.
+    check is St, Val or Fin by role and returns the counter vector a
+    labelling fixes, or None when the role rejects it. successors is Tr: it
+    returns exactly the labellings that may follow a labelling, each once.
+    On a component of one vertex and no edges, check (roles val and fin)
+    and successors must not depend on which vertex it holds: inside runs of
+    idle bags the engine asks them once per timestep for all such components.
     """
 
     labels: tuple = ()
@@ -56,11 +55,8 @@ class TimProblemPlugin:
         as a tuple, or None when the role does not admit the labelling."""
         raise NotImplementedError
 
-    def tr(self, prev_labelling, labelling, comp: ComponentGraph, instance) -> bool:
-        raise NotImplementedError
-
-    def successors(self, prev_labelling, comp, instance):
-        """The labellings worth trying after prev_labelling."""
+    def successors(self, prev_labelling, comp: ComponentGraph, instance):
+        """Tr: every labelling that may follow prev_labelling, each once."""
         raise NotImplementedError
 
     def assignments(self, comp, t, role, instance):
@@ -240,6 +236,8 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
         for c in up
     }
     up_cache = {c: {} for c in up}
+    # Tr as sets, by (component key, earlier labelling)
+    succ_cache = {}
 
     def filter_up(c, own_label_at):
         restriction = tuple(own_label_at[v] for v in up_need[c])
@@ -258,7 +256,9 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
                     own_label_at[v] if v in rd.bags[node] else extra_map[v]
                     for v in comp.vertices
                 )
-                if not plugin.tr(prev, nxt, comp, instance):
+                if (key, prev) not in succ_cache:
+                    succ_cache[(key, prev)] = set(plugin.successors(prev, comp, instance))
+                if nxt not in succ_cache[(key, prev)]:
                     ok = False
                     break
             if ok:
@@ -280,7 +280,7 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
                     prev_label_at[v] = l
             down_totals.append(totals_c)
 
-        # candidates for Tr-checked own components, narrowed by the previous labels
+        # Tr-checked own components take the successors of their previous labels
         a_candidates = []
         feasible = True
         for key in a_checked:
@@ -288,8 +288,6 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
             prev = tuple(prev_label_at[v] for v in comp.vertices)
             cands = []
             for labelling in plugin.successors(prev, comp, instance):
-                if not plugin.tr(prev, labelling, comp, instance):
-                    continue
                 vec = plugin.check(labelling, comp, t, role, instance)
                 if vec is not None:
                     cands.append((labelling, vec))
@@ -372,7 +370,7 @@ def fold_idle_run(structure, plugin, instance, run, base_results, seen):
                 pair = (labelling, child_labelling) if child_later else (child_labelling, labelling)
                 key = (tr_comp.t,) + pair
                 if key not in seen:
-                    seen[key] = plugin.tr(*pair, tr_comp, instance)
+                    seen[key] = pair[1] in plugin.successors(pair[0], tr_comp, instance)
                 if seen[key]:
                     incoming |= totals
             if incoming:
@@ -430,7 +428,6 @@ def solve_component_exchangeable(
             combined |= totals
         per_tree.append(combined)
 
-    answer = True
     vu = plugin.v_upper(instance)
     if any(not tree for tree in per_tree):
         answer = False

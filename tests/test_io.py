@@ -126,6 +126,12 @@ def test_decomposition_errors_name_lines():
         ("node 0 time=1 bag=0,y\n", 1),
         ("node 0 time=1 bag=0,1\nnode 1 time=2 bag=0,1\narc 0 z\n", 3),
         ("node 0 time=1 bag=0,1\nnode 0 time=2 bag=0,1\n", 2),
+        # ids that are not dense from 0 are reported at the first node out of place
+        ("node 0 time=1 bag=0,1\n# gap\nnode 2 time=2 bag=0,1\n", 3),
+        ("node -1 time=1 bag=0,1\nnode 0 time=2 bag=0,1\n", 1),
+        # an arc to an undeclared node is reported at the arc
+        ("node 0 time=1 bag=0,1\narc 0 5\n", 2),
+        ("arc 1 0\nnode 0 time=1 bag=0,1\n", 1),
     ):
         with pytest.raises(ParseError) as err:
             parse_decomposition(bad, 2, 2)

@@ -54,11 +54,11 @@ def test_tim_transition_examples():
         FirefighterInstance(TemporalGraph(3, [(0, 1, 1), (1, 2, 1)]), 0, 1)
     )
     comp = ComponentGraph(1, (0, 1, 2), ((0, 1), (1, 2)))
-    assert plugin.tr(("B", "U", "U"), ("B", "N", "U"), comp, inst)
-    assert not plugin.tr(("B", "B", "U"), ("B", "U", "U"), comp, inst)
+    assert ("B", "N", "U") in plugin.successors(("B", "U", "U"), comp, inst)
+    assert ("B", "U", "U") not in plugin.successors(("B", "B", "U"), comp, inst)
     # undefended neighbour must burn
-    assert not plugin.tr(("B", "U", "U"), ("B", "U", "U"), comp, inst)
-    assert plugin.tr(("B", "U", "U"), ("B", "B", "U"), comp, inst)
+    assert ("B", "U", "U") not in plugin.successors(("B", "U", "U"), comp, inst)
+    assert ("B", "B", "U") in plugin.successors(("B", "U", "U"), comp, inst)
 
 
 def test_normalization_shifts_and_credits_budget():

@@ -71,9 +71,9 @@ def test_tim_transition_example():
     plugin = ham_tim_plugin()
     comp = ComponentGraph(1, (0, 1), ((0, 1),))
     inst = HamiltonianInstance(TemporalGraph(2, [(0, 1, 1)]))
-    assert plugin.tr(("C", "U"), ("V", "C"), comp, inst)
-    assert not plugin.tr(("C", "U"), ("C", "C"), comp, inst)
-    assert plugin.tr(("V", "C"), ("V", "C"), comp, inst)
+    assert ("V", "C") in plugin.successors(("C", "U"), comp, inst)
+    assert ("C", "C") not in plugin.successors(("C", "U"), comp, inst)
+    assert ("V", "C") in plugin.successors(("V", "C"), comp, inst)
 
 
 def test_single_vertex_and_edgeless():
@@ -102,27 +102,6 @@ def test_engines_match_oracle(rng):
         expected = oracle_ham(g)
         assert solve_hamiltonian(g, "vim")[0] == expected, g
         assert solve_hamiltonian(g, "tim")[0] == expected, g
-
-
-def test_successor_generator_matches_full_enumeration(rng):
-    plugin = ham_tim_plugin()
-    inst = HamiltonianInstance(TemporalGraph(4, [(0, 1, 1)]))
-    import itertools
-
-    for _ in range(40):
-        k = rng.randint(1, 3)
-        verts = tuple(range(k))
-        pool = [(u, v) for u in range(k) for v in range(u + 1, k)]
-        edges = tuple(e for e in pool if rng.random() < 0.6)
-        comp = ComponentGraph(1, verts, edges)
-        prev = tuple(rng.choice("VUC") for _ in verts)
-        fast = set(plugin.successors(prev, comp, inst))
-        slow = {
-            lab
-            for lab in itertools.product(plugin.labels, repeat=k)
-            if plugin.tr(prev, lab, comp, inst)
-        }
-        assert slow <= fast
 
 
 class StartOnF0Plugin(HamiltonianVimPlugin):

@@ -21,6 +21,10 @@ from timwidth.problems import (
     solve_tred,
     tred_tim_plugin,
 )
+from timwidth.problems.firefighter import FirefighterTimPlugin
+from timwidth.problems.hamiltonian import HamiltonianTimPlugin
+from timwidth.problems.matching import MatchingTimPlugin
+from timwidth.problems.reachability import TredTimPlugin
 from timwidth.tim_engine import (
     ComponentGraph,
     TwoStepStructure,
@@ -31,6 +35,119 @@ from timwidth.tim_engine import (
 from timwidth.vim_engine import ResourceLimitError
 
 from .conftest import random_graph
+
+
+# Tr of each TIM plugin as a predicate on one (earlier, later) labelling pair:
+# the specification that successors must generate exactly, and the Tr of the
+# configuration oracle, which therefore does not lean on successors.
+
+
+def ham_tr(prev_labelling, labelling, comp, instance):
+    if prev_labelling == labelling:
+        return True
+    verts = comp.vertices
+    c1 = {v for v, l in zip(verts, prev_labelling) if l == "C"}
+    c2 = {v for v, l in zip(verts, labelling) if l == "C"}
+    gone, arrived = c1 - c2, c2 - c1
+    if len(gone) != 1 or len(arrived) != 1:
+        return False
+    a, b = next(iter(gone)), next(iter(arrived))
+    e = (a, b) if a < b else (b, a)
+    if e not in comp.edges:
+        return False
+    if prev_labelling[comp.index[b]] != "U":
+        return False
+    v1 = {v for v, l in zip(verts, prev_labelling) if l == "V"}
+    v2 = {v for v, l in zip(verts, labelling) if l == "V"}
+    return v1 | {a} == v2
+
+
+def matching_tr(prev_labelling, labelling, comp, instance):
+    d = instance.delta
+    matched = (1, d, d)
+
+    def options(label):
+        if label == matched:
+            return [(0, 1, max(1, d - 1))] + ([matched] if d == 1 else [])
+        _, a, b = label
+        return [(0, min(d, a + 1), max(1, b - 1))] + ([matched] if b == 1 and a >= d - 1 else [])
+
+    return all(after in options(before) for before, after in zip(prev_labelling, labelling))
+
+
+def tred_tr(prev_labelling, labelling, comp, instance):
+    verts = comp.vertices
+    r1 = {v for v, l in zip(verts, prev_labelling) if l == "R"}
+    n1 = {v for v, l in zip(verts, prev_labelling) if l == "N"}
+    u1 = {v for v, l in zip(verts, prev_labelling) if l == "U"}
+    r2 = {v for v, l in zip(verts, labelling) if l == "R"}
+    n2 = {v for v, l in zip(verts, labelling) if l == "N"}
+    if r2 != r1 | n1:
+        return False
+    frontier = set()
+    for v in r2:
+        frontier |= comp.adjacency[v]
+    # keeping any connecting edge makes a vertex newly reached; deleting
+    # all of them leaves it unreached, so only containment is forced
+    return n2 <= (u1 & frontier)
+
+
+def ff_tr(prev_labelling, labelling, comp, instance):
+    def sets(lab):
+        out = {"B": set(), "U": set(), "N": set(), "D": set()}
+        for v, l in zip(comp.vertices, lab):
+            out[l].add(v)
+        return out
+
+    s1, s2 = sets(prev_labelling), sets(labelling)
+    if s2["D"] != s1["D"] | s1["N"]:
+        return False
+    spread = set()
+    for v in s1["B"]:
+        spread |= comp.adjacency[v]
+    blocked = s2["D"] | s2["N"]
+    if s2["B"] != s1["B"] | (spread - blocked):
+        return False
+    return (s2["U"] | s2["N"]) <= s1["U"]
+
+
+REFERENCE_TR = {
+    HamiltonianTimPlugin: ham_tr,
+    MatchingTimPlugin: matching_tr,
+    TredTimPlugin: tred_tr,
+    FirefighterTimPlugin: ff_tr,
+}
+
+
+def components_up_to(k_max):
+    """Every component on vertices 0..k-1, k <= k_max: each edge subset that
+    leaves the vertices connected, as every snapshot component is."""
+    for k in range(1, k_max + 1):
+        pool = [(u, v) for u in range(k) for v in range(u + 1, k)]
+        for mask in range(1 << len(pool)):
+            edges = tuple(e for i, e in enumerate(pool) if mask >> i & 1)
+            if len(_components(k, edges)) == 1:
+                yield ComponentGraph(1, tuple(range(k)), edges)
+
+
+def test_successors_are_exactly_tr():
+    g = TemporalGraph(4, [(0, 1, 1)])
+    cases = [
+        (ham_tim_plugin(), HamiltonianInstance(g), 4),
+        (tred_tim_plugin(), TredInstance(g, 0, 1, 1), 4),
+        (ff_tim_plugin(), FirefighterInstance(g, 0, 1), 3),
+    ]
+    cases += [(matching_tim_plugin(), MatchingInstance(g, d, 1), 3) for d in (1, 2, 3)]
+    for plugin, inst, k_max in cases:
+        ref_tr = REFERENCE_TR[type(plugin)]
+        labels = plugin.label_set(inst)
+        for comp in components_up_to(k_max):
+            everything = list(product(labels, repeat=len(comp.vertices)))
+            for prev in everything:
+                out = plugin.successors(prev, comp, inst)
+                assert len(out) == len(set(out)), (type(plugin).__name__, prev, comp)
+                expected = {nxt for nxt in everything if ref_tr(prev, nxt, comp, inst)}
+                assert set(out) == expected, (type(plugin).__name__, prev, comp)
 
 
 def configuration_oracle(plugin, instance):
@@ -58,6 +175,7 @@ def configuration_oracle(plugin, instance):
             options = plugin.assignments(view, t, role, instance)
             slots.append(((t, view), options))
 
+    ref_tr = REFERENCE_TR[type(plugin)]
     vu = plugin.v_upper(instance)
     k = plugin.arity(instance)
     keys = [key for key, _ in slots]
@@ -72,7 +190,7 @@ def configuration_oracle(plugin, instance):
             if t == 0:
                 continue
             prev = tuple(label_at[(t - 1, v)] for v in view.vertices)
-            if not plugin.tr(prev, labelling, view, instance):
+            if not ref_tr(prev, labelling, view, instance):
                 ok = False
                 break
         if not ok:
@@ -337,8 +455,9 @@ def test_folded_runs_match_bag_by_bag_tables():
 
 
 def test_one_vertex_answers_do_not_depend_on_the_vertex():
-    # fold_idle_run asks check and tr once per timestep for all one-vertex
-    # edgeless components, so their answers there must not name the vertex
+    # fold_idle_run asks check and successors once per timestep for all
+    # one-vertex edgeless components, so their answers there must not name
+    # the vertex
     g = TemporalGraph(4, [(0, 1, 1), (1, 2, 2), (0, 3, 2), (2, 3, 3)])
     cases = (
         (ham_tim_plugin(), HamiltonianInstance(g)),
@@ -355,8 +474,8 @@ def test_one_vertex_answers_do_not_depend_on_the_vertex():
                 checks = tuple(
                     plugin.check((l,), comp, t, role, inst) for role in ("val", "fin") for l in labels
                 )
-                trs = tuple(plugin.tr((a,), (b,), comp, inst) for a in labels for b in labels)
-                answers.add((checks, trs))
+                succ = tuple(frozenset(plugin.successors((l,), comp, inst)) for l in labels)
+                answers.add((checks, succ))
             assert len(answers) == 1, (type(plugin).__name__, t)
 
 
