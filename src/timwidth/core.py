@@ -160,23 +160,35 @@ class StaticGraph:
 
 def _components(n, edges):
     """Connected components as sorted vertex tuples, ordered by smallest member."""
+    return _components_among(range(n), edges)
+
+
+def _edge_components(edges):
+    """The components of the vertices the edges touch; a vertex with no edge
+    belongs to none."""
+    return _components_among({v for e in edges for v in e}, edges)
+
+
+def _components_among(vertices, edges):
+    """The components of the given vertices as sorted vertex tuples, in the
+    order of the vertices that start them."""
     adj = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    seen = [False] * n
+    seen = set()
     out = []
-    for start in range(n):
-        if seen[start]:
+    for start in vertices:
+        if start in seen:
             continue
-        seen[start] = True
+        seen.add(start)
         stack = [start]
         comp = [start]
         while stack:
             x = stack.pop()
             for y in adj.get(x, ()):
-                if not seen[y]:
-                    seen[y] = True
+                if y not in seen:
+                    seen.add(y)
                     comp.append(y)
                     stack.append(y)
         comp.sort()

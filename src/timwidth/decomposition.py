@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .core import TemporalGraph, _components
+from .core import TemporalGraph, _edge_components
 from .widths import vim_sequence
 
 
@@ -17,6 +17,13 @@ class TimDecomposition:
     bags[i] is a frozenset of vertices, times[i] its timestep, arcs the
     directed (i, j) pairs between intersecting bags at consecutive times.
     For connected underlying graphs the forest is a single tree.
+
+    When ends is not empty, node i holds bags[i] at every timestep from
+    times[i] to ends[i], and its arcs meet the nodes at times[i] - 1 and
+    ends[i] + 1. A node with ends[i] > times[i] is an interval node: the idle
+    singleton bags of one vertex over a run of timesteps. Only
+    interval_decomposition returns that form; io, validate_decomposition and
+    compute_tim_decomposition use one node per bag.
     """
 
     n: int
@@ -24,13 +31,17 @@ class TimDecomposition:
     bags: tuple
     times: tuple
     arcs: tuple
+    ends: tuple = ()
 
     @property
     def width(self):
         return max((len(b) for b in self.bags), default=0)
 
     def node_count(self):
-        return len(self.bags)
+        """The number of bags, one per timestep of an interval node."""
+        if not self.ends:
+            return len(self.bags)
+        return sum(e - t + 1 for t, e in zip(self.times, self.ends))
 
 
 @dataclass(frozen=True)
@@ -49,19 +60,39 @@ class ValidationReport:
 class _BagState:
     """Mutable bag forest during cycle elimination."""
 
-    __slots__ = ("bags", "times", "adj")
+    __slots__ = ("bags", "times", "adj", "ends")
 
-    def __init__(self, bags, times, adj):
+    def __init__(self, bags, times, adj, ends):
         self.bags = bags  # id -> set of vertices (live ids only)
-        self.times = times  # id -> timestep
+        self.times = times  # id -> timestep (an interval node's first)
         self.adj = adj  # id -> set of neighbour ids
+        self.ends = ends  # interval node id -> its last timestep
 
     def clone(self):
+        # no merge touches an interval node, so the clones share ends
         return _BagState(
             {i: set(b) for i, b in self.bags.items()},
             dict(self.times),
             {i: set(ns) for i, ns in self.adj.items()},
+            self.ends,
         )
+
+    def expand(self, i, n):
+        """Replace interval node i by one node per timestep, ids i + k*n."""
+        last = self.ends.pop(i)
+        t = self.times[i]
+        later = [nb for nb in self.adj[i] if self.times[nb] > t]
+        self.adj[i].difference_update(later)
+        prev = i
+        for s in range(t + 1, last + 1):
+            j = prev + n
+            self.bags[j], self.times[j], self.adj[j] = set(self.bags[i]), s, {prev}
+            self.adj[prev].add(j)
+            prev = j
+        for nb in later:
+            self.adj[nb].remove(i)
+            self.adj[nb].add(prev)
+            self.adj[prev].add(nb)
 
     def merge(self, keep, other):
         if other < keep:
@@ -79,26 +110,6 @@ class _BagState:
 
     def width(self):
         return max((len(b) for b in self.bags.values()), default=0)
-
-    def is_acyclic(self):
-        adj = self.adj
-        parent = {}
-        for start in adj:
-            if start in parent:
-                continue
-            parent[start] = None
-            stack = [start]
-            while stack:
-                node = stack.pop()
-                up = parent[node]
-                for nb in adj[node]:
-                    if nb == up:
-                        continue
-                    if nb in parent:
-                        return False
-                    parent[nb] = node
-                    stack.append(nb)
-        return True
 
     def find_cycle(self):
         seen = set()
@@ -244,7 +255,83 @@ def _forest(n, groups_at):
                 adj[a].add(b)
                 adj[b].add(a)
         prev = node_of
-    return _BagState(bags, times, adj)
+    return _BagState(bags, times, adj, {})
+
+
+def _interval_forest(g):
+    """The bag forest before any merge: one node per component of a
+    snapshot's edges, one interval node per maximal run of timesteps in which
+    a vertex has no edge, and an edge between the nodes that hold a vertex at
+    consecutive times. A node that starts at time t with smallest vertex v
+    has id t*n + v, so ids sort by time, then smallest vertex, and a merge
+    that keeps the smaller id keeps that order."""
+    n = g.n
+    bags, times, adj, ends = {}, {}, {}, {}
+    placed = [0] * n  # the last timestep each vertex has a node at
+    holder = [None] * n  # that node
+
+    def attach(v, nid):
+        if holder[v] is not None:
+            adj[holder[v]].add(nid)
+            adj[nid].add(holder[v])
+        holder[v] = nid
+
+    def idle_run(v, last):
+        first = placed[v] + 1
+        run = first * n + v
+        bags[run], times[run], adj[run] = {v}, first, set()
+        if first < last:
+            ends[run] = last
+        attach(v, run)
+
+    for t in range(1, g.lifetime + 1):
+        for comp in _edge_components(g.edges_at(t)):
+            nid = t * n + comp[0]
+            bags[nid], times[nid], adj[nid] = set(comp), t, set()
+            for v in comp:
+                if placed[v] < t - 1:
+                    idle_run(v, t - 1)
+                attach(v, nid)
+                placed[v] = t
+    for v in range(n):
+        if placed[v] < g.lifetime:
+            idle_run(v, g.lifetime)
+    return _BagState(bags, times, adj, ends)
+
+
+def _two_core(adj):
+    """The nodes left after repeatedly removing every node of degree below
+    two: those on a cycle or on a path between two cycles."""
+    degree = {i: len(ns) for i, ns in adj.items()}
+    peeled = [i for i, d in degree.items() if d < 2]
+    for i in peeled:
+        for nb in adj[i]:
+            degree[nb] -= 1
+            if degree[nb] == 1:
+                peeled.append(nb)
+    return degree.keys() - peeled
+
+
+def _tim_forest(g):
+    """The minimum-width bag forest, idle runs off the cycles kept as
+    interval nodes.
+
+    Only nodes of the 2-core lie on a cycle. A forced merge joins two
+    same-time neighbours of a node w that a path avoiding w connects, which
+    closes a cycle; a branching merge joins two nodes of a cycle it found;
+    and merging two core nodes never puts a tree hanging off the core on a
+    cycle. So no interval node outside the core is ever merged, and only
+    those in it are expanded to one node per timestep before the search.
+    The sweeps of _forced_merge_pass see an interval node at its first
+    timestep only; the links that drops lie on no path between core nodes.
+    """
+    state = _interval_forest(g)
+    core = _two_core(state.adj)
+    if not core:
+        return state
+    for i in core & state.ends.keys():
+        state.expand(i, g.n)
+    return _minimise(state, g.n + 1, set())
 
 
 def _as_decomposition(g, state):
@@ -264,19 +351,54 @@ def compute_tim_decomposition(g: TemporalGraph) -> TimDecomposition:
     bags at consecutive times, applies every forced merge, and resolves any
     remaining cycles by exact search over the same-time identifications a
     tree shape still requires. Disconnected underlying graphs yield one tree
-    per underlying component.
+    per underlying component. The search keeps each idle run that lies on no
+    cycle as one node (see _tim_forest); the result has one node per bag.
     """
-    state = _forest(g.n, (_components(g.n, g.edges_at(t)) for t in range(1, g.lifetime + 1)))
-    if not state.is_acyclic():
-        state = _minimise(state, g.n + 1, set())
+    state = _tim_forest(g)
+    for i in list(state.ends):
+        state.expand(i, g.n)
     return _as_decomposition(g, state)
+
+
+def interval_decomposition(g: TemporalGraph) -> TimDecomposition:
+    """compute_tim_decomposition's decomposition with each maximal run of
+    idle singleton bags of one vertex as one interval node (see
+    TimDecomposition.ends), in order of first time, then smallest vertex:
+    O(time-edges + runs) nodes where the expanded form has about n * Lambda.
+    """
+    state = _tim_forest(g)
+    n, bags, times = g.n, state.bags, state.times
+    ends = dict(state.ends)
+    # a run that the search expanded and left unmerged is one node again
+    head = {}
+    live = sorted(bags)
+    for i in live:
+        if len(bags[i]) == 1 and len(bags.get(i - n, ())) == 1:
+            head[i] = first = head.get(i - n, i - n)
+            ends[first] = times[i]
+    nodes = [i for i in live if i not in head]
+    remap = {old: new for new, old in enumerate(nodes)}
+    arcs = sorted(
+        (remap[head.get(i, i)], remap[head.get(j, j)])
+        for i in live
+        for j in state.adj[i]
+        if times[j] > times[i] and head.get(i, i) != head.get(j, j)
+    )
+    return TimDecomposition(
+        n,
+        g.lifetime,
+        tuple(frozenset(bags[i]) for i in nodes),
+        tuple(times[i] for i in nodes),
+        tuple(arcs),
+        tuple(ends.get(i, times[i]) for i in nodes),
+    )
 
 
 def tim_width(g: TemporalGraph) -> int:
     """Minimum TIM width; 1 by convention for edgeless graphs."""
     if g.lifetime == 0:
         return 1
-    return compute_tim_decomposition(g).width
+    return _tim_forest(g).width()
 
 
 def validate_decomposition(g: TemporalGraph, d: TimDecomposition) -> ValidationReport:
@@ -377,7 +499,15 @@ def decomposition_from_vim(g: TemporalGraph) -> TimDecomposition:
 class RootedTimDecomposition:
     """A TIM decomposition with time-0 leaf copies of the time-1 bags and a
     deterministic root per tree (the time-Lambda bag holding the tree's
-    lowest vertex id, unless overridden)."""
+    lowest vertex id, unless overridden).
+
+    Rooting an interval_decomposition keeps its interval nodes. Such a node
+    s holds its singleton bag from times[s], the timestep next to its parent
+    (Lambda at a root), to the timestep next to its only child, which is a
+    singleton bag too: a time-0 copy, or the interval's own last bag, split
+    off as a node. So s is an interval node exactly when it and its only
+    child are singleton bags, and it spans |times[s] - times[child]| bags.
+    """
 
     n: int
     lifetime: int
@@ -401,18 +531,54 @@ class RootedTimDecomposition:
 
 
 def root_and_augment(d: TimDecomposition, root_override=None) -> RootedTimDecomposition:
-    """Attach time-0 copies of the time-1 bags and orient each tree at a root."""
+    """Attach time-0 copies of the time-1 bags and orient each tree at a root.
+
+    root_override names a bag of the expanded decomposition: its index in
+    compute_tim_decomposition's numbering (by time, then smallest vertex),
+    or that count plus k for the copy of the k-th time-1 bag. ValueError
+    when it names none. An interval node holding that bag is cut around it.
+    """
     bags = list(d.bags)
     times = list(d.times)
+    ends = list(d.ends or d.times)
     arcs = list(d.arcs)
+
+    def cut(i, t):
+        # interval node i keeps its timesteps before t, a new node the rest
+        j = len(bags)
+        bags.append(bags[i])
+        times.append(t)
+        ends.append(ends[i])
+        ends[i] = t - 1
+        arcs[:] = [(j if a == i else a, b) for a, b in arcs] + [(i, j)]
+        return j
+
+    override = None
+    if root_override is not None:
+        cells = sorted(
+            (t, min(bags[i]), i) for i in range(len(bags)) for t in range(times[i], ends[i] + 1)
+        )
+        cells += [(0,) + cell[1:] for cell in cells if cell[0] == 1]
+        if not 0 <= root_override < len(cells):
+            raise ValueError(f"root_override {root_override} names none of the {len(cells)} bags")
+        t, _, override = cells[root_override]
+        # at its time-Lambda end an interval node is rooted whole, as by default
+        if times[override] < t < d.lifetime:
+            override = cut(override, t)
+        if 0 < t < ends[override]:
+            cut(override, t + 1)
+
     copy_of = {}
-    for i in range(len(d.bags)):
-        if d.times[i] == 1:
+    for i in range(len(bags)):
+        if times[i] == 1:
             cid = len(bags)
-            bags.append(d.bags[i])
+            bags.append(bags[i])
             times.append(0)
+            ends.append(0)
             arcs.append((cid, i))
             copy_of[cid] = i
+    if override is not None and t == 0:
+        override = next(c for c, i in copy_of.items() if i == override)
 
     adj = [[] for _ in bags]
     for i, j in arcs:
@@ -444,10 +610,10 @@ def root_and_augment(d: TimDecomposition, root_override=None) -> RootedTimDecomp
         if visited[start]:
             continue
         comp = tree_nodes(start)
-        if root_override is not None and root_override in comp:
-            root = root_override
+        if override is not None and override in comp:
+            root = override
         else:
-            candidates = [i for i in comp if times[i] == lam]
+            candidates = [i for i in comp if ends[i] == lam]
             root = min(candidates, key=lambda i: (min(bags[i]), i))
         roots.append(root)
         parent[root] = None
@@ -464,12 +630,37 @@ def root_and_augment(d: TimDecomposition, root_override=None) -> RootedTimDecomp
                         nxt.append(y)
             order = nxt
 
+    # an interval node takes the end next to its parent as its time and
+    # hands the bag next to its child to a node of its own, unless that
+    # child is a time-0 copy
+    for s in range(len(bags)):
+        first, last = times[s], ends[s]
+        if first == last:
+            continue
+        p = parent[s]
+        up = p is not None and times[p] < first
+        times[s], far = (first, last) if up else (last, first)
+        below = children[s]
+        if below and times[below[0]] == 0:
+            continue
+        x = len(bags)
+        bags.append(bags[s])
+        times.append(far)
+        parent.append(s)
+        children.append(below)
+        children[s] = [x]
+        for c in below:
+            parent[c] = x
+
+    arcs = sorted(
+        (c, p) if times[c] < times[p] else (p, c) for c, p in enumerate(parent) if p is not None
+    )
     return RootedTimDecomposition(
         d.n,
-        d.lifetime,
+        lam,
         tuple(bags),
         tuple(times),
-        tuple(sorted(arcs)),
+        tuple(arcs),
         tuple(sorted(roots)),
         tuple(parent),
         tuple(tuple(c) for c in children),
@@ -482,31 +673,32 @@ class TwoStepDecomposition:
     """2-step bags over a rooted decomposition.
 
     The 2-step bag B2(s) holds the node's own (vertex, time) pairs plus each
-    child's pairs at the child's time. snapshot_components[t] lists the
-    components of snapshot t as sorted vertex tuples ordered by smallest
-    member; time 0 takes those of the first snapshot, mirroring F_0 = F_1.
-    own_comps[s] lists the (t, i) keys of the components bag s covers, t its
-    time and i the index into snapshot_components[t]; each component of
-    snapshot t is covered by exactly one bag at time t. components[s], the
-    timed components of B2(s) as (t, vertex-tuple) entries ordered by time,
-    then smallest member, and pairs[s], the pair set of B2(s), are derived on
-    first access. width is max |B2(s)|: a child's time differs from its
-    parent's and bags at one time are disjoint, so it is |B(s)| plus the
-    children's |B(c)|.
+    child's pairs at the child's time. A component of snapshot t is keyed
+    (t, v) by its smallest vertex v; time 0 takes the components of the
+    first snapshot, mirroring F_0 = F_1. own_comps[s] lists the keys of the
+    components bag s covers at rooted.times[s], sorted, and
+    snapshot_components maps each key listed to its sorted vertex tuple;
+    each component of snapshot t is covered by exactly one bag at time t,
+    and an interval node lists only its bag at rooted.times[s].
+    components[s], the timed components of B2(s) as (t, vertex-tuple)
+    entries ordered by time, then smallest member, and pairs[s], the pair
+    set of B2(s), are derived on first access. width is max |B2(s)|: a
+    child's time differs from its parent's and bags at one time are
+    disjoint, so it is |B(s)| plus the children's |B(c)|.
     """
 
     rooted: RootedTimDecomposition
-    snapshot_components: tuple
+    snapshot_components: dict
     own_comps: tuple
     width: int
 
     @cached_property
     def components(self):
-        own = self.own_comps
+        own, comps = self.own_comps, self.snapshot_components
         return tuple(
             tuple(
-                (t, self.snapshot_components[t][i])
-                for t, i in sorted(own[s] + tuple(key for c in children for key in own[c]))
+                (key[0], comps[key])
+                for key in sorted(own[s] + tuple(key for c in children for key in own[c]))
             )
             for s, children in enumerate(self.rooted.children)
         )
@@ -519,29 +711,27 @@ class TwoStepDecomposition:
 
 
 def build_two_step(rd: RootedTimDecomposition, g: TemporalGraph) -> TwoStepDecomposition:
-    # snapshot components once per timestep, with each vertex's component index
-    comps_at = [()]
-    index_at = [()]
+    # the component of each vertex with an edge, per snapshot; a vertex
+    # without one is a component alone
+    comp_of = {}
     for t in range(1, rd.lifetime + 1):
-        comps = tuple(_components(g.n, g.edges_at(t)))
-        index = [0] * g.n
-        for i, comp in enumerate(comps):
+        for comp in _edge_components(g.edges_at(t)):
             for v in comp:
-                index[v] = i
-        comps_at.append(comps)
-        index_at.append(index)
-    if rd.lifetime:
-        comps_at[0], index_at[0] = comps_at[1], index_at[1]
+                comp_of[t, v] = comp
 
+    table = {}
     own = []
     for bag, t in zip(rd.bags, rd.times):
-        comps, index = comps_at[t], index_at[t]
-        mine = sorted({index[v] for v in bag})
-        assert sum(len(comps[i]) for i in mine) == len(bag), "bag pairs must cover whole components"
-        own.append(tuple((t, i) for i in mine))
+        mine = {}
+        for v in bag:
+            comp = comp_of.get((t or 1, v), (v,))
+            mine[t, comp[0]] = comp
+        assert sum(len(c) for c in mine.values()) == len(bag), "bag pairs must cover whole components"
+        table.update(mine)
+        own.append(tuple(sorted(mine)))
     width = max(
         (len(bag) + sum(len(rd.bags[c]) for c in children)
          for bag, children in zip(rd.bags, rd.children)),
         default=0,
     )
-    return TwoStepDecomposition(rd, tuple(comps_at), tuple(own), width)
+    return TwoStepDecomposition(rd, table, tuple(own), width)

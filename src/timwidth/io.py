@@ -200,8 +200,15 @@ def decomposition_to_dot(d: TimDecomposition) -> str:
 
 def parse_dimacs_2cnf(text: str) -> TwoCnf:
     """DIMACS-style 2-CNF: 'p cnf <vars> <clauses>' then clause lines ending 0."""
+
+    def check(line_no, clauses):
+        # TwoCnf validates; its error belongs to the line that caused it
+        try:
+            TwoCnf(num_vars, tuple(clauses))
+        except CnfError as exc:
+            raise ParseError(line_no, str(exc)) from None
+
     num_vars = None
-    expect = None
     clauses = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -214,6 +221,8 @@ def parse_dimacs_2cnf(text: str) -> TwoCnf:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(line_no, "header needs: p cnf <vars> <clauses>")
             num_vars, expect = _ints(line_no, parts[2:], "header fields must be integers")
+            header_line = line_no
+            check(line_no, ())
             continue
         if num_vars is None:
             raise ParseError(line_no, "clause before header")
@@ -224,14 +233,12 @@ def parse_dimacs_2cnf(text: str) -> TwoCnf:
         if len(lits) != 2:
             raise ParseError(line_no, "each clause needs exactly two literals")
         clauses.append(tuple(lits))
+        check(line_no, clauses[-1:])
     if num_vars is None:
         raise ParseError(0, "missing p cnf header")
-    if expect is not None and expect != len(clauses):
-        raise ParseError(0, f"header says {expect} clauses, found {len(clauses)}")
-    try:
-        return TwoCnf(num_vars, tuple(clauses))
-    except CnfError as exc:
-        raise ParseError(0, str(exc)) from None
+    if expect != len(clauses):
+        raise ParseError(header_line, f"header says {expect} clauses, found {len(clauses)}")
+    return TwoCnf(num_vars, tuple(clauses))
 
 
 def emit_dimacs_2cnf(cnf: TwoCnf) -> str:

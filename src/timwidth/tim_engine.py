@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import ComponentGraph, TemporalGraph, component_graphs
+# no solve calls compute_tim_decomposition; perfbench/tracing.py patches it here
 from .decomposition import (
     build_two_step,
     compute_tim_decomposition,
+    interval_decomposition,
     root_and_augment,
 )
 from .vim_engine import ResourceLimitError
@@ -98,60 +100,50 @@ def _minimal(totals):
     return set(kept)
 
 
-def _idle_runs(rd, comps, own_comps):
-    """Maximal runs of idle singleton bags ({v}, no edge of v at the bag's
-    time), each the only child of the next: top node -> run bottom-up."""
-    idle = [len(bag) == 1 and not comps[own_comps[s][0]].edges for s, bag in enumerate(rd.bags)]
-    folds = [idle[s] and len(ch) == 1 and idle[ch[0]] for s, ch in enumerate(rd.children)]
-    runs = {}
-    for s, p in enumerate(rd.parent):
-        if folds[s] and (p is None or not folds[p]):
-            run = [s]
-            while folds[rd.children[run[-1]][0]]:
-                run.append(rd.children[run[-1]][0])
-            runs[s] = tuple(reversed(run))
-    return runs
-
-
 class TwoStepStructure:
-    """Static data shared by a solve: components, homes, Tr sites and idle runs.
+    """Static data shared by a solve: components, homes and Tr sites.
 
-    comps maps each (t, i) key of build_two_step's table to its
-    ComponentGraph, own_comps[s] lists the keys bag s covers and home maps a
-    key back to that bag. tr_site maps each key at t >= 1 to the bag that
-    checks its Tr: the home's parent when the parent is at t-1 and holds one
-    of its vertices, else the home. checks_from_child groups the keys moved
-    to a parent by (parent, home), and extra_vertices[s] lists the vertices
-    of those keys outside the parent's bag, whose labels s hands up.
-    runs maps the top of each idle run to the run, bottom-up.
+    The tree is root_and_augment's over interval_decomposition, so each idle
+    run off the cycles is one interval node (see RootedTimDecomposition),
+    which fold_idle_run walks; it holds only the key of its bag next to its
+    parent. comps maps each (t, v) key of build_two_step's table to its
+    ComponentGraph, own_comps[s] lists the keys bag s covers and home maps
+    a key back to that bag. tr_site maps each key at t >= 1 to the bag that
+    checks its Tr: the home's parent when the parent is one time earlier
+    and holds one of its vertices, else the home. checks_from_child groups
+    the keys moved to a parent by (parent, home), and extra_vertices[s]
+    lists the vertices of those keys outside the parent's bag, whose labels
+    s hands up.
     """
 
     def __init__(self, g: TemporalGraph, root_override=None):
         self.graph = g
-        self.decomposition = compute_tim_decomposition(g)
+        self.decomposition = interval_decomposition(g)
         self.rooted = root_and_augment(self.decomposition, root_override)
         self.two_step = build_two_step(self.rooted, g)
         rd = self.rooted
 
-        # (t, i) keys the i-th component of snapshot t by smallest member
+        by_time = {}
+        for (t, _), verts in self.two_step.snapshot_components.items():
+            by_time.setdefault(t, []).append(verts)
         comps = {}
-        for t, at_t in enumerate(self.two_step.snapshot_components):
-            for i, view in enumerate(component_graphs(t, at_t, g.edges_at(t or 1))):
-                comps[(t, i)] = view
+        for t, at_t in by_time.items():
+            for view in component_graphs(t, at_t, g.edges_at(t or 1)):
+                comps[(t, view.vertices[0])] = view
         self.comps = comps
         self.own_comps = self.two_step.own_comps
-        self.runs = _idle_runs(rd, comps, self.own_comps)
 
         # Tr of a component at time t runs where its time-(t-1) labels are
         # visible. Every bag at t-1 holding one of its vertices is a tree
         # neighbour of its home, so that is the home unless the parent is one.
+        # A parent lies wholly before or after t, interval nodes included.
         self.home = {}
         self.tr_site = {}
         self.checks_from_child = {}
         self.extra_vertices = []
         for s, keys in enumerate(self.own_comps):
             t, p = rd.times[s], rd.parent[s]
-            up_child = p is not None and rd.times[p] == t - 1
+            up_child = p is not None and rd.times[p] < t
             extra = set()
             for key in keys:
                 self.home[key] = s
@@ -330,58 +322,66 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     return results
 
 
-def fold_idle_run(structure, plugin, instance, run, base_results, seen):
-    """Realisable profiles of the top of an idle run, walked in one step.
+def fold_idle_run(structure, plugin, instance, node, base_results, seen):
+    """Realisable profiles of interval node `node`, its timesteps walked in
+    one step.
 
-    run lists idle singleton bags bottom-up, each the only child of the next;
-    base_results is the profile table of the bottom bag's only child, itself an
-    idle singleton. Every key of such a table is ((((label,), vector),), ()),
-    and a bag's profiles depend on its child's only through the child's label
-    and totals, so the walk keeps one totals set per label, pruned to its
-    minimal totals on entry. The top bag's table holds a subset of what
-    realisable_profiles would return for it, with the same answers.
+    The node holds {v} from the timestep next to its only child, itself a
+    singleton bag, to rd.times[node]; base_results is that child's profile
+    table. Every key of such a table is ((((label,), vector),), ()), and a
+    bag's profiles depend on its child's only through the child's label and
+    totals, so the walk keeps one totals set per label, pruned to its
+    minimal totals on entry. The result holds a subset of what
+    realisable_profiles would return for the node's bag at rd.times[node],
+    applied bag by bag, with the same answers.
 
-    seen caches the plugin's answers on one-vertex edgeless components for
-    the whole solve: assignments by time, Tr by (later time, earlier label,
-    later label). Time 0 is looked up at most once, since a time-0 bag has
-    a child only when it is the root.
+    seen caches, for the whole solve, the plugin's answers on one-vertex
+    edgeless components, keyed by (time, whether the walk goes back in
+    time): each admissible (labelling, vector) at that time with the set of
+    labellings the bag before it in the walk may hold.
     """
     rd = structure.rooted
     lam = structure.graph.lifetime
+    labels = [(label,) for label in plugin.label_set(instance)]
+    v = min(rd.bags[node])
+
+    def rows(t, back):
+        if (t, back) not in seen:
+            # Tr runs from the earlier bag to the later one: into the bag at
+            # t when the walk goes forward in time, out of it when it goes back
+            tr_comp = ComponentGraph(t + 1 if back else t, (v,), ())
+            succ = {c: set(plugin.successors(c, tr_comp, instance)) for c in labels}
+            comp = ComponentGraph(t, (v,), ())
+            seen[t, back] = [
+                (
+                    labelling,
+                    vec,
+                    succ[labelling] if back else {c for c in labels if labelling in succ[c]},
+                )
+                for labelling, vec in plugin.assignments(comp, t, _role(t, lam), instance)
+            ]
+        return seen[t, back]
+
     by_label = {}
     for (((labelling, _vec),), _extra), totals in base_results.items():
         by_label.setdefault(labelling, set()).update(totals)
     by_label = {labelling: _minimal(totals) for labelling, totals in by_label.items()}
-    below = rd.children[run[0]][0]
-    for node in run:
-        t = rd.times[node]
-        if t not in seen:
-            comp = structure.comps[structure.own_comps[node][0]]
-            seen[t] = plugin.assignments(comp, t, _role(t, lam), instance)
-        # Tr relates a component to the step before it: the child's component
-        # when the child is later in time, the bag's own when it is earlier
-        child_later = rd.times[below] > t
-        later = below if child_later else node
-        tr_comp = structure.comps[structure.own_comps[later][0]]
-        step = {}
-        for labelling, vec in seen[t]:
+    below, top = rd.times[rd.children[node][0]], rd.times[node]
+    back = below > top
+    step = -1 if back else 1
+    for t in range(below + step, top + step, step):
+        prev, by_label, vectors = by_label, {}, {}
+        for labelling, vec, sources in rows(t, back):
             incoming = set()
-            for child_labelling, totals in by_label.items():
-                pair = (labelling, child_labelling) if child_later else (child_labelling, labelling)
-                key = (tr_comp.t,) + pair
-                if key not in seen:
-                    seen[key] = pair[1] in plugin.successors(pair[0], tr_comp, instance)
-                if seen[key]:
-                    incoming |= totals
+            for c in sources & prev.keys():
+                incoming |= prev[c]
             if incoming:
-                step[(labelling, vec)] = {
-                    tuple(a + b for a, b in zip(total, vec)) for total in incoming
-                }
-        by_label = {}
-        for (labelling, _vec), totals in step.items():
-            by_label.setdefault(labelling, set()).update(totals)
-        below = node
-    return {(((labelling, vec),), ()): totals for (labelling, vec), totals in step.items()}
+                if any(vec):
+                    incoming = {tuple(a + b for a, b in zip(total, vec)) for total in incoming}
+                by_label[labelling], vectors[labelling] = incoming, vec
+    return {
+        (((labelling, vectors[labelling]),), ()): totals for labelling, totals in by_label.items()
+    }
 
 
 def solve_component_exchangeable(
@@ -398,24 +398,19 @@ def solve_component_exchangeable(
         structure = TwoStepStructure(g, root_override)
     rd = structure.rooted
 
-    # the bags below a run's top are walked from the top, not visited alone
-    inside_runs = {s for run in structure.runs.values() for s in run[:-1]}
     idle_seen = {}
     results = {}
     profile_counts = {}
+    bag_count = 0
     for node in structure.postorder():
-        if node in inside_runs:
-            continue
-        run = structure.runs.get(node)
-        if run is None:
-            children = rd.children[node]
+        children = rd.children[node]
+        if len(rd.bags[node]) == len(children) == 1 and len(rd.bags[children[0]]) == 1:
+            res = fold_idle_run(structure, plugin, instance, node, results[children[0]], idle_seen)
+            bag_count += abs(rd.times[node] - rd.times[children[0]])
+        else:
             child_results = {c: results[c] for c in children}
             res = realisable_profiles(structure, plugin, instance, node, child_results, cap)
-        else:
-            children = rd.children[run[0]]
-            res = fold_idle_run(
-                structure, plugin, instance, run, results[children[0]], idle_seen
-            )
+            bag_count += 1
         for c in children:
             del results[c]
         results[node] = res
@@ -440,7 +435,7 @@ def solve_component_exchangeable(
         structure.decomposition.width,
         structure.two_step.width,
         profile_counts,
-        len(rd.bags),
+        bag_count,
         g.n,
         g.lifetime,
     )

@@ -194,14 +194,18 @@ def test_search_revisits_no_partition():
         assert tim_width(SEARCH_GRAPH) == min_tim_width_exhaustive(SEARCH_GRAPH) == 4
 
 
+# from the widths benchmark pool (seed 70)
+WIDTHS_POOL_GRAPH = TemporalGraph(9, [
+    (1, 3, 1), (2, 8, 1), (5, 6, 2), (7, 8, 2), (0, 6, 3), (1, 4, 3), (5, 6, 3), (7, 8, 3),
+    (0, 5, 4), (0, 5, 5), (2, 8, 5), (1, 3, 7), (0, 8, 8), (3, 7, 8), (4, 5, 8),
+])
+
+
 def test_widths_pool_graph_decomposes_quickly():
-    # from the widths benchmark pool (seed 70); a search that restarts after
-    # every forced merge and revisits partitions runs for minutes on it, and
-    # the exhaustive oracle does not finish
-    g = TemporalGraph(9, [
-        (1, 3, 1), (2, 8, 1), (5, 6, 2), (7, 8, 2), (0, 6, 3), (1, 4, 3), (5, 6, 3), (7, 8, 3),
-        (0, 5, 4), (0, 5, 5), (2, 8, 5), (1, 3, 7), (0, 8, 8), (3, 7, 8), (4, 5, 8),
-    ])
+    # a search that restarts after every forced merge and revisits
+    # partitions runs for minutes on it, and the exhaustive oracle does not
+    # finish
+    g = WIDTHS_POOL_GRAPH
     with deadline(30):
         d = compute_tim_decomposition(g)
     assert validate_decomposition(g, d).ok

@@ -108,6 +108,20 @@ def test_dimacs_duplicate_header_names_line():
     assert "duplicate header" in str(err.value)
 
 
+def test_dimacs_formula_errors_name_lines():
+    for bad, line_no, message in (
+        ("p cnf 2 3\n1 2 0\n", 1, "header says 3 clauses, found 1"),
+        ("c comment\np cnf 2 3\n1 2 0\n", 2, "header says 3 clauses, found 1"),
+        ("p cnf -1 0\n", 1, "at least one variable"),
+        ("p cnf 1 1\n1 5 0\n", 2, "literal 5 out of range"),
+        ("p cnf 2 2\n1 2 0\n\n2 -2 0\n", 4, "repeats a variable"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_dimacs_2cnf(bad)
+        assert err.value.line_no == line_no, bad
+        assert message in str(err.value), bad
+
+
 def test_dimacs_non_integer_fields_name_lines():
     with pytest.raises(ParseError) as err:
         parse_dimacs_2cnf("p cnf 2 1\n1 a 0\n")

@@ -3,7 +3,9 @@ from itertools import product
 
 import pytest
 
+from timwidth import tim_engine
 from timwidth.core import TemporalGraph, _components
+from timwidth.decomposition import compute_tim_decomposition
 from timwidth.generators import gen_hard_ham_path, gen_random
 from timwidth.oracles import oracle_firefighter_max, oracle_ham, oracle_matching, oracle_tred
 from timwidth.problems import (
@@ -35,6 +37,7 @@ from timwidth.tim_engine import (
 from timwidth.vim_engine import ResourceLimitError
 
 from .conftest import random_graph
+from .test_decomposition import SEARCH_GRAPH, WIDTHS_POOL_GRAPH
 
 
 # Tr of each TIM plugin as a predicate on one (earlier, later) labelling pair:
@@ -267,41 +270,68 @@ def test_realisable_profiles_empty_when_children_incompatible():
     assert realisable_profiles(structure, plugin, inst, node, child_results) == {}
 
 
+def _is_interval(rd, s):
+    """Whether node s is an interval node: a singleton bag whose only child
+    is a singleton bag."""
+    ch = rd.children[s]
+    return len(rd.bags[s]) == len(ch) == 1 and len(rd.bags[ch[0]]) == 1
+
+
+def _interval_nodes(structure):
+    """(node, child) for each interval node."""
+    rd = structure.rooted
+    return [(s, rd.children[s][0]) for s in range(len(rd.bags)) if _is_interval(rd, s)]
+
+
+def node_times(rd, x):
+    """The timesteps node x holds its bag at: an interval node's run from the
+    one next to its child to rd.times[x]."""
+    if not _is_interval(rd, x):
+        return {rd.times[x]}
+    below, top = rd.times[rd.children[x][0]], rd.times[x]
+    return set(range(below + 1, top + 1)) if below < top else set(range(top, below))
+
+
 def reference_tr_site(structure, key):
-    """The Tr site by a scan of the rooted bags at t-1 that hold the
-    component's vertices: its home if all of them are children of the
-    home, otherwise the home's parent."""
+    """The Tr site by a scan of the rooted nodes other than its home that
+    hold a bag at t-1 meeting the component's vertices: its home if all of
+    them are children of the home, otherwise the home's parent."""
     rd = structure.rooted
     home = structure.home[key]
     verts = set(structure.comps[key].vertices)
-    prev = {x for x, bag in enumerate(rd.bags) if rd.times[x] == key[0] - 1 and bag & verts}
-    return home if prev <= set(rd.children[home]) else rd.parent[home]
+    prev = {x for x, bag in enumerate(rd.bags) if key[0] - 1 in node_times(rd, x) and bag & verts}
+    return home if prev - {home} <= set(rd.children[home]) else rd.parent[home]
 
 
 def test_every_component_tr_checked_exactly_once(rng):
     graphs = [random_graph(rng, n_max=6, lam_max=4) for _ in range(25)]
     for g in graphs + [gen_hard_ham_path(20)]:
         base = TwoStepStructure(g)
-        # a mid-tree root and a time-0 copy as root
-        copies = sorted(base.rooted.copy_of)
-        overrides = [len(base.decomposition.bags) // 2, copies[len(copies) // 2]] if copies else []
+        # a mid-tree root and a time-0 copy as root, named by their index
+        # among the bags, then the copies
+        bags, copies = base.decomposition.node_count(), len(base.rooted.copy_of)
+        overrides = [bags // 2, bags + copies // 2] if copies else []
         for structure in [base] + [TwoStepStructure(g, ov) for ov in overrides]:
             check_tr_sites(g, structure)
 
 
 def check_tr_sites(g, structure):
     rd = structure.rooted
-    # comps holds each snapshot component once, with that snapshot's
+    # comps holds snapshot components, each once, with that snapshot's
     # edges inside it; time 0 mirrors time 1, and an edgeless graph has
-    # no bags and so no components
-    expected_comps = sorted(
-        (t, verts, tuple(e for e in g.edges_at(t or 1) if e[0] in verts))
+    # no bags and so no components. Every component with an edge is there;
+    # an interval node adds only the one of its bag at rd.times
+    snapshot_comps = {
+        (t, verts): tuple(e for e in g.edges_at(t or 1) if e[0] in verts)
         for t in range(g.lifetime + 1 if g.lifetime else 0)
         for verts in _components(g.n, g.edges_at(t or 1))
-    )
-    got = sorted((c.t, c.vertices, c.edges) for c in structure.comps.values())
-    assert got == expected_comps
-    assert all(structure.comps[key].t == key[0] for key in structure.comps)
+    }
+    got = {(c.t, c.vertices): c.edges for c in structure.comps.values()}
+    assert len(got) == len(structure.comps)
+    assert all(snapshot_comps[comp] == edges for comp, edges in got.items())
+    assert {comp for comp in snapshot_comps if len(comp[1]) > 1} <= got.keys()
+    assert all(key == (c.t, c.vertices[0]) for key, c in structure.comps.items())
+    assert set(structure.comps) == {key for keys in structure.own_comps for key in keys}
     expected = set()
     for node, keys in enumerate(structure.own_comps):
         for key in keys:
@@ -387,10 +417,7 @@ def _sparse_long_graph(rng):
 def _run_directions(structure):
     """'up' for runs whose bags have later-time children, else 'down'."""
     rd = structure.rooted
-    return {
-        "up" if rd.times[rd.children[run[0]][0]] > rd.times[run[0]] else "down"
-        for run in structure.runs.values()
-    }
+    return {"up" if rd.times[c] > rd.times[s] else "down" for s, c in _interval_nodes(structure)}
 
 
 def test_long_idle_runs_match_oracles():
@@ -401,10 +428,11 @@ def test_long_idle_runs_match_oracles():
         g = _sparse_long_graph(rng)
         expected = oracle_ham(g)
         default = TwoStepStructure(g)
-        mid = len(default.decomposition.bags) // 2
+        mid = default.decomposition.node_count() // 2
         for structure in (default, TwoStepStructure(g, 0), TwoStepStructure(g, mid)):
             directions |= _run_directions(structure)
-            folded += sum(len(run) for run in structure.runs.values())
+            rd = structure.rooted
+            folded += sum(abs(rd.times[s] - rd.times[c]) for s, c in _interval_nodes(structure))
             assert solve_hamiltonian(g, "tim", structure=structure)[0] == expected, g
 
         root = rng.randrange(g.n)
@@ -422,36 +450,101 @@ def test_long_idle_runs_match_oracles():
     assert folded > 500
 
 
-def test_folded_runs_match_bag_by_bag_tables():
-    # the reference is the general step applied to every bag of the run
+def expanded_structure(g, monkeypatch):
+    """TwoStepStructure over compute_tim_decomposition: one node per bag."""
+    with monkeypatch.context() as m:
+        m.setattr(tim_engine, "interval_decomposition", compute_tim_decomposition)
+        return TwoStepStructure(g)
+
+
+def bag_by_bag_tables(structure, plugin, inst):
+    """realisable_profiles applied to every node, children first."""
+    rd = structure.rooted
+    tables = {}
+    for node in structure.postorder():
+        children = {c: tables[c] for c in rd.children[node]}
+        tables[node] = realisable_profiles(structure, plugin, inst, node, children)
+    return tables
+
+
+def four_plugin_cases(g, rng):
+    root = rng.choice([v for e in g.time_edges for v in e[:2]])
+    return (
+        (ham_tim_plugin(), HamiltonianInstance(g)),
+        (ff_tim_plugin(), normalize_firefighter(FirefighterInstance(g, root, 1))),
+        (matching_tim_plugin(), MatchingInstance(g, rng.randint(1, 3), 1)),
+        (tred_tim_plugin(), TredInstance(g, root, g.n, 1)),
+    )
+
+
+def test_folded_runs_match_bag_by_bag_tables(monkeypatch):
+    # the reference is the general step applied to every bag of the run, on
+    # the tree with one node per bag
     rng = random.Random(9)
     for _ in range(8):
         g = _sparse_long_graph(rng)
-        root = rng.choice([v for e in g.time_edges for v in e[:2]])
-        cases = (
-            (ham_tim_plugin(), HamiltonianInstance(g)),
-            (ff_tim_plugin(), normalize_firefighter(FirefighterInstance(g, root, 1))),
-            (matching_tim_plugin(), MatchingInstance(g, rng.randint(1, 3), 1)),
-            (tred_tim_plugin(), TredInstance(g, root, g.n, 1)),
-        )
-        for plugin, inst in cases:
+        for plugin, inst in four_plugin_cases(g, rng):
             structure = TwoStepStructure(inst.graph)
+            expanded = expanded_structure(inst.graph, monkeypatch)
+            ed = expanded.rooted
+            node_of = {(t, min(bag)): x for x, (bag, t) in enumerate(zip(ed.bags, ed.times))}
+            tables = bag_by_bag_tables(expanded, plugin, inst)
             rd = structure.rooted
-            tables = {}
-            for node in structure.postorder():
-                children = {c: tables[c] for c in rd.children[node]}
-                tables[node] = realisable_profiles(structure, plugin, inst, node, children)
-            for top, run in structure.runs.items():
-                below = rd.children[run[0]][0]
-                folded = fold_idle_run(structure, plugin, inst, run, tables[below], {})
-                assert folded.keys() == tables[top].keys()
+            for top, below in _interval_nodes(structure):
+                base = tables[node_of[rd.times[below], min(rd.bags[below])]]
+                reference = tables[node_of[rd.times[top], min(rd.bags[top])]]
+                folded = fold_idle_run(structure, plugin, inst, top, base, {})
+                assert folded.keys() == reference.keys()
                 for key, totals in folded.items():
                     # a subset that keeps a total at or below every dropped one
-                    assert totals <= tables[top][key]
+                    assert totals <= reference[key]
                     assert all(
                         any(all(a <= b for a, b in zip(low, total)) for low in totals)
-                        for total in tables[top][key]
+                        for total in reference[key]
                     )
+
+
+def test_interval_solve_matches_bag_by_bag_solve(monkeypatch):
+    # sparse long graphs, and two whose idle runs lie on cycles of the
+    # initial bag forest, so the search expands them and the structure
+    # compresses what no merge touched; the 9-vertex one takes seconds per
+    # plugin bag by bag, so only Hamiltonian path runs on it
+    rng = random.Random(14)
+    cases = [case for _ in range(6) for case in four_plugin_cases(_sparse_long_graph(rng), rng)]
+    cases += four_plugin_cases(SEARCH_GRAPH, rng)
+    cases.append((ham_tim_plugin(), HamiltonianInstance(WIDTHS_POOL_GRAPH)))
+    nodes = bags = 0
+    for plugin, inst in cases:
+        structure = TwoStepStructure(inst.graph)
+        expanded = expanded_structure(inst.graph, monkeypatch)
+        nodes += len(structure.rooted.bags)
+        bags += len(expanded.rooted.bags)
+        tables = bag_by_bag_tables(expanded, plugin, inst)
+        per_tree = [set().union(*tables[root].values()) for root in expanded.rooted.roots]
+        bound = plugin.v_upper(inst)
+        expected = any(
+            all(sum(column) <= b for column, b in zip(zip(*totals), bound))
+            for totals in product(*per_tree)
+        )
+        res = solve_component_exchangeable(plugin, inst, structure=structure)
+        assert res.answer == expected, (type(plugin).__name__, inst)
+        assert res.bag_count == len(expanded.rooted.bags)
+    assert nodes < bags / 2
+
+
+def test_interval_tree_grows_with_time_edges_not_bags():
+    g = gen_hard_ham_path(160)
+    assert len(TwoStepStructure(g).rooted.bags) <= 2 * len(g.time_edges) + g.n
+
+
+def test_root_override_must_name_a_bag():
+    g = TemporalGraph(3, [(0, 1, 1), (1, 2, 2)])
+    for bad in (999, -1, 6):
+        with pytest.raises(ValueError):
+            TwoStepStructure(g, bad)
+    # four bags and two time-0 copies: 5 names the second copy
+    rd = TwoStepStructure(g, 5).rooted
+    assert rd.copy_of[rd.root] == 1
 
 
 def test_one_vertex_answers_do_not_depend_on_the_vertex():
