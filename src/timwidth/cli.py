@@ -257,8 +257,9 @@ def build_parser():
 
     p = sub.add_parser("decompose", help="print a minimum TIM decomposition")
     p.add_argument("file")
-    p.add_argument("--two-step", action="store_true")
-    p.add_argument("--dot", action="store_true", help="emit graphviz instead")
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--two-step", action="store_true")
+    form.add_argument("--dot", action="store_true", help="emit graphviz instead")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("solve", help="decide a problem instance")

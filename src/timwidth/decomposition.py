@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .core import TemporalGraph, _edge_components
+from .core import ComponentGraph, TemporalGraph, _edge_components, component_graphs
 from .widths import vim_sequence
 
 
@@ -22,8 +22,9 @@ class TimDecomposition:
     times[i] to ends[i], and its arcs meet the nodes at times[i] - 1 and
     ends[i] + 1. A node with ends[i] > times[i] is an interval node: the idle
     singleton bags of one vertex over a run of timesteps. Only
-    interval_decomposition returns that form; io, validate_decomposition and
-    compute_tim_decomposition use one node per bag.
+    interval_decomposition returns that form; io and
+    compute_tim_decomposition use one node per bag, and
+    validate_decomposition accepts both.
     """
 
     n: int
@@ -335,13 +336,16 @@ def _tim_forest(g):
 
 
 def _as_decomposition(g, state):
+    """The state's nodes renumbered by id; ends is set while the state still
+    holds interval nodes."""
     live = sorted(state.bags)
     remap = {old: new for new, old in enumerate(live)}
-    times = state.times
+    times, ends = state.times, state.ends
     arcs = [(remap[i], remap[j]) for i in live for j in state.adj[i] if times[j] > times[i]]
     arcs.sort()
     bags = tuple(frozenset(state.bags[i]) for i in live)
-    return TimDecomposition(g.n, g.lifetime, bags, tuple(times[i] for i in live), tuple(arcs))
+    runs = tuple(ends.get(i, times[i]) for i in live) if ends else ()
+    return TimDecomposition(g.n, g.lifetime, bags, tuple(times[i] for i in live), tuple(arcs), runs)
 
 
 def compute_tim_decomposition(g: TemporalGraph) -> TimDecomposition:
@@ -361,37 +365,14 @@ def compute_tim_decomposition(g: TemporalGraph) -> TimDecomposition:
 
 
 def interval_decomposition(g: TemporalGraph) -> TimDecomposition:
-    """compute_tim_decomposition's decomposition with each maximal run of
-    idle singleton bags of one vertex as one interval node (see
+    """compute_tim_decomposition's decomposition with each maximal idle run
+    outside the 2-core of the initial bag forest as one interval node (see
     TimDecomposition.ends), in order of first time, then smallest vertex:
     O(time-edges + runs) nodes where the expanded form has about n * Lambda.
+    The search expands the runs in the 2-core (see _tim_forest); those it
+    leaves unmerged stay one node per timestep.
     """
-    state = _tim_forest(g)
-    n, bags, times = g.n, state.bags, state.times
-    ends = dict(state.ends)
-    # a run that the search expanded and left unmerged is one node again
-    head = {}
-    live = sorted(bags)
-    for i in live:
-        if len(bags[i]) == 1 and len(bags.get(i - n, ())) == 1:
-            head[i] = first = head.get(i - n, i - n)
-            ends[first] = times[i]
-    nodes = [i for i in live if i not in head]
-    remap = {old: new for new, old in enumerate(nodes)}
-    arcs = sorted(
-        (remap[head.get(i, i)], remap[head.get(j, j)])
-        for i in live
-        for j in state.adj[i]
-        if times[j] > times[i] and head.get(i, i) != head.get(j, j)
-    )
-    return TimDecomposition(
-        n,
-        g.lifetime,
-        tuple(frozenset(bags[i]) for i in nodes),
-        tuple(times[i] for i in nodes),
-        tuple(arcs),
-        tuple(ends.get(i, times[i]) for i in nodes),
-    )
+    return _as_decomposition(g, _tim_forest(g))
 
 
 def tim_width(g: TemporalGraph) -> int:
@@ -406,7 +387,8 @@ def validate_decomposition(g: TemporalGraph, d: TimDecomposition) -> ValidationR
 
     Conditions: (1) each vertex in exactly one bag per time, (2) each
     time-edge inside exactly one bag at its time, (3) arcs are exactly the
-    intersecting consecutive-time pairs. Returns the first violation found.
+    intersecting consecutive-time pairs. An interval node i holds its bag at
+    each time from times[i] to ends[i]. Returns the first violation found.
     """
 
     def fail(cond, msg, witness=()):
@@ -419,20 +401,26 @@ def validate_decomposition(g: TemporalGraph, d: TimDecomposition) -> ValidationR
             f"decomposition has n={d.n}, Lambda={d.lifetime} but the graph has n={g.n}, Lambda={lam}",
             (d.n, d.lifetime),
         )
+    if d.ends and len(d.ends) != len(d.bags):
+        return fail("bags", f"{len(d.ends)} ends for {len(d.bags)} nodes", (len(d.ends),))
+    ends = d.ends or d.times
     for i, bag in enumerate(d.bags):
         if not bag:
             return fail("bags", f"bag {i} is empty", (i,))
         if not (1 <= d.times[i] <= lam):
             return fail("bags", f"bag {i} has time {d.times[i]} outside [1, {lam}]", (i,))
+        if not d.times[i] <= ends[i] <= lam:
+            return fail("bags", f"node {i} ends at time {ends[i]} outside [{d.times[i]}, {lam}]", (i,))
         stray = sorted(v for v in bag if not 0 <= v < g.n)
         if stray:
             return fail("bags", f"bag {i} holds vertex {stray[0]} outside 0..{g.n - 1}", (i, stray[0]))
-    if len(d.bags) > g.n * lam:
-        return fail("bags", f"{len(d.bags)} nodes exceed n*Lambda = {g.n * lam}")
+    if d.node_count() > g.n * lam:
+        return fail("bags", f"{d.node_count()} bags exceed n*Lambda = {g.n * lam}")
 
     by_time = {}
     for i, t in enumerate(d.times):
-        by_time.setdefault(t, []).append(i)
+        for s in range(t, ends[i] + 1):
+            by_time.setdefault(s, []).append(i)
     for t in range(1, lam + 1):
         seen = {}
         for i in by_time.get(t, ()):
@@ -461,7 +449,7 @@ def validate_decomposition(g: TemporalGraph, d: TimDecomposition) -> ValidationR
     for t in range(1, lam):
         for i in by_time.get(t, ()):
             for j in by_time.get(t + 1, ()):
-                if d.bags[i] & d.bags[j]:
+                if i != j and d.bags[i] & d.bags[j]:
                     expected.add((i, j))
     actual = set(d.arcs)
     if actual != expected:
@@ -499,7 +487,8 @@ def decomposition_from_vim(g: TemporalGraph) -> TimDecomposition:
 class RootedTimDecomposition:
     """A TIM decomposition with time-0 leaf copies of the time-1 bags and a
     deterministic root per tree (the time-Lambda bag holding the tree's
-    lowest vertex id, unless overridden).
+    lowest vertex id, unless overridden). parent and children are its
+    edges.
 
     Rooting an interval_decomposition keeps its interval nodes. Such a node
     s holds its singleton bag from times[s], the timestep next to its parent
@@ -513,7 +502,6 @@ class RootedTimDecomposition:
     lifetime: int
     bags: tuple
     times: tuple
-    arcs: tuple
     roots: tuple
     parent: tuple
     children: tuple
@@ -652,15 +640,11 @@ def root_and_augment(d: TimDecomposition, root_override=None) -> RootedTimDecomp
         for c in below:
             parent[c] = x
 
-    arcs = sorted(
-        (c, p) if times[c] < times[p] else (p, c) for c, p in enumerate(parent) if p is not None
-    )
     return RootedTimDecomposition(
         d.n,
         lam,
         tuple(bags),
         tuple(times),
-        tuple(arcs),
         tuple(sorted(roots)),
         tuple(parent),
         tuple(tuple(c) for c in children),
@@ -677,7 +661,8 @@ class TwoStepDecomposition:
     (t, v) by its smallest vertex v; time 0 takes the components of the
     first snapshot, mirroring F_0 = F_1. own_comps[s] lists the keys of the
     components bag s covers at rooted.times[s], sorted, and
-    snapshot_components maps each key listed to its sorted vertex tuple;
+    snapshot_components maps each key listed to its ComponentGraph: the
+    sorted vertex tuple with the snapshot's edges inside it;
     each component of snapshot t is covered by exactly one bag at time t,
     and an interval node lists only its bag at rooted.times[s].
     components[s], the timed components of B2(s) as (t, vertex-tuple)
@@ -697,7 +682,7 @@ class TwoStepDecomposition:
         own, comps = self.own_comps, self.snapshot_components
         return tuple(
             tuple(
-                (key[0], comps[key])
+                (key[0], comps[key].vertices)
                 for key in sorted(own[s] + tuple(key for c in children for key in own[c]))
             )
             for s, children in enumerate(self.rooted.children)
@@ -711,12 +696,13 @@ class TwoStepDecomposition:
 
 
 def build_two_step(rd: RootedTimDecomposition, g: TemporalGraph) -> TwoStepDecomposition:
-    # the component of each vertex with an edge, per snapshot; a vertex
-    # without one is a component alone
+    # the component of each vertex with an edge, per snapshot, time 0
+    # mirroring time 1; a vertex without one is a component alone
     comp_of = {}
-    for t in range(1, rd.lifetime + 1):
-        for comp in _edge_components(g.edges_at(t)):
-            for v in comp:
+    for t in range(rd.lifetime + 1):
+        edges = g.edges_at(t or 1)
+        for comp in component_graphs(t, _edge_components(edges), edges):
+            for v in comp.vertices:
                 comp_of[t, v] = comp
 
     table = {}
@@ -724,9 +710,11 @@ def build_two_step(rd: RootedTimDecomposition, g: TemporalGraph) -> TwoStepDecom
     for bag, t in zip(rd.bags, rd.times):
         mine = {}
         for v in bag:
-            comp = comp_of.get((t or 1, v), (v,))
-            mine[t, comp[0]] = comp
-        assert sum(len(c) for c in mine.values()) == len(bag), "bag pairs must cover whole components"
+            comp = comp_of.get((t, v)) or ComponentGraph(t, (v,), ())
+            mine[t, comp.vertices[0]] = comp
+        assert sum(len(c.vertices) for c in mine.values()) == len(bag), (
+            "bag pairs must cover whole components"
+        )
         table.update(mine)
         own.append(tuple(sorted(mine)))
     width = max(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import ComponentGraph, TemporalGraph, component_graphs
+from .core import ComponentGraph, TemporalGraph
 # no solve calls compute_tim_decomposition; perfbench/tracing.py patches it here
 from .decomposition import (
     build_two_step,
@@ -101,19 +101,18 @@ def _minimal(totals):
 
 
 class TwoStepStructure:
-    """Static data shared by a solve: components, homes and Tr sites.
+    """Static data shared by a solve: components and Tr sites.
 
     The tree is root_and_augment's over interval_decomposition, so each idle
     run off the cycles is one interval node (see RootedTimDecomposition),
     which fold_idle_run walks; it holds only the key of its bag next to its
-    parent. comps maps each (t, v) key of build_two_step's table to its
-    ComponentGraph, own_comps[s] lists the keys bag s covers and home maps
-    a key back to that bag. tr_site maps each key at t >= 1 to the bag that
-    checks its Tr: the home's parent when the parent is one time earlier
-    and holds one of its vertices, else the home. checks_from_child groups
-    the keys moved to a parent by (parent, home), and extra_vertices[s]
-    lists the vertices of those keys outside the parent's bag, whose labels
-    s hands up.
+    parent. comps is build_two_step's table, mapping each (t, v) key to its
+    ComponentGraph, and own_comps[s] lists the keys bag s covers, its home.
+    tr_site maps each key at t >= 1 to the bag that checks its Tr: the
+    home's parent when the parent is one time earlier and holds one of its
+    vertices, else the home. checks_from_child groups the keys moved to a
+    parent by (parent, home), and extra_vertices[s] lists the vertices of
+    those keys outside the parent's bag, whose labels s hands up.
     """
 
     def __init__(self, g: TemporalGraph, root_override=None):
@@ -121,23 +120,14 @@ class TwoStepStructure:
         self.decomposition = interval_decomposition(g)
         self.rooted = root_and_augment(self.decomposition, root_override)
         self.two_step = build_two_step(self.rooted, g)
-        rd = self.rooted
-
-        by_time = {}
-        for (t, _), verts in self.two_step.snapshot_components.items():
-            by_time.setdefault(t, []).append(verts)
-        comps = {}
-        for t, at_t in by_time.items():
-            for view in component_graphs(t, at_t, g.edges_at(t or 1)):
-                comps[(t, view.vertices[0])] = view
-        self.comps = comps
+        self.comps = comps = self.two_step.snapshot_components
         self.own_comps = self.two_step.own_comps
+        rd = self.rooted
 
         # Tr of a component at time t runs where its time-(t-1) labels are
         # visible. Every bag at t-1 holding one of its vertices is a tree
         # neighbour of its home, so that is the home unless the parent is one.
         # A parent lies wholly before or after t, interval nodes included.
-        self.home = {}
         self.tr_site = {}
         self.checks_from_child = {}
         self.extra_vertices = []
@@ -146,7 +136,6 @@ class TwoStepStructure:
             up_child = p is not None and rd.times[p] < t
             extra = set()
             for key in keys:
-                self.home[key] = s
                 if t == 0:
                     continue
                 verts = comps[key].vertices
@@ -200,8 +189,9 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     up = [c for c in rd.children[node] if rd.times[c] == t + 1]
 
     own = structure.own_comps[node]
-    a_checked = [key for key in own if structure.tr_site.get(key) == node]
-    a_set = set(a_checked)
+    # a Tr-checked component's options depend on the labels below it; the
+    # others' are the same for every combination of down-children
+    fixed_keys = [key for key in own if structure.tr_site.get(key) != node]
 
     # guard before materialising anything: the label product alone ought to
     # stay below the cap
@@ -209,15 +199,12 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     estimate = 1
     for c in down:
         estimate *= max(len(child_results[c]), 1)
-    for key in own:
-        if key not in a_set:
-            estimate *= max(n_labels ** len(structure.comps[key].vertices), 1)
+    for key in fixed_keys:
+        estimate *= max(n_labels ** len(structure.comps[key].vertices), 1)
     if estimate > cap:
         raise ResourceLimitError(f"bag {node}", estimate, cap)
 
-    free_keys = [key for key in own if key not in a_set]
-    free_lists = [plugin.assignments(structure.comps[key], t, role, instance) for key in free_keys]
-    zero = tuple([0] * plugin.arity(instance))
+    fixed = {key: plugin.assignments(structure.comps[key], t, role, instance) for key in fixed_keys}
 
     up_checks = {c: structure.checks_from_child.get((node, c), ()) for c in up}
     up_need = {
@@ -258,11 +245,22 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
         cache[restriction] = combined
         return combined
 
+    def admitted_successors(key, prev_label_at):
+        # a Tr-checked component takes the successors of its previous labels
+        comp = structure.comps[key]
+        prev = tuple(prev_label_at[v] for v in comp.vertices)
+        out = []
+        for labelling in plugin.successors(prev, comp, instance):
+            vec = plugin.check(labelling, comp, t, role, instance)
+            if vec is not None:
+                out.append((labelling, vec))
+        return out
+
     results = {}
     down_keys = [list(child_results[c].items()) for c in down]
     extra_vs = structure.extra_vertices[node]
 
-    for down_combo in product(*down_keys) if down_keys else [()]:
+    for down_combo in product(*down_keys):
         prev_label_at = {}
         down_totals = []
         for c, (key_c, totals_c) in zip(down, down_combo):
@@ -272,52 +270,30 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
                     prev_label_at[v] = l
             down_totals.append(totals_c)
 
-        # Tr-checked own components take the successors of their previous labels
-        a_candidates = []
-        feasible = True
-        for key in a_checked:
-            comp = structure.comps[key]
-            prev = tuple(prev_label_at[v] for v in comp.vertices)
-            cands = []
-            for labelling in plugin.successors(prev, comp, instance):
-                vec = plugin.check(labelling, comp, t, role, instance)
-                if vec is not None:
-                    cands.append((labelling, vec))
-            if not cands:
-                feasible = False
-                break
-            a_candidates.append(cands)
-        if not feasible:
-            continue
+        options = [
+            fixed[key] if key in fixed else admitted_successors(key, prev_label_at) for key in own
+        ]
+        for rho in product(*options):
+            own_label_at = {}
+            for key, (labelling, _vec) in zip(own, rho):
+                for v, l in zip(structure.comps[key].vertices, labelling):
+                    own_label_at[v] = l
 
-        for a_choice in product(*a_candidates) if a_candidates else [()]:
-            for f_choice in product(*free_lists) if free_lists else [()]:
-                assignment = dict(zip(a_checked, a_choice))
-                assignment.update(zip(free_keys, f_choice))
-                rho = tuple(assignment[key] for key in own)
-                own_label_at = {}
-                for key in own:
-                    labelling = assignment[key][0]
-                    for v, l in zip(structure.comps[key].vertices, labelling):
-                        own_label_at[v] = l
+            up_totals = []
+            ok = True
+            for c in up:
+                tot = filter_up(c, own_label_at)
+                if not tot:
+                    ok = False
+                    break
+                up_totals.append(tot)
+            if not ok:
+                continue
 
-                up_totals = []
-                ok = True
-                for c in up:
-                    tot = filter_up(c, own_label_at)
-                    if not tot:
-                        ok = False
-                        break
-                    up_totals.append(tot)
-                if not ok:
-                    continue
-
-                own_sum = tuple(
-                    sum(vals) for vals in zip(*(assignment[key][1] for key in own))
-                ) if own else zero
-                totals = _sumset(own_sum, down_totals + up_totals)
-                extra = tuple((v, prev_label_at[v]) for v in extra_vs)
-                results.setdefault((rho, extra), set()).update(totals)
+            own_sum = tuple(sum(vals) for vals in zip(*(vec for _, vec in rho)))
+            totals = _sumset(own_sum, down_totals + up_totals)
+            extra = tuple((v, prev_label_at[v]) for v in extra_vs)
+            results.setdefault((rho, extra), set()).update(totals)
 
     return results
 
@@ -388,14 +364,13 @@ def solve_component_exchangeable(
     plugin: TimProblemPlugin,
     instance,
     cap=DEFAULT_PROFILE_CAP,
-    root_override=None,
     structure=None,
 ) -> TimSolveResult:
     g = instance.graph
     if g.lifetime == 0:
         raise ValueError("engine needs lifetime >= 1; handle edgeless instances upstream")
     if structure is None:
-        structure = TwoStepStructure(g, root_override)
+        structure = TwoStepStructure(g)
     rd = structure.rooted
 
     idle_seen = {}

@@ -82,6 +82,13 @@ def test_decompose_round_trips(capsys, tmp_path, two_hop):
     assert code == 0 and dot.startswith("digraph")
 
 
+def test_decompose_forms_exclude_each_other(capsys, two_hop):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", two_hop, "--two-step", "--dot"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_verify_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--count", "3", "--seed", "5")
     assert code == 0

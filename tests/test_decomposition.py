@@ -2,14 +2,17 @@ import hashlib
 import random
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 
 from hypothesis import given, settings
 
 from timwidth.core import TemporalGraph
 from timwidth.decomposition import (
     TimDecomposition,
+    build_two_step,
     compute_tim_decomposition,
     decomposition_from_vim,
+    interval_decomposition,
     root_and_augment,
     tim_width,
     validate_decomposition,
@@ -247,6 +250,19 @@ def golden_digest():
     return h.hexdigest()
 
 
+def two_step_digest():
+    """The rooted times, 2-step pair sets and 2-step width that
+    `timwidth decompose --two-step` prints, over golden_graphs()."""
+    h = hashlib.sha256()
+    for g in golden_graphs():
+        rd = root_and_augment(compute_tim_decomposition(g))
+        ts = build_two_step(rd, g)
+        for t, pairs in zip(rd.times, ts.pairs):
+            h.update(f"{t} {sorted(pairs, key=lambda p: (p[1], p[0]))}\n".encode())
+        h.update(f"width {ts.width}\n==\n".encode())
+    return h.hexdigest()
+
+
 GOLDEN_DIGEST = "f1ade38f4fd9d75d5dfa3bdb6652dccf36f6e0ab054fcc1f11c632679c95743b"
 
 
@@ -261,3 +277,47 @@ def test_decomposition_output_is_pinned():
     """
     with deadline(60):
         assert golden_digest() == GOLDEN_DIGEST
+
+
+TWO_STEP_DIGEST = "4159569bfe61a52ceed1c76b9176e247bcea80d250788b3796fba23411c4c67a"
+
+
+def test_two_step_output_is_pinned():
+    """The rooted 2-step bags of the same graphs, pinned by one digest.
+
+    Refactors of rooting or of the 2-step bags must leave this digest
+    unchanged. To regenerate it, run
+    `PYTHONPATH=src python -c "from tests.test_decomposition import two_step_digest; print(two_step_digest())"`
+    from the repository root and paste the value into TWO_STEP_DIGEST. A
+    change that moves the digest must say why in CHANGES.md.
+    """
+    with deadline(60):
+        assert two_step_digest() == TWO_STEP_DIGEST
+
+
+def test_interval_form_validates():
+    shortened = 0
+    for g in [*golden_graphs(), gen_hard_ham_path(35), gen_hard_ham_path(50)]:
+        d = interval_decomposition(g)
+        assert validate_decomposition(g, d).ok, g
+        assert d.node_count() == len(compute_tim_decomposition(g).bags)
+        runs = [i for i, (t, end) in enumerate(zip(d.times, d.ends)) if end > t]
+        if runs:
+            i = runs[len(runs) // 2]
+            ends = d.ends[:i] + (d.ends[i] - 1,) + d.ends[i + 1 :]
+            assert not validate_decomposition(g, replace(d, ends=ends)).ok
+            shortened += 1
+    assert shortened > 50
+
+
+def test_validator_rejects_ends_outside_the_lifetime():
+    g = TemporalGraph(3, [(0, 1, 1), (1, 2, 4)])
+    d = interval_decomposition(g)
+    assert d.times == (1, 1, 2, 2, 4) and d.ends == (1, 3, 4, 3, 4)
+    assert validate_decomposition(g, d).ok
+    for i, end in ((1, 0), (2, 5), (3, 1)):
+        ends = d.ends[:i] + (end,) + d.ends[i + 1 :]
+        report = validate_decomposition(g, replace(d, ends=ends))
+        assert not report.ok
+        assert report.violation.condition == "bags"
+        assert report.violation.witness == (i,)

@@ -292,12 +292,17 @@ def node_times(rd, x):
     return set(range(below + 1, top + 1)) if below < top else set(range(top, below))
 
 
+def home_of(structure, key):
+    """The bag whose own components include key."""
+    return next(s for s, keys in enumerate(structure.own_comps) if key in keys)
+
+
 def reference_tr_site(structure, key):
     """The Tr site by a scan of the rooted nodes other than its home that
     hold a bag at t-1 meeting the component's vertices: its home if all of
     them are children of the home, otherwise the home's parent."""
     rd = structure.rooted
-    home = structure.home[key]
+    home = home_of(structure, key)
     verts = set(structure.comps[key].vertices)
     prev = {x for x, bag in enumerate(rd.bags) if key[0] - 1 in node_times(rd, x) and bag & verts}
     return home if prev - {home} <= set(rd.children[home]) else rd.parent[home]
@@ -331,18 +336,14 @@ def check_tr_sites(g, structure):
     assert all(snapshot_comps[comp] == edges for comp, edges in got.items())
     assert {comp for comp in snapshot_comps if len(comp[1]) > 1} <= got.keys()
     assert all(key == (c.t, c.vertices[0]) for key, c in structure.comps.items())
-    assert set(structure.comps) == {key for keys in structure.own_comps for key in keys}
-    expected = set()
-    for node, keys in enumerate(structure.own_comps):
-        for key in keys:
-            assert structure.home[key] == node
-            if key[0] >= 1:
-                expected.add(key)
-    assert set(structure.tr_site) == expected
+    owned = [key for keys in structure.own_comps for key in keys]
+    # each component is own to exactly one bag, its home
+    assert len(owned) == len(set(owned)) and set(owned) == set(structure.comps)
+    assert set(structure.tr_site) == {key for key in owned if key[0] >= 1}
     moved = {}
     for key, site in structure.tr_site.items():
         assert site == reference_tr_site(structure, key)
-        home = structure.home[key]
+        home = home_of(structure, key)
         if site != home:
             moved.setdefault((site, home), []).append(key)
     assert structure.checks_from_child == moved
@@ -364,7 +365,7 @@ def test_root_choice_invariance(rng):
             1 for t in TwoStepStructure(g).rooted.times if t == 0
         )
         for alt in range(min(n_nodes, 4)):
-            res = solve_component_exchangeable(plugin, inst, root_override=alt)
+            res = solve_component_exchangeable(plugin, inst, structure=TwoStepStructure(g, alt))
             assert res.answer == base.answer
 
 
@@ -507,8 +508,9 @@ def test_folded_runs_match_bag_by_bag_tables(monkeypatch):
 def test_interval_solve_matches_bag_by_bag_solve(monkeypatch):
     # sparse long graphs, and two whose idle runs lie on cycles of the
     # initial bag forest, so the search expands them and the structure
-    # compresses what no merge touched; the 9-vertex one takes seconds per
-    # plugin bag by bag, so only Hamiltonian path runs on it
+    # keeps the bags no merge touched one node per timestep, each folded in
+    # one step; the 9-vertex one takes seconds per plugin bag by bag, so
+    # only Hamiltonian path runs on it
     rng = random.Random(14)
     cases = [case for _ in range(6) for case in four_plugin_cases(_sparse_long_graph(rng), rng)]
     cases += four_plugin_cases(SEARCH_GRAPH, rng)
