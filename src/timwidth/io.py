@@ -132,7 +132,18 @@ def emit_graph_file(g: TemporalGraph, root=None, source=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _one_bag_per_node(d: TimDecomposition):
+    """Refuse interval nodes: these formats write one bag per node."""
+    for i, (t, end) in enumerate(zip(d.times, d.ends)):
+        if end > t:
+            raise ValueError(
+                f"node {i} is an interval node (times {t}..{end}); "
+                "emit compute_tim_decomposition's form"
+            )
+
+
 def emit_decomposition(d: TimDecomposition) -> str:
+    _one_bag_per_node(d)
     lines = []
     for i, (bag, t) in enumerate(zip(d.bags, d.times)):
         verts = ",".join(str(v) for v in sorted(bag))
@@ -188,6 +199,7 @@ def parse_decomposition(text: str, n: int, lifetime: int) -> TimDecomposition:
 
 
 def decomposition_to_dot(d: TimDecomposition) -> str:
+    _one_bag_per_node(d)
     lines = ["digraph tim {", "  rankdir=LR;"]
     for i, (bag, t) in enumerate(zip(d.bags, d.times)):
         label = "{" + ",".join(str(v) for v in sorted(bag)) + "}@" + str(t)

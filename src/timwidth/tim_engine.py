@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import add
 
 from .core import ComponentGraph, TemporalGraph
 # no solve calls compute_tim_decomposition; perfbench/tracing.py patches it here
@@ -35,6 +36,8 @@ class TimProblemPlugin:
     On a component of one vertex and no edges, check (roles val and fin)
     and successors must not depend on which vertex it holds: inside runs of
     idle bags the engine asks them once per timestep for all such components.
+    There, one-vertex answers that name t, as firefighter's do, fold one
+    timestep at a time; answers alike at consecutive timesteps fold at once.
     """
 
     labels: tuple = ()
@@ -93,6 +96,8 @@ def _minimal(totals):
     totals is <= v_upper, and a dominated total can always be swapped for
     one below it. A total below another comes first in sorted order.
     """
+    if len(totals) < 2:
+        return set(totals)
     kept = []
     for total in sorted(totals):
         if not any(_leq(low, total) for low in kept):
@@ -298,23 +303,48 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     return results
 
 
+def _compose(row, power):
+    """T^(k+1) from T = row and T^k = power (see fold_idle_run)."""
+    earlier = {m: pairs for m, _vec, pairs in power}
+    out = []
+    for labelling, vec, ((sources, _vec),) in row:
+        groups = {}
+        for m in sources & earlier.keys():
+            for srcs, offset in earlier[m]:
+                total = tuple(map(add, offset, vec))
+                groups[total] = groups.get(total, frozenset()) | srcs
+        if len(groups) > 1:
+            # each source keeps its minimal offsets; a lower offset sorts first
+            kept = {}
+            for total in sorted(groups):
+                srcs = groups[total].difference(*(s for low, s in kept.items() if _leq(low, total)))
+                if srcs:
+                    kept[total] = srcs
+            groups = kept
+        if groups:
+            out.append((labelling, vec, tuple((srcs, total) for total, srcs in groups.items())))
+    return tuple(out)
+
+
 def fold_idle_run(structure, plugin, instance, node, base_results, seen):
-    """Realisable profiles of interval node `node`, its timesteps walked in
-    one step.
+    """Realisable profiles of interval node `node`, folded one stretch at a time.
 
     The node holds {v} from the timestep next to its only child, itself a
     singleton bag, to rd.times[node]; base_results is that child's profile
-    table. Every key of such a table is ((((label,), vector),), ()), and a
-    bag's profiles depend on its child's only through the child's label and
-    totals, so the walk keeps one totals set per label, pruned to its
-    minimal totals on entry. The result holds a subset of what
-    realisable_profiles would return for the node's bag at rd.times[node],
+    table. Its keys are ((((label,), vector),), ()), and a bag's profiles
+    depend on its child's only through the child's label and totals, so the
+    walk keeps one totals set per label, minimal on entry and on return: a
+    subset of what realisable_profiles would return for the node's bag,
     applied bag by bag, with the same answers.
 
-    seen caches, for the whole solve, the plugin's answers on one-vertex
-    edgeless components, keyed by (time, whether the walk goes back in
-    time): each admissible (labelling, vector) at that time with the set of
-    labellings the bag before it in the walk may hold.
+    A timestep's rows are its one-step transfer T: per admissible labelling,
+    its vector and pairs (sources, offset) adding offset to the totals of
+    the labellings the bag before it in the walk may hold. A stretch of k
+    timesteps with equal rows applies T^k, whose offsets are the minimal
+    vector sums over the k-step label paths from each source. seen holds,
+    for the whole solve, the rows of each (time, whether the walk goes back
+    in time), interned by content as the list of their powers T, T^2, ...,
+    each built from the one before.
     """
     rd = structure.rooted
     lam = structure.graph.lifetime
@@ -322,21 +352,19 @@ def fold_idle_run(structure, plugin, instance, node, base_results, seen):
     v = min(rd.bags[node])
 
     def rows(t, back):
-        if (t, back) not in seen:
+        powers = seen.get((t, back))
+        if powers is None:
             # Tr runs from the earlier bag to the later one: into the bag at
             # t when the walk goes forward in time, out of it when it goes back
             tr_comp = ComponentGraph(t + 1 if back else t, (v,), ())
-            succ = {c: set(plugin.successors(c, tr_comp, instance)) for c in labels}
+            succ = {c: frozenset(plugin.successors(c, tr_comp, instance)) for c in labels}
             comp = ComponentGraph(t, (v,), ())
-            seen[t, back] = [
-                (
-                    labelling,
-                    vec,
-                    succ[labelling] if back else {c for c in labels if labelling in succ[c]},
-                )
-                for labelling, vec in plugin.assignments(comp, t, _role(t, lam), instance)
-            ]
-        return seen[t, back]
+            row = tuple(
+                (d, vec, ((succ[d] if back else frozenset(c for c in labels if d in succ[c]), vec),))
+                for d, vec in plugin.assignments(comp, t, _role(t, lam), instance)
+            )
+            powers = seen[t, back] = seen.setdefault(row, [row])
+        return powers
 
     by_label = {}
     for (((labelling, _vec),), _extra), totals in base_results.items():
@@ -345,18 +373,30 @@ def fold_idle_run(structure, plugin, instance, node, base_results, seen):
     below, top = rd.times[rd.children[node][0]], rd.times[node]
     back = below > top
     step = -1 if back else 1
-    for t in range(below + step, top + step, step):
+    t, end = below + step, top + step
+    while t != end:
+        # equal rows are one interned list of powers
+        powers, u = rows(t, back), t + step
+        while u != end and rows(u, back) is powers:
+            u += step
+        k, t = (u - t) * step, u
+        while len(powers) < k:
+            powers.append(_compose(powers[0], powers[-1]))
         prev, by_label, vectors = by_label, {}, {}
-        for labelling, vec, sources in rows(t, back):
+        for labelling, vec, pairs in powers[k - 1]:
             incoming = set()
-            for c in sources & prev.keys():
-                incoming |= prev[c]
+            for sources, offset in pairs:
+                reached = set()
+                for c in sources & prev.keys():
+                    reached |= prev[c]
+                if any(offset):
+                    reached = {tuple(map(add, total, offset)) for total in reached}
+                incoming |= reached
             if incoming:
-                if any(vec):
-                    incoming = {tuple(a + b for a, b in zip(total, vec)) for total in incoming}
                 by_label[labelling], vectors[labelling] = incoming, vec
     return {
-        (((labelling, vectors[labelling]),), ()): totals for labelling, totals in by_label.items()
+        (((labelling, vectors[labelling]),), ()): _minimal(totals)
+        for labelling, totals in by_label.items()
     }
 
 

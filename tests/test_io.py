@@ -1,7 +1,12 @@
 import pytest
 
 from timwidth.core import TemporalGraph
-from timwidth.decomposition import compute_tim_decomposition, validate_decomposition
+from timwidth.decomposition import (
+    compute_tim_decomposition,
+    interval_decomposition,
+    validate_decomposition,
+)
+from timwidth.generators import gen_hard_ham_path
 from timwidth.io import (
     ParseError,
     decomposition_to_dot,
@@ -83,6 +88,23 @@ def test_dot_export_mentions_nodes():
     g = TemporalGraph(2, [(0, 1, 1)])
     dot = decomposition_to_dot(compute_tim_decomposition(g))
     assert "digraph" in dot and "{0,1}@1" in dot
+
+
+def test_emitters_refuse_interval_nodes():
+    # the text and dot formats hold one bag per node, so an interval node
+    # would come back as one bag at its first time
+    g = gen_hard_ham_path(20)
+    d = interval_decomposition(g)
+    assert validate_decomposition(g, d).ok
+    first = next(i for i, (t, end) in enumerate(zip(d.times, d.ends)) if end > t)
+    for emit in (emit_decomposition, decomposition_to_dot):
+        with pytest.raises(ValueError, match=f"^node {first} is an interval node"):
+            emit(d)
+    expanded = compute_tim_decomposition(g)
+    back = parse_decomposition(emit_decomposition(expanded), g.n, g.lifetime)
+    assert back == expanded
+    assert validate_decomposition(g, back).ok
+    assert "digraph" in decomposition_to_dot(expanded)
 
 
 def test_dimacs_round_trip():

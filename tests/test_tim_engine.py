@@ -580,3 +580,90 @@ def test_hard_family_materialises_few_profiles():
     answer, (res,) = solve_hamiltonian(gen_hard_ham_path(80), "tim")
     assert not answer
     assert sum(res.profile_counts.values()) < 83_446 // 2
+
+
+def test_shared_cache_folds_like_a_fresh_one(monkeypatch):
+    # the solve shares one seen table across all its interval nodes, both
+    # walk directions and runs of many lengths; a cache key that forgot the
+    # direction, the rows or the stretch length would fold differently
+    walks = []
+
+    def fold_twice(structure, plugin, instance, node, base_results, seen):
+        shared = fold_idle_run(structure, plugin, instance, node, base_results, seen)
+        assert shared == fold_idle_run(structure, plugin, instance, node, base_results, {})
+        rd = structure.rooted
+        below, top = rd.times[rd.children[node][0]], rd.times[node]
+        walks.append((type(plugin), below > top, abs(top - below)))
+        return shared
+
+    monkeypatch.setattr(tim_engine, "fold_idle_run", fold_twice)
+    rng = random.Random(15)
+    for _ in range(6):
+        g = _sparse_long_graph(rng)
+        mid = TwoStepStructure(g).decomposition.node_count() // 2
+        for plugin, inst in four_plugin_cases(g, rng):
+            for root in (None, mid):
+                structure = TwoStepStructure(inst.graph, root)
+                solve_component_exchangeable(plugin, inst, structure=structure)
+    hard = gen_hard_ham_path(35)
+    for structure in (TwoStepStructure(hard), TwoStepStructure(hard, 0)):
+        solve_component_exchangeable(
+            ham_tim_plugin(), HamiltonianInstance(hard), structure=structure
+        )
+    assert {(cls, back) for cls, back, _ in walks} == {
+        (cls, back) for cls in REFERENCE_TR for back in (False, True)
+    }
+    assert len({length for _, _, length in walks}) > 10
+
+
+def _reversed_in_time(g):
+    return TemporalGraph(g.n, [(u, v, g.lifetime + 1 - t) for u, v, t in g.time_edges])
+
+
+def _relabelled(g, rng):
+    perm = rng.sample(range(g.n), g.n)
+    return TemporalGraph(g.n, [(perm[u], perm[v], t) for u, v, t in g.time_edges])
+
+
+def _planted_path(g, rng):
+    """g plus a strict temporal path through every vertex, and g plus that
+    path without one of its edges."""
+    order = rng.sample(range(g.n), g.n)
+    times = sorted(rng.sample(range(1, g.lifetime + 1), g.n - 1))
+    path = {(min(a, b), max(a, b), t) for a, b, t in zip(order, order[1:], times)}
+    cut = rng.choice(sorted(path))
+    edges = set(g.time_edges) | path
+    return TemporalGraph(g.n, edges), TemporalGraph(g.n, edges - {cut})
+
+
+def _max_matching(g, delta):
+    lo, hi = 0, len(g.time_edges)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if solve_matching(MatchingInstance(g, delta, mid))[0] else (lo, mid - 1)
+    return lo
+
+
+def test_answers_survive_time_reversal_and_relabelling():
+    # reversing time (t -> lifetime + 1 - t) turns every idle run's walk
+    # around, and relabelling the vertices moves the root; neither changes
+    # whether a Hamiltonian path or a delta-temporal matching of a size exists
+    rng = random.Random(16)
+    graphs = []
+    for _ in range(6):
+        g = _sparse_long_graph(rng)
+        graphs += [g, *_planted_path(g, rng)]
+    hard = [gen_hard_ham_path(20), gen_hard_ham_path(35)]
+    answers = set()
+    for g in graphs + hard:
+        variants = (_reversed_in_time(g), _relabelled(g, rng))
+        expected = solve_hamiltonian(g, "tim")[0]
+        answers.add(expected)
+        for h in variants:
+            assert solve_hamiltonian(h, "tim")[0] == expected, (g, h)
+        delta = rng.randint(1, 3)
+        size = _max_matching(g, delta)
+        for h in variants:
+            assert solve_matching(MatchingInstance(h, delta, size))[0], (g, h, delta, size)
+            assert not solve_matching(MatchingInstance(h, delta, size + 1))[0], (g, h, delta, size)
+    assert answers == {True, False}
