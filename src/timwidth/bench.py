@@ -86,7 +86,7 @@ def run_suite(name, seed=0):
             rows.append(_row(f"quick-{i}", g, "temporal-reachability-edge-deletion", "tim",
                              lambda g=g: solve_tred(TredInstance(g, 0, max(1, g.n // 2), 2))))
     elif name == "scaling":
-        for n in (20, 40, 80, 160, 320):
+        for n in (20, 40, 80, 160, 320, 640):
             g = gen_hard_ham_path(n)
             rows.append(_row(f"scaling-{n}", g, "temporal-hamiltonian-path", "tim",
                              lambda g=g: solve_hamiltonian(g, "tim")))

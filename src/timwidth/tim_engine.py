@@ -181,11 +181,15 @@ DEFAULT_PROFILE_CAP = 2_000_000
 
 
 def realisable_profiles(structure, plugin, instance, node, child_results, cap=DEFAULT_PROFILE_CAP):
-    """Realisable partial profiles of one bag, with their achievable totals.
+    """Realisable partial profiles of one bag, with their minimal totals.
 
     Returns a dict keyed by (rho, extra) where rho assigns (labelling, vector)
     to each own-time component and extra lists boundary labels the parent
-    needs; each key maps to the set of achievable subtree total vectors.
+    needs; each key maps to the minimal achievable subtree total vectors,
+    those no other achievable total is componentwise at or below (see
+    _minimal). An up-child's table is joined through groups of its entries,
+    by the labels it hands up and then by the labellings of the components
+    whose Tr this bag checks, each with the union of its totals.
     """
     rd = structure.rooted
     t = rd.times[node]
@@ -220,8 +224,33 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
         for c in up
     }
     up_cache = {c: {} for c in up}
+    up_groups = {}
     # Tr as sets, by (component key, earlier labelling)
     succ_cache = {}
+
+    def successor_set(key, prev):
+        succ = succ_cache.get((key, prev))
+        if succ is None:
+            succ = succ_cache[key, prev] = frozenset(
+                plugin.successors(prev, structure.comps[key], instance)
+            )
+        return succ
+
+    def groups_of(c):
+        # the child's totals by the labels it hands up, then by the labellings
+        # of the components whose Tr this bag checks; built on first use
+        groups = up_groups.get(c)
+        if groups is None:
+            groups = up_groups[c] = {}
+            at = [structure.own_comps[c].index(key) for key in up_checks[c]]
+            for (rho_c, extra_c), totals_c in child_results[c].items():
+                by_nxt = groups.setdefault(extra_c, {})
+                nxt = tuple(rho_c[i][0] for i in at)
+                if nxt in by_nxt:
+                    by_nxt[nxt] = by_nxt[nxt] | totals_c
+                else:
+                    by_nxt[nxt] = totals_c
+        return groups
 
     def filter_up(c, own_label_at):
         restriction = tuple(own_label_at[v] for v in up_need[c])
@@ -229,25 +258,26 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
         if restriction in cache:
             return cache[restriction]
         combined = set()
-        for (rho_c, extra_c), totals_c in child_results[c].items():
-            extra_map = dict(extra_c)
-            rho_map = dict(zip(structure.own_comps[c], rho_c))
-            ok = True
-            for key in up_checks[c]:
-                comp = structure.comps[key]
-                nxt = rho_map[key][0]
-                prev = tuple(
-                    own_label_at[v] if v in rd.bags[node] else extra_map[v]
-                    for v in comp.vertices
-                )
-                if (key, prev) not in succ_cache:
-                    succ_cache[(key, prev)] = set(plugin.successors(prev, comp, instance))
-                if nxt not in succ_cache[(key, prev)]:
-                    ok = False
-                    break
-            if ok:
-                combined |= totals_c
-        cache[restriction] = combined
+        for extra_c, by_nxt in groups_of(c).items():
+            label_at = dict(extra_c)
+            label_at.update(zip(up_need[c], restriction))
+            succs = [
+                successor_set(key, tuple(label_at[v] for v in structure.comps[key].vertices))
+                for key in up_checks[c]
+            ]
+            walk = 1
+            for succ in succs:
+                walk *= len(succ)
+            if walk < len(by_nxt):
+                for nxt in product(*succs):
+                    if nxt in by_nxt:
+                        combined |= by_nxt[nxt]
+            else:
+                for nxt, totals_c in by_nxt.items():
+                    if all(label in succ for label, succ in zip(nxt, succs)):
+                        combined |= totals_c
+        # a sum with a dominated total is dominated too (see _minimal)
+        cache[restriction] = combined = _minimal(combined)
         return combined
 
     def admitted_successors(key, prev_label_at):
@@ -300,7 +330,7 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
             extra = tuple((v, prev_label_at[v]) for v in extra_vs)
             results.setdefault((rho, extra), set()).update(totals)
 
-    return results
+    return {key: _minimal(totals) for key, totals in results.items()}
 
 
 def _compose(row, power):
@@ -344,7 +374,9 @@ def fold_idle_run(structure, plugin, instance, node, base_results, seen):
     vector sums over the k-step label paths from each source. seen holds,
     for the whole solve, the rows of each (time, whether the walk goes back
     in time), interned by content as the list of their powers T, T^2, ...,
-    each built from the one before.
+    each built from the one before, and per direction, for each time a
+    walk has passed, how far on the walk keeps that time's rows, so a run
+    finds where each stretch ends with about one lookup.
     """
     rd = structure.rooted
     lam = structure.graph.lifetime
@@ -366,19 +398,33 @@ def fold_idle_run(structure, plugin, instance, node, base_results, seen):
             powers = seen[t, back] = seen.setdefault(row, [row])
         return powers
 
+    below, top = rd.times[rd.children[node][0]], rd.times[node]
+    back = below > top
+    step = -1 if back else 1
+    # per time: a later time in the walk such that every time from this one
+    # up to it (not included) has the same rows
+    stretch_end = seen.setdefault(("ends", back), {})
+
+    def stretch(t, end):
+        # the first time after t in the walk whose rows differ from t's, or
+        # end if none comes before it; every time hopped through records it
+        powers, path, u = rows(t, back), [], t
+        while True:
+            path.append(u)
+            u = stretch_end.get(u, u + step)
+            if (u - end) * step >= 0 or rows(u, back) is not powers:
+                break
+        stretch_end.update(dict.fromkeys(path, u))
+        return end if (u - end) * step > 0 else u
+
     by_label = {}
     for (((labelling, _vec),), _extra), totals in base_results.items():
         by_label.setdefault(labelling, set()).update(totals)
     by_label = {labelling: _minimal(totals) for labelling, totals in by_label.items()}
-    below, top = rd.times[rd.children[node][0]], rd.times[node]
-    back = below > top
-    step = -1 if back else 1
     t, end = below + step, top + step
     while t != end:
         # equal rows are one interned list of powers
-        powers, u = rows(t, back), t + step
-        while u != end and rows(u, back) is powers:
-            u += step
+        powers, u = rows(t, back), stretch(t, end)
         k, t = (u - t) * step, u
         while len(powers) < k:
             powers.append(_compose(powers[0], powers[-1]))
@@ -436,7 +482,7 @@ def solve_component_exchangeable(
         combined = set()
         for totals in results[root].values():
             combined |= totals
-        per_tree.append(combined)
+        per_tree.append(_minimal(combined))
 
     vu = plugin.v_upper(instance)
     if any(not tree for tree in per_tree):

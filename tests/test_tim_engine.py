@@ -30,6 +30,7 @@ from timwidth.problems.reachability import TredTimPlugin
 from timwidth.tim_engine import (
     ComponentGraph,
     TwoStepStructure,
+    _minimal,
     fold_idle_run,
     realisable_profiles,
     solve_component_exchangeable,
@@ -505,6 +506,83 @@ def test_folded_runs_match_bag_by_bag_tables(monkeypatch):
                     )
 
 
+def reference_bag_step(structure, plugin, inst, node, child_results):
+    """The bag step as a nested-loop join: for every combination of
+    down-children's entries and every choice of own labellings, each
+    up-child's whole table is scanned and Tr re-asked per entry, and every
+    achievable total is kept."""
+    rd, comps = structure.rooted, structure.comps
+    t = rd.times[node]
+    role = "start" if t == 0 else ("fin" if t == inst.graph.lifetime else "val")
+    down = [c for c in rd.children[node] if rd.times[c] == t - 1]
+    up = [c for c in rd.children[node] if rd.times[c] == t + 1]
+    own = structure.own_comps[node]
+
+    def labels_of(keys, rho):
+        return {
+            v: label
+            for key, (labelling, _vec) in zip(keys, rho)
+            for v, label in zip(comps[key].vertices, labelling)
+        }
+
+    def tr_holds(key, label_at, nxt):
+        prev = tuple(label_at[v] for v in comps[key].vertices)
+        return nxt in plugin.successors(prev, comps[key], inst)
+
+    results = {}
+    for down_combo in product(*(child_results[c].items() for c in down)):
+        prev_at = {}
+        for c, ((rho_c, _extra), _totals) in zip(down, down_combo):
+            prev_at.update(labels_of(structure.own_comps[c], rho_c))
+        options = []
+        for key in own:
+            opts = plugin.assignments(comps[key], t, role, inst)
+            if structure.tr_site.get(key) == node:
+                opts = [(lab, vec) for lab, vec in opts if tr_holds(key, prev_at, lab)]
+            options.append(opts)
+        for rho in product(*options):
+            own_at = labels_of(own, rho)
+            sets = [totals for _key, totals in down_combo]
+            for c in up:
+                checked = structure.checks_from_child.get((node, c), ())
+                joined = set()
+                for (rho_c, extra_c), totals_c in child_results[c].items():
+                    nxt = dict(zip(structure.own_comps[c], rho_c))
+                    label_at = {**own_at, **dict(extra_c)}
+                    if all(tr_holds(key, label_at, nxt[key][0]) for key in checked):
+                        joined |= totals_c
+                sets.append(joined)
+            own_sum = tuple(sum(vals) for vals in zip(*(vec for _, vec in rho)))
+            totals = {tuple(map(sum, zip(own_sum, *choice))) for choice in product(*sets)}
+            if totals:
+                extra = tuple((v, prev_at[v]) for v in structure.extra_vertices[node])
+                results.setdefault((rho, extra), set()).update(totals)
+    return results
+
+
+def test_join_matches_nested_loop_reference(monkeypatch):
+    # the same child tables through the grouped join and the nested loop, on
+    # the tree with one node per bag: the join keeps every key and exactly
+    # the minimal totals
+    rng = random.Random(17)
+    cases = [case for _ in range(6) for case in four_plugin_cases(_sparse_long_graph(rng), rng)]
+    # SEARCH_GRAPH has bags that check Tr of several components of one up-child
+    cases += four_plugin_cases(SEARCH_GRAPH, rng)
+    up_children = set()
+    for plugin, inst in cases:
+        expanded = expanded_structure(inst.graph, monkeypatch)
+        rd = expanded.rooted
+        tables = bag_by_bag_tables(expanded, plugin, inst)
+        for node in expanded.postorder():
+            children = {c: tables[c] for c in rd.children[node]}
+            reference = reference_bag_step(expanded, plugin, inst, node, children)
+            assert tables[node].keys() == reference.keys()
+            for key, totals in tables[node].items():
+                assert totals == _minimal(reference[key])
+            up_children.add(sum(rd.times[c] > rd.times[node] for c in children))
+    assert up_children >= {0, 1, 2}
+
+
 def test_interval_solve_matches_bag_by_bag_solve(monkeypatch):
     # sparse long graphs, and two whose idle runs lie on cycles of the
     # initial bag forest, so the search expands them and the structure
@@ -582,6 +660,18 @@ def test_hard_family_materialises_few_profiles():
     assert sum(res.profile_counts.values()) < 83_446 // 2
 
 
+def test_firefighter_heavy_tail_stays_small():
+    # one free 6-vertex component hands 4,096 profiles up to a bag whose own
+    # components are free too; a nested-loop join that kept every total
+    # took over a minute on target 9, with a largest table of 174,861
+    g = gen_random(10, 10, 0.25, max_times_per_edge=2, seed=2)
+    for target, expected in ((9, True), (10, False)):
+        inst = FirefighterInstance(g, 0, target)
+        answer, runs = solve_firefighter(inst, "tim")
+        assert answer == solve_firefighter(inst, "vim")[0] == expected
+        assert max(c for res in runs for c in res.profile_counts.values()) <= 57_870
+
+
 def test_shared_cache_folds_like_a_fresh_one(monkeypatch):
     # the solve shares one seen table across all its interval nodes, both
     # walk directions and runs of many lengths; a cache key that forgot the
@@ -620,9 +710,12 @@ def _reversed_in_time(g):
     return TemporalGraph(g.n, [(u, v, g.lifetime + 1 - t) for u, v, t in g.time_edges])
 
 
-def _relabelled(g, rng):
-    perm = rng.sample(range(g.n), g.n)
+def _permuted(g, perm):
     return TemporalGraph(g.n, [(perm[u], perm[v], t) for u, v, t in g.time_edges])
+
+
+def _relabelled(g, rng):
+    return _permuted(g, rng.sample(range(g.n), g.n))
 
 
 def _planted_path(g, rng):
@@ -667,3 +760,40 @@ def test_answers_survive_time_reversal_and_relabelling():
             assert solve_matching(MatchingInstance(h, delta, size))[0], (g, h, delta, size)
             assert not solve_matching(MatchingInstance(h, delta, size + 1))[0], (g, h, delta, size)
     assert answers == {True, False}
+
+
+def _max_saved(g, root):
+    return max(k for k in range(g.n + 1) if solve_firefighter(FirefighterInstance(g, root, k), "tim")[0])
+
+
+def _min_reached(g, source, deletions):
+    return min(k for k in range(1, g.n + 1) if solve_tred(TredInstance(g, source, k, deletions))[0])
+
+
+def test_firefighter_and_tred_survive_relabelling():
+    # relabelling moves the root, and with it which children each bag joins
+    # up; the most vertices saved and the fewest reached stay the same
+    rng = random.Random(18)
+    graphs = []
+    for _ in range(6):
+        g = _sparse_long_graph(rng)
+        graphs += [g, *_planted_path(g, rng)]
+    moved = 0
+    for g in graphs:
+        perm = rng.sample(range(g.n), g.n)
+        h = _permuted(g, perm)
+        rg, rh = TwoStepStructure(g).rooted, TwoStepStructure(h).rooted
+        moved += {(rh.times[r], rh.bags[r]) for r in rh.roots} != {
+            (rg.times[r], frozenset(perm[v] for v in rg.bags[r])) for r in rg.roots
+        }
+        root = rng.choice([v for e in g.time_edges for v in e[:2]])
+        saved = _max_saved(g, root)
+        assert solve_firefighter(FirefighterInstance(h, perm[root], saved), "tim")[0]
+        if saved < g.n:
+            assert not solve_firefighter(FirefighterInstance(h, perm[root], saved + 1), "tim")[0]
+        deletions = rng.randint(0, 2)
+        reached = _min_reached(g, root, deletions)
+        assert solve_tred(TredInstance(h, perm[root], reached, deletions))[0]
+        if reached > 1:
+            assert not solve_tred(TredInstance(h, perm[root], reached - 1, deletions))[0]
+    assert moved >= len(graphs) // 2
