@@ -33,6 +33,8 @@ class TimProblemPlugin:
     check is St, Val or Fin by role and returns the counter vector a
     labelling fixes, or None when the role rejects it. successors is Tr: it
     returns exactly the labellings that may follow a labelling, each once.
+    check, successors and assignments must be deterministic and free of
+    side effects: the engine memoises their answers per bag and per solve.
     On a component of one vertex and no edges, check (roles val and fin)
     and successors must not depend on which vertex it holds: inside runs of
     idle bags the engine asks them once per timestep for all such components.
@@ -187,11 +189,17 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     to each own-time component and extra lists boundary labels the parent
     needs; each key maps to the minimal achievable subtree total vectors,
     those no other achievable total is componentwise at or below (see
-    _minimal). An up-child's table is joined through groups of its entries,
-    by the labels it hands up and then by the labellings of the components
-    whose Tr this bag checks, each with the union of its totals.
+    _minimal). Each own component's options come from one memo per call,
+    keyed by the component and its earlier labelling: the successors of
+    that labelling the role admits, or, for None (Tr checked at the parent,
+    or t = 0), every assignment the role admits. An up-child's table is
+    joined through groups of its entries, by the labels it hands up and
+    then by the labellings of the components whose Tr this bag checks, each
+    with the union of its totals: per restriction the join walks the
+    product of those components' cached successor sets and looks the
+    groups up.
     """
-    rd = structure.rooted
+    rd, comps = structure.rooted, structure.comps
     t = rd.times[node]
     role = _role(t, structure.graph.lifetime)
     down = [c for c in rd.children[node] if rd.times[c] == t - 1]
@@ -200,7 +208,7 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     own = structure.own_comps[node]
     # a Tr-checked component's options depend on the labels below it; the
     # others' are the same for every combination of down-children
-    fixed_keys = [key for key in own if structure.tr_site.get(key) != node]
+    tr_here = [structure.tr_site.get(key) == node for key in own]
 
     # guard before materialising anything: the label product alone ought to
     # stay below the cap
@@ -208,19 +216,30 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     estimate = 1
     for c in down:
         estimate *= max(len(child_results[c]), 1)
-    for key in fixed_keys:
-        estimate *= max(n_labels ** len(structure.comps[key].vertices), 1)
+    for key, here in zip(own, tr_here):
+        if not here:
+            estimate *= max(n_labels ** len(comps[key].vertices), 1)
     if estimate > cap:
         raise ResourceLimitError(f"bag {node}", estimate, cap)
 
-    fixed = {key: plugin.assignments(structure.comps[key], t, role, instance) for key in fixed_keys}
+    option_cache = {}
+
+    def options_of(key, prev):
+        opts = option_cache.get((key, prev))
+        if opts is None:
+            comp = comps[key]
+            if prev is None:
+                opts = plugin.assignments(comp, t, role, instance)
+            else:
+                succ = plugin.successors(prev, comp, instance)
+                checked = ((l, plugin.check(l, comp, t, role, instance)) for l in succ)
+                opts = [(l, vec) for l, vec in checked if vec is not None]
+            option_cache[key, prev] = opts
+        return opts
 
     up_checks = {c: structure.checks_from_child.get((node, c), ()) for c in up}
     up_need = {
-        c: sorted(
-            {v for key in up_checks[c] for v in structure.comps[key].vertices}
-            & rd.bags[node]
-        )
+        c: sorted({v for key in up_checks[c] for v in comps[key].vertices} & rd.bags[node])
         for c in up
     }
     up_cache = {c: {} for c in up}
@@ -231,9 +250,7 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     def successor_set(key, prev):
         succ = succ_cache.get((key, prev))
         if succ is None:
-            succ = succ_cache[key, prev] = frozenset(
-                plugin.successors(prev, structure.comps[key], instance)
-            )
+            succ = succ_cache[key, prev] = frozenset(plugin.successors(prev, comps[key], instance))
         return succ
 
     def groups_of(c):
@@ -262,34 +279,15 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
             label_at = dict(extra_c)
             label_at.update(zip(up_need[c], restriction))
             succs = [
-                successor_set(key, tuple(label_at[v] for v in structure.comps[key].vertices))
+                successor_set(key, tuple(label_at[v] for v in comps[key].vertices))
                 for key in up_checks[c]
             ]
-            walk = 1
-            for succ in succs:
-                walk *= len(succ)
-            if walk < len(by_nxt):
-                for nxt in product(*succs):
-                    if nxt in by_nxt:
-                        combined |= by_nxt[nxt]
-            else:
-                for nxt, totals_c in by_nxt.items():
-                    if all(label in succ for label, succ in zip(nxt, succs)):
-                        combined |= totals_c
+            for nxt in product(*succs):
+                if nxt in by_nxt:
+                    combined |= by_nxt[nxt]
         # a sum with a dominated total is dominated too (see _minimal)
         cache[restriction] = combined = _minimal(combined)
         return combined
-
-    def admitted_successors(key, prev_label_at):
-        # a Tr-checked component takes the successors of its previous labels
-        comp = structure.comps[key]
-        prev = tuple(prev_label_at[v] for v in comp.vertices)
-        out = []
-        for labelling in plugin.successors(prev, comp, instance):
-            vec = plugin.check(labelling, comp, t, role, instance)
-            if vec is not None:
-                out.append((labelling, vec))
-        return out
 
     results = {}
     down_keys = [list(child_results[c].items()) for c in down]
@@ -301,17 +299,18 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
         for c, (key_c, totals_c) in zip(down, down_combo):
             rho_c, _ = key_c
             for comp_key, (labelling, _vec) in zip(structure.own_comps[c], rho_c):
-                for v, l in zip(structure.comps[comp_key].vertices, labelling):
+                for v, l in zip(comps[comp_key].vertices, labelling):
                     prev_label_at[v] = l
             down_totals.append(totals_c)
 
         options = [
-            fixed[key] if key in fixed else admitted_successors(key, prev_label_at) for key in own
+            options_of(key, tuple(prev_label_at[v] for v in comps[key].vertices) if here else None)
+            for key, here in zip(own, tr_here)
         ]
         for rho in product(*options):
             own_label_at = {}
             for key, (labelling, _vec) in zip(own, rho):
-                for v, l in zip(structure.comps[key].vertices, labelling):
+                for v, l in zip(comps[key].vertices, labelling):
                     own_label_at[v] = l
 
             up_totals = []

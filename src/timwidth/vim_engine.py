@@ -164,7 +164,7 @@ def solve_locally_uniform(
                     else:
                         label_map[v] = l
                 counters = plugin.transition(r, label_map, snap)
-                if counters:
+                if counters is not None:
                     new_states.add(KXState.make(label_map, counters, default))
         states = new_states
         table_sizes.append(len(states))

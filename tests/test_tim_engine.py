@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
 from timwidth import tim_engine
 from timwidth.core import TemporalGraph, _components
-from timwidth.decomposition import compute_tim_decomposition
+from timwidth.decomposition import compute_tim_decomposition, tim_width
 from timwidth.generators import gen_hard_ham_path, gen_random
 from timwidth.oracles import oracle_firefighter_max, oracle_ham, oracle_matching, oracle_tred
 from timwidth.problems import (
@@ -718,6 +719,26 @@ def _relabelled(g, rng):
     return _permuted(g, rng.sample(range(g.n), g.n))
 
 
+def test_tim_width_survives_relabelling_and_time_reversal():
+    # a TIM decomposition carries over to the relabelled graph through the
+    # permutation, and to the reversed graph with its bags at the reversed
+    # times, so the minimum width stays the same
+    rng = random.Random(19)
+    widths = []
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        g = gen_random(
+            n, rng.randint(1, 9), rng.choice((0.15, 0.3, 0.45)),
+            max_times_per_edge=2, seed=rng.randrange(1 << 30),
+        )
+        if not g.time_edges:
+            continue
+        width = tim_width(g)
+        assert tim_width(_relabelled(g, rng)) == tim_width(_reversed_in_time(g)) == width, g
+        widths.append(width)
+    assert len(widths) > 200 and len(set(widths)) > 3
+
+
 def _planted_path(g, rng):
     """g plus a strict temporal path through every vertex, and g plus that
     path without one of its edges."""
@@ -797,3 +818,76 @@ def test_firefighter_and_tred_survive_relabelling():
         if reached > 1:
             assert not solve_tred(TredInstance(h, perm[root], reached - 1, deletions))[0]
     assert moved >= len(graphs) // 2
+
+
+def _with_empty_step(g, s):
+    """g with an empty timestep inserted before time s."""
+    return TemporalGraph(g.n, [(u, v, t + (t >= s)) for u, v, t in g.time_edges])
+
+
+def test_ham_and_tred_survive_an_inserted_empty_timestep():
+    # an empty timestep lengthens the idle runs through it and keeps the
+    # order of the time-edges, so strict temporal paths, and with them
+    # Hamiltonian paths and reachability, stay as they are; firefighter
+    # (its budget accrues per timestep) and matching (gaps between edges
+    # grow) may change their answers
+    rng = random.Random(20)
+    ham, tred = set(), set()
+    for _ in range(40):
+        n = rng.randint(4, 8)
+        g = gen_random(
+            n, rng.randint(4, 10), rng.choice((0.2, 0.35)),
+            max_times_per_edge=2, seed=rng.randrange(1 << 30),
+        )
+        if g.lifetime >= n - 1:
+            g = rng.choice(_planted_path(g, rng))
+        if not g.time_edges:
+            continue
+        h = _with_empty_step(g, rng.randint(1, g.lifetime))
+        expected = solve_hamiltonian(g, "tim")[0]
+        assert solve_hamiltonian(h, "tim")[0] == expected, (g, h)
+        ham.add(expected)
+        source = rng.choice([v for e in g.time_edges for v in e[:2]])
+        params = (source, rng.randint(1, n), rng.randint(0, 2))
+        expected = solve_tred(TredInstance(g, *params))[0]
+        assert solve_tred(TredInstance(h, *params))[0] == expected, (g, h, params)
+        tred.add(expected)
+    assert ham == tred == {True, False}
+
+
+def test_bag_asks_tr_once_per_component_and_earlier_labelling(monkeypatch):
+    # a bag's own components take their options, and its up-children's
+    # checked components their successor sets, from memos local to the
+    # call: within one call no (component, earlier labelling) reaches
+    # successors twice, however many combinations of children share it
+    asked = []
+    inside = []
+
+    def counting(successors):
+        def wrapped(self, prev_labelling, comp, instance):
+            if inside:
+                inside[-1][comp.t, comp.vertices, prev_labelling] += 1
+            return successors(self, prev_labelling, comp, instance)
+        return wrapped
+
+    def counted(*args, **kwargs):
+        inside.append(Counter())
+        try:
+            return realisable_profiles(*args, **kwargs)
+        finally:
+            asked.append(inside.pop())
+
+    for cls in REFERENCE_TR:
+        monkeypatch.setattr(cls, "successors", counting(cls.successors))
+    monkeypatch.setattr(tim_engine, "realisable_profiles", counted)
+    rng = random.Random(21)
+    cases = [case for _ in range(4) for case in four_plugin_cases(_sparse_long_graph(rng), rng)]
+    cases += four_plugin_cases(SEARCH_GRAPH, rng)
+    # the heavy firefighter graph: 34,050 successors calls when each
+    # combination of down-children asked Tr again
+    g = gen_random(12, 12, 0.2, max_times_per_edge=2, seed=4)
+    cases.append((ff_tim_plugin(), normalize_firefighter(FirefighterInstance(g, 0, 6))))
+    for plugin, inst in cases:
+        solve_component_exchangeable(plugin, inst)
+    assert sum(sum(bag.values()) for bag in asked) > 1000
+    assert all(count == 1 for bag in asked for count in bag.values())

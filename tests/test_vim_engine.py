@@ -8,6 +8,7 @@ from timwidth.problems.hamiltonian import HamiltonianVimPlugin, ham_vim_plugin
 from timwidth.vim_engine import (
     KXState,
     ResourceLimitError,
+    VimProblemPlugin,
     enumerate_bag_states,
     solve_locally_uniform,
 )
@@ -60,6 +61,30 @@ def test_enumerate_counts():
     states = enumerate_bag_states(frozenset({1, 2}), OneCounter(), inst)
     assert len(states) == 9 * 4
     assert len(set(states)) == len(states)
+
+
+def test_counterless_plugin_keeps_its_steps():
+    # counter_arity 0: every kept state carries the empty counter vector,
+    # which is a step Tr admits, not a rejection
+    class Counterless(VimProblemPlugin):
+        labels = ("U", "X")
+
+        def counter_ranges(self, instance):
+            return ()
+
+        def initial_states(self, instance):
+            return [KXState.make({}, (), self.default_label)]
+
+        def transition(self, prev, labels, snap):
+            return () if not labels else None
+
+        def accept(self, state, instance):
+            return True
+
+    inst = HamiltonianInstance(TemporalGraph(3, [(0, 1, 1), (1, 2, 2)]))
+    res = solve_locally_uniform(Counterless(), inst)
+    assert res.answer
+    assert res.table_sizes == [1, 1, 1]
 
 
 def test_trivial_ham_solves():
