@@ -160,40 +160,44 @@ class StaticGraph:
 
 def _components(n, edges):
     """Connected components as sorted vertex tuples, ordered by smallest member."""
-    return _components_among(range(n), edges)
+    return _components_among(list(range(n)), range(n), edges)
 
 
 def _edge_components(edges):
     """The components of the vertices the edges touch; a vertex with no edge
     belongs to none."""
-    return _components_among({v for e in edges for v in e}, edges)
-
-
-def _components_among(vertices, edges):
-    """The components of the given vertices as sorted vertex tuples, in the
-    order of the vertices that start them."""
-    adj = {}
+    root = {}
     for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = set()
-    out = []
-    for start in vertices:
-        if start in seen:
-            continue
-        seen.add(start)
-        stack = [start]
-        comp = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        comp.sort()
-        out.append(tuple(comp))
-    return out
+        root[u], root[v] = u, v
+    return _components_among(root, sorted(root), edges)
+
+
+def _components_among(root, vertices, edges):
+    """The components of the vertices, given in increasing order, as sorted
+    vertex tuples ordered by smallest member. root maps each vertex to
+    itself; it becomes one union-find over the edges, each component rooted
+    at its smallest member."""
+    for u, v in edges:
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        if u < v:
+            root[v] = u
+        elif v < u:
+            root[u] = v
+    comps = {}
+    for v in vertices:
+        r = root[v]
+        if r == v:
+            comps[v] = [v]
+        else:
+            while root[r] != r:
+                r = root[r]
+            comps[r].append(v)
+    return [tuple(comp) for comp in comps.values()]
 
 
 def snapshot(g: TemporalGraph, t: int) -> Snapshot:

@@ -59,15 +59,24 @@ class ValidationReport:
 
 
 class _BagState:
-    """Mutable bag forest during cycle elimination."""
+    """Mutable bag forest during cycle elimination.
 
-    __slots__ = ("bags", "times", "adj", "ends")
+    core holds the live ids of the forest's 2-core as the search starts,
+    interval nodes expanded (empty outside the search). Every cycle lies in
+    it and no merge touches a node outside it; merge drops the merged-away
+    id. A merge can leave some of it on no cycle, so it holds the current
+    2-core and perhaps more, which is all the forced merges and find_cycle
+    need.
+    """
 
-    def __init__(self, bags, times, adj, ends):
+    __slots__ = ("bags", "times", "adj", "ends", "core")
+
+    def __init__(self, bags, times, adj, ends, core=()):
         self.bags = bags  # id -> set of vertices (live ids only)
         self.times = times  # id -> timestep (an interval node's first)
         self.adj = adj  # id -> set of neighbour ids
         self.ends = ends  # interval node id -> its last timestep
+        self.core = set(core)
 
     def clone(self):
         # no merge touches an interval node, so the clones share ends
@@ -76,10 +85,12 @@ class _BagState:
             dict(self.times),
             {i: set(ns) for i, ns in self.adj.items()},
             self.ends,
+            self.core,
         )
 
     def expand(self, i, n):
-        """Replace interval node i by one node per timestep, ids i + k*n."""
+        """Replace interval node i by one node per timestep, ids i + k*n;
+        return the new ids."""
         last = self.ends.pop(i)
         t = self.times[i]
         later = [nb for nb in self.adj[i] if self.times[nb] > t]
@@ -94,6 +105,7 @@ class _BagState:
             self.adj[nb].remove(i)
             self.adj[nb].add(prev)
             self.adj[prev].add(nb)
+        return range(i + n, prev + 1, n)
 
     def merge(self, keep, other):
         if other < keep:
@@ -107,12 +119,17 @@ class _BagState:
         self.adj[keep].discard(other)
         del self.adj[other]
         del self.times[other]
+        self.core.discard(other)
         return keep
 
     def width(self):
         return max((len(b) for b in self.bags.values()), default=0)
 
     def find_cycle(self):
+        """The first cycle a depth-first search of the whole forest in id
+        order meets; None, without that search, when the core holds none."""
+        if not _two_core(self.adj, self.core):
+            return None
         seen = set()
         for start in sorted(self.adj):
             if start in seen:
@@ -143,63 +160,80 @@ class _BagState:
         return None
 
 
-def _forced_merge_pass(state):
-    """Apply the forced merges of the first direction sweep that finds any;
-    return True when one was made.
+def _forced_merges(state):
+    """Apply every forced merge, until none is left.
 
     If two same-time neighbours of a node w are connected through nodes at
     strictly earlier times (or strictly later, symmetrically), any tree whose
     bags contain the current ones must identify them: removing the image of
     w from a tree separates its neighbours, and the connecting path cannot
     pass through the image of w because every node on it has a different
-    timestep. Only such provably forced merges happen here. A merge joins
-    two nodes the union-find already connects, so the sweep goes on with it.
+    timestep. Any other merge keeps w next to both and keeps the path, so a
+    forced merge stays forced: the merges made are the same in any order,
+    and since merge keeps the smaller id, so are the ids. The path and w
+    form a cycle, which lies in the core, so the sweeps visit core nodes
+    only.
+
+    A sweep visits the times in one direction and labels each node with its
+    component in the lattice of the nodes at its time and before; w's
+    earlier neighbours that share a label are merged. A merge joins two
+    nodes that lattice already connects, so every label stays valid, and
+    the only merge it can newly force in the sweep's direction is among the
+    merged node's own earlier neighbours: the sweep makes it at once, and so
+    on one step further back. So a sweep leaves no merge forced in its
+    direction, but its merges can connect earlier nodes through later ones:
+    sweeps alternate direction until one after the first finds nothing.
     """
+    direction, first = 1, True
+    while _forced_sweep(state, direction) or first:
+        direction, first = -direction, False
+
+
+def _forced_sweep(state, direction):
+    """One sweep of _forced_merges; True when it merged anything."""
     times, adj = state.times, state.adj
     by_time = {}
-    for i, t in times.items():
-        by_time.setdefault(t, []).append(i)
-    for direction in (1, -1):
-        uf = {}
+    for i in state.core:
+        by_time.setdefault(times[i], []).append(i)
+    uf = {}
 
-        def find(x):
-            while uf[x] != x:
-                uf[x] = uf[uf[x]]
-                x = uf[x]
-            return x
+    def find(x):
+        while uf[x] != x:
+            uf[x] = uf[uf[x]]
+            x = uf[x]
+        return x
 
-        merged = False
-        prev_level = ()
-        for t in sorted(by_time, reverse=direction == -1):
-            back = t - direction
-            # connect the strictly-before lattice, then group each node's
-            # same-side neighbours by the lattice component they lie in
-            for i in prev_level:
-                for nb in adj[i]:
-                    if times[nb] == back - direction:
-                        ra, rb = find(i), find(nb)
-                        if ra != rb:
-                            uf[ra] = rb
-            level = by_time[t]
-            for w in level:
-                side = [nb for nb in adj[w] if times[nb] == back]
-                if len(side) < 2:
-                    continue
-                groups = {}
-                for nb in side:
-                    groups.setdefault(find(nb), []).append(nb)
-                for members in groups.values():
-                    if len(members) >= 2:
-                        members.sort()
-                        for other in members[1:]:
-                            state.merge(members[0], other)
-                        merged = True
-            for i in level:
-                uf[i] = i
-            prev_level = level
-        if merged:
-            return True
-    return False
+    label = {}  # time -> {node: its component in the lattice up to that time}
+    merged = False
+    for t in sorted(by_time, reverse=direction == -1):
+        level = by_time[t]
+        # (node, time): merge the node's neighbours at that time by label
+        todo = [(w, t - direction) for w in level]
+        while todo:
+            w, back = todo.pop()
+            earlier = label.get(back, ())
+            side = [nb for nb in adj[w] if nb in earlier]
+            if len(side) < 2:
+                continue
+            groups = {}
+            for nb in side:
+                groups.setdefault(earlier[nb], []).append(nb)
+            for members in groups.values():
+                if len(members) > 1:
+                    keep = min(members)
+                    for other in members:
+                        if other != keep:
+                            state.merge(keep, other)
+                    todo.append((keep, back - direction))
+                    merged = True
+        earlier = label.get(t - direction, ())
+        for i in level:
+            uf[i] = i  # a root until a later node of this level joins it
+            for nb in adj[i]:
+                if nb in earlier:
+                    uf[find(nb)] = i
+        label[t] = {i: find(i) for i in level}
+    return merged
 
 
 def _minimise(state, cap, seen):
@@ -211,8 +245,7 @@ def _minimise(state, cap, seen):
     partitions already searched: the cap passed down is always the best
     width found so far, so a partition searched before cannot beat it.
     """
-    while _forced_merge_pass(state):
-        pass
+    _forced_merges(state)
     if state.width() >= cap:
         return None
     cycle = state.find_cycle()
@@ -300,16 +333,21 @@ def _interval_forest(g):
     return _BagState(bags, times, adj, ends)
 
 
-def _two_core(adj):
+def _two_core(adj, nodes=None):
     """The nodes left after repeatedly removing every node of degree below
-    two: those on a cycle or on a path between two cycles."""
-    degree = {i: len(ns) for i, ns in adj.items()}
+    two from the forest's subgraph on nodes (default all): those on a cycle
+    or on a path between two cycles."""
+    if nodes is None:
+        degree = {i: len(ns) for i, ns in adj.items()}
+    else:
+        degree = {i: len(adj[i] & nodes) for i in nodes}
     peeled = [i for i, d in degree.items() if d < 2]
     for i in peeled:
         for nb in adj[i]:
-            degree[nb] -= 1
-            if degree[nb] == 1:
-                peeled.append(nb)
+            if nb in degree:
+                degree[nb] -= 1
+                if degree[nb] == 1:
+                    peeled.append(nb)
     return degree.keys() - peeled
 
 
@@ -323,15 +361,17 @@ def _tim_forest(g):
     and merging two core nodes never puts a tree hanging off the core on a
     cycle. So no interval node outside the core is ever merged, and only
     those in it are expanded to one node per timestep before the search.
-    The sweeps of _forced_merge_pass see an interval node at its first
-    timestep only; the links that drops lie on no path between core nodes.
+    The core, with the nodes that expansion adds, goes with the state into
+    the search: a simple path between two core nodes never leaves the core,
+    so the forced merges and find_cycle look at core nodes only.
     """
     state = _interval_forest(g)
     core = _two_core(state.adj)
     if not core:
         return state
     for i in core & state.ends.keys():
-        state.expand(i, g.n)
+        core.update(state.expand(i, g.n))
+    state.core = core
     return _minimise(state, g.n + 1, set())
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 from hypothesis import given, settings
 
+from timwidth import decomposition
 from timwidth.core import TemporalGraph
 from timwidth.decomposition import (
     TimDecomposition,
@@ -218,6 +219,115 @@ def test_widths_pool_graph_decomposes_quickly():
     ge = connected_vim_width(g, "ge", vs).width
     assert d.width <= min(le, ge) and d.width <= bidirectional_cvim_width(g)
     assert le <= vs.width and ge <= vs.width
+
+
+def test_widths_pool_graph_search_tree_is_pinned(monkeypatch):
+    # the forced merges only decide the state each call starts from, so the
+    # branching search makes the same calls however they are found
+    calls = 0
+    search = decomposition._minimise
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(decomposition, "_minimise", counted)
+    assert compute_tim_decomposition(WIDTHS_POOL_GRAPH).width == 4
+    assert calls == 2275
+
+
+def restarting_forced_merges(state):
+    """The forced merges as a restart loop over the whole forest: each pass
+    rebuilds its union-find over every node, applies the merges of the first
+    direction sweep that finds any, and the loop stops after a pass finds
+    none. The core becomes the whole forest, so that find_cycle, which reads
+    it, does not depend on the core the search keeps either."""
+    state.core = set(state.adj)
+    times, adj = state.times, state.adj
+    while True:
+        by_time = {}
+        for i, t in times.items():
+            by_time.setdefault(t, []).append(i)
+        for direction in (1, -1):
+            uf = {}
+
+            def find(x):
+                while uf[x] != x:
+                    uf[x] = uf[uf[x]]
+                    x = uf[x]
+                return x
+
+            merged = False
+            prev_level = ()
+            for t in sorted(by_time, reverse=direction == -1):
+                back = t - direction
+                for i in prev_level:
+                    for nb in adj[i]:
+                        if times[nb] == back - direction:
+                            ra, rb = find(i), find(nb)
+                            if ra != rb:
+                                uf[ra] = rb
+                level = by_time[t]
+                for w in level:
+                    side = [nb for nb in adj[w] if times[nb] == back]
+                    if len(side) < 2:
+                        continue
+                    groups = {}
+                    for nb in side:
+                        groups.setdefault(find(nb), []).append(nb)
+                    for members in groups.values():
+                        if len(members) >= 2:
+                            members.sort()
+                            for other in members[1:]:
+                                state.merge(members[0], other)
+                            merged = True
+                for i in level:
+                    uf[i] = i
+                prev_level = level
+            if merged:
+                break
+        else:
+            return
+
+
+def widths_pool_shaped_graphs():
+    """420 graphs in twelve rounds of the widths benchmark's pool shape."""
+    rng = random.Random(1818)
+    for _ in range(12):
+        for n in range(1, 13):
+            for _ in range(2):
+                lam = rng.randint(1, 10)
+                p = rng.choice((0.1, 0.25, 0.4, 0.6))
+                yield gen_random(n, lam, p, max_times_per_edge=2, seed=rng.randrange(1 << 30))
+        for n in range(2, 13):
+            yield gen_ordered_tree(n, seed=rng.randrange(1 << 30), max_times_per_edge=rng.randint(1, 3))
+
+
+def test_forced_merges_match_restarting_reference(monkeypatch):
+    # every closure the search makes, on all graphs but the slow seed-70
+    # one, must equal the reference's on a copy of its state, and both
+    # decomposition outputs must equal those of a search on the reference
+    forced = decomposition._forced_merges
+
+    def checked(state):
+        ref = state.clone()
+        restarting_forced_merges(ref)
+        forced(state)
+        assert (state.bags, state.adj) == (ref.bags, ref.adj)
+
+    def outputs(graphs):
+        return [(compute_tim_decomposition(g), interval_decomposition(g)) for g in graphs]
+
+    graphs = [*widths_pool_shaped_graphs(), SEARCH_GRAPH, gen_hard_ham_path(20)]
+    with deadline(30):
+        slow = outputs([WIDTHS_POOL_GRAPH])
+        monkeypatch.setattr(decomposition, "_forced_merges", checked)
+        got = outputs(graphs) + slow
+        monkeypatch.setattr(decomposition, "_forced_merges", restarting_forced_merges)
+        want = outputs([*graphs, WIDTHS_POOL_GRAPH])
+    for g, a, b in zip([*graphs, WIDTHS_POOL_GRAPH], got, want):
+        assert a == b, g
 
 
 def golden_graphs():
