@@ -58,6 +58,7 @@ PROBLEMS = {
     "ham": "ham",
     "temporal-firefighter": "ff",
     "firefighter": "ff",
+    "ff": "ff",
     "delta-temporal-matching": "matching",
     "matching": "matching",
     "temporal-reachability-edge-deletion": "tred",
@@ -144,7 +145,8 @@ def cmd_solve(args):
         raise SystemExit(f"unknown problem {args.problem!r}")
     gf = parse_graph_file(_read(args.file))
     start = time.perf_counter()
-    answer, runs = _solve_instance(problem, gf, args, args.engine)
+    engine = args.engine or ("tim" if problem in ("matching", "tred") else "vim")
+    answer, runs = _solve_instance(problem, gf, args, engine)
     elapsed_ms = (time.perf_counter() - start) * 1000
     print("yes" if answer else "no")
     bag_count, peak = table_peak(runs)
@@ -265,7 +267,7 @@ def build_parser():
     p = sub.add_parser("solve", help="decide a problem instance")
     p.add_argument("problem")
     p.add_argument("file")
-    p.add_argument("--engine", choices=("vim", "tim"), default="vim")
+    p.add_argument("--engine", choices=("vim", "tim"), help="default: tim for matching and tred, else vim")
     p.add_argument("--root", type=int, default=None)
     p.add_argument("--source", type=int, default=None)
     p.add_argument("--saves", type=int, default=1, help="firefighter target")

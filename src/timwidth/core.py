@@ -22,7 +22,7 @@ class TemporalGraph:
     __slots__ = ("n", "time_edges", "lifetime", "_by_time")
 
     def __init__(self, n, time_edges=()):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise TemporalGraphError("vertex count must be a nonnegative integer")
         canon = []
         for edge in time_edges:
@@ -30,6 +30,8 @@ class TemporalGraph:
                 u, v, t = edge
             except (TypeError, ValueError):
                 raise TemporalGraphError(f"bad time-edge {edge!r}") from None
+            if not type(u) is type(v) is type(t) is int:
+                raise TemporalGraphError(f"non-integer entry in {edge!r}")
             if not (0 <= u < n and 0 <= v < n):
                 raise TemporalGraphError(f"vertex out of range in {edge!r}")
             if u == v:

@@ -527,8 +527,8 @@ def decomposition_from_vim(g: TemporalGraph) -> TimDecomposition:
 class RootedTimDecomposition:
     """A TIM decomposition with time-0 leaf copies of the time-1 bags and a
     deterministic root per tree (the time-Lambda bag holding the tree's
-    lowest vertex id, unless overridden). parent and children are its
-    edges.
+    lowest vertex id, unless root_and_augment is given a root). parent and
+    children are its edges.
 
     Rooting an interval_decomposition keeps its interval nodes. Such a node
     s holds its singleton bag from times[s], the timestep next to its parent
@@ -558,43 +558,20 @@ class RootedTimDecomposition:
         return self.roots[0]
 
 
-def root_and_augment(d: TimDecomposition, root_override=None) -> RootedTimDecomposition:
-    """Attach time-0 copies of the time-1 bags and orient each tree at a root.
+def root_and_augment(d: TimDecomposition, root=None) -> RootedTimDecomposition:
+    """Attach time-0 copies of the time-1 nodes and orient each tree at a root.
 
-    root_override names a bag of the expanded decomposition: its index in
-    compute_tim_decomposition's numbering (by time, then smallest vertex),
-    or that count plus k for the copy of the k-th time-1 bag. ValueError
-    when it names none. An interval node holding that bag is cut around it.
+    root names a node of d, or len(d.bags) + k for the time-0 copy of the
+    k-th time-1 node, and roots its tree there; every other tree is rooted
+    at its time-Lambda node holding the lowest vertex id. ValueError when
+    root names no node, or an interval node that ends before Lambda: to
+    root inside an idle run, root an expanded decomposition
+    (compute_tim_decomposition's) instead.
     """
     bags = list(d.bags)
     times = list(d.times)
     ends = list(d.ends or d.times)
     arcs = list(d.arcs)
-
-    def cut(i, t):
-        # interval node i keeps its timesteps before t, a new node the rest
-        j = len(bags)
-        bags.append(bags[i])
-        times.append(t)
-        ends.append(ends[i])
-        ends[i] = t - 1
-        arcs[:] = [(j if a == i else a, b) for a, b in arcs] + [(i, j)]
-        return j
-
-    override = None
-    if root_override is not None:
-        cells = sorted(
-            (t, min(bags[i]), i) for i in range(len(bags)) for t in range(times[i], ends[i] + 1)
-        )
-        cells += [(0,) + cell[1:] for cell in cells if cell[0] == 1]
-        if not 0 <= root_override < len(cells):
-            raise ValueError(f"root_override {root_override} names none of the {len(cells)} bags")
-        t, _, override = cells[root_override]
-        # at its time-Lambda end an interval node is rooted whole, as by default
-        if times[override] < t < d.lifetime:
-            override = cut(override, t)
-        if 0 < t < ends[override]:
-            cut(override, t + 1)
 
     copy_of = {}
     for i in range(len(bags)):
@@ -605,8 +582,14 @@ def root_and_augment(d: TimDecomposition, root_override=None) -> RootedTimDecomp
             ends.append(0)
             arcs.append((cid, i))
             copy_of[cid] = i
-    if override is not None and t == 0:
-        override = next(c for c, i in copy_of.items() if i == override)
+    if root is not None:
+        if not 0 <= root < len(bags):
+            raise ValueError(f"root {root} names none of the {len(bags)} nodes and time-0 copies")
+        if times[root] < ends[root] < d.lifetime:
+            raise ValueError(
+                f"root {root} is an interval node ending before Lambda={d.lifetime}; "
+                "root an expanded decomposition instead"
+            )
 
     adj = [[] for _ in bags]
     for i, j in arcs:
@@ -638,15 +621,15 @@ def root_and_augment(d: TimDecomposition, root_override=None) -> RootedTimDecomp
         if visited[start]:
             continue
         comp = tree_nodes(start)
-        if override is not None and override in comp:
-            root = override
+        if root is not None and root in comp:
+            top = root
         else:
             candidates = [i for i in comp if ends[i] == lam]
-            root = min(candidates, key=lambda i: (min(bags[i]), i))
-        roots.append(root)
-        parent[root] = None
-        order = [root]
-        seen = {root}
+            top = min(candidates, key=lambda i: (min(bags[i]), i))
+        roots.append(top)
+        parent[top] = None
+        order = [top]
+        seen = {top}
         while order:
             nxt = []
             for x in order:

@@ -110,9 +110,11 @@ def _minimal(totals):
 class TwoStepStructure:
     """Static data shared by a solve: components and Tr sites.
 
-    The tree is root_and_augment's over interval_decomposition, so each idle
-    run off the cycles is one interval node (see RootedTimDecomposition),
-    which fold_idle_run walks; it holds only the key of its bag next to its
+    The tree is rooted, any valid rooted TIM decomposition of g as
+    root_and_augment returns it; its width bounds the tables. By default it
+    is root_and_augment's over interval_decomposition, so each idle run off
+    the cycles is one interval node (see RootedTimDecomposition), which
+    fold_idle_run walks; it holds only the key of its bag next to its
     parent. comps is build_two_step's table, mapping each (t, v) key to its
     ComponentGraph, and own_comps[s] lists the keys bag s covers, its home.
     tr_site maps each key at t >= 1 to the bag that checks its Tr: the
@@ -122,14 +124,14 @@ class TwoStepStructure:
     those keys outside the parent's bag, whose labels s hands up.
     """
 
-    def __init__(self, g: TemporalGraph, root_override=None):
+    def __init__(self, g: TemporalGraph, rooted=None):
         self.graph = g
-        self.decomposition = interval_decomposition(g)
-        self.rooted = root_and_augment(self.decomposition, root_override)
-        self.two_step = build_two_step(self.rooted, g)
+        if rooted is None:
+            rooted = root_and_augment(interval_decomposition(g))
+        self.rooted = rd = rooted
+        self.two_step = build_two_step(rd, g)
         self.comps = comps = self.two_step.snapshot_components
         self.own_comps = self.two_step.own_comps
-        rd = self.rooted
 
         # Tr of a component at time t runs where its time-(t-1) labels are
         # visible. Every bag at t-1 holding one of its vertices is a tree
@@ -492,7 +494,7 @@ def solve_component_exchangeable(
 
     return TimSolveResult(
         answer,
-        structure.decomposition.width,
+        structure.rooted.width,
         structure.two_step.width,
         profile_counts,
         bag_count,

@@ -9,6 +9,7 @@ import pytest
 import timwidth
 from timwidth.cli import main
 from timwidth.io import parse_graph_file
+from timwidth.problems import MatchingInstance
 
 
 def run_cli(capsys, *argv):
@@ -96,26 +97,43 @@ def test_verify_small(capsys):
     assert done == total
 
 
-def test_verify_prints_each_disagreement(capsys, monkeypatch):
-    real = timwidth.cli.solve_matching
+def test_verify_prints_each_disagreement(capsys, monkeypatch, tmp_path):
+    # every solver answers wrong, so all four problems disagree on each graph
     seen = []
 
-    def wrong_matching(inst):
-        seen.append(inst)
-        return not real(inst)[0], []
+    def flipped(solve):
+        def wrong(*args):
+            seen.append(args)
+            answer, runs = solve(*args)
+            return not answer, runs
 
-    monkeypatch.setattr(timwidth.cli, "solve_matching", wrong_matching)
+        return wrong
+
+    for name in ("solve_hamiltonian", "solve_firefighter", "solve_matching", "solve_tred"):
+        monkeypatch.setattr(timwidth.cli, name, flipped(getattr(timwidth.cli, name)))
     code, out, err = run_cli(capsys, "verify", "--count", "3", "--seed", "5")
+    monkeypatch.undo()
     assert code == 1
-    assert out == "9/12 agree\n"
+    assert out == "0/12 agree\n"
     # one block per disagreement, each opened by its '#' line
     blocks = [b for b in re.split(r"(?m)^(?=# )", err) if b]
-    assert len(blocks) == len(seen) == 3
-    for block, inst in zip(blocks, seen):
+    assert [b.split()[1] for b in blocks] == ["ham", "ff", "matching", "tred"] * 3
+    matchings = [args[0] for args in seen if isinstance(args[0], MatchingInstance)]
+    assert len(matchings) == 3
+    for block, inst in zip(blocks[2::4], matchings):
         header = block.splitlines()[0]
         assert header.startswith(f"# matching --delta {inst.delta} --size {inst.size_target} (")
         g = parse_graph_file(block).graph
         assert (g.n, sorted(g.time_edges)) == (inst.graph.n, sorted(inst.graph.time_edges))
+    # each block solves again as printed, with the engine left to its default
+    for i, block in enumerate(blocks):
+        header = block.splitlines()[0]
+        problem, *options = header[2 : header.index(" (")].split()
+        path = tmp_path / f"{i}.tg"
+        path.write_text(block)
+        code, out, _ = run_cli(capsys, "solve", problem, str(path), *options)
+        assert code == 0, header
+        assert out.splitlines()[0] == re.search(r"oracle=(\w+)", header).group(1)
 
 
 def test_bench_csv(capsys):
@@ -151,16 +169,26 @@ def test_gen_hardness_names_bad_cnf_line(capsys, tmp_path):
     assert "line 2:" in err
 
 
-def test_console_entry_point(single_edge):
+def run_module(module, *argv):
     # the child imports timwidth from where this process found it, so the
-    # test also runs from a checkout that is not installed
+    # tests also run from a checkout that is not installed
     package_root = str(Path(timwidth.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "timwidth.cli", "widths", single_edge],
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point(single_edge):
+    proc = run_module("timwidth.cli", "widths", single_edge)
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("vim=2")
+
+
+def test_package_runs_as_a_module(single_edge):
+    proc = run_module("timwidth", "widths", single_edge)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "vim=2 cvim_le=2 cvim_ge=2 cvim_bi=2 tim=2"

@@ -32,6 +32,17 @@ def test_construction_rejects_bad_edges():
         TemporalGraph(2, [(0, 1, 1), (1, 0, 1)])
 
 
+def test_construction_rejects_non_integers():
+    # a float time once gave lifetime 1.5, and strings and None a bare
+    # TypeError; True is an int to isinstance but not a vertex or a time
+    for edge in ((0, 1, 1.5), (0, 1, "2"), (0, 1, None), (0, 1, True), (0.0, 1, 1), (0, True, 1)):
+        with pytest.raises(TemporalGraphError, match="non-integer"):
+            TemporalGraph(2, [edge])
+    for n in (True, 2.0, "2", None):
+        with pytest.raises(TemporalGraphError):
+            TemporalGraph(n, [])
+
+
 def test_snapshot_single_edge():
     g = TemporalGraph(2, [(0, 1, 3)])
     assert snapshot(g, 3).edges == ((0, 1),)

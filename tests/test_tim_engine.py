@@ -6,7 +6,14 @@ import pytest
 
 from timwidth import tim_engine
 from timwidth.core import TemporalGraph, _components
-from timwidth.decomposition import compute_tim_decomposition, tim_width
+from timwidth.decomposition import (
+    compute_tim_decomposition,
+    decomposition_from_vim,
+    interval_decomposition,
+    root_and_augment,
+    tim_width,
+    validate_decomposition,
+)
 from timwidth.generators import gen_hard_ham_path, gen_random
 from timwidth.oracles import oracle_firefighter_max, oracle_ham, oracle_matching, oracle_tred
 from timwidth.problems import (
@@ -37,6 +44,7 @@ from timwidth.tim_engine import (
     solve_component_exchangeable,
 )
 from timwidth.vim_engine import ResourceLimitError
+from timwidth.widths import vim_sequence
 
 from .conftest import random_graph
 from .test_decomposition import SEARCH_GRAPH, WIDTHS_POOL_GRAPH
@@ -310,15 +318,22 @@ def reference_tr_site(structure, key):
     return home if prev - {home} <= set(rd.children[home]) else rd.parent[home]
 
 
+def one_bag_nodes(d):
+    """The nodes of d that hold their bag at one timestep: root_and_augment
+    roots an interval node only at its time-Lambda end."""
+    return [i for i, (t, end) in enumerate(zip(d.times, d.ends or d.times)) if t == end]
+
+
 def test_every_component_tr_checked_exactly_once(rng):
     graphs = [random_graph(rng, n_max=6, lam_max=4) for _ in range(25)]
     for g in graphs + [gen_hard_ham_path(20)]:
         base = TwoStepStructure(g)
         # a mid-tree root and a time-0 copy as root, named by their index
-        # among the bags, then the copies
-        bags, copies = base.decomposition.node_count(), len(base.rooted.copy_of)
-        overrides = [bags // 2, bags + copies // 2] if copies else []
-        for structure in [base] + [TwoStepStructure(g, ov) for ov in overrides]:
+        # among the interval tree's nodes, then the copies
+        d = interval_decomposition(g)
+        nodes, copies = one_bag_nodes(d), len(base.rooted.copy_of)
+        roots = [nodes[len(nodes) // 2], len(d.bags) + copies // 2] if copies else []
+        for structure in [base] + [TwoStepStructure(g, root_and_augment(d, r)) for r in roots]:
             check_tr_sites(g, structure)
 
 
@@ -363,11 +378,10 @@ def test_root_choice_invariance(rng):
             continue
         inst = HamiltonianInstance(g)
         base = solve_component_exchangeable(plugin, inst)
-        n_nodes = base.bag_count - sum(
-            1 for t in TwoStepStructure(g).rooted.times if t == 0
-        )
-        for alt in range(min(n_nodes, 4)):
-            res = solve_component_exchangeable(plugin, inst, structure=TwoStepStructure(g, alt))
+        expanded = compute_tim_decomposition(g)
+        for alt in range(min(len(expanded.bags), 4)):
+            structure = TwoStepStructure(g, root_and_augment(expanded, alt))
+            res = solve_component_exchangeable(plugin, inst, structure=structure)
             assert res.answer == base.answer
 
 
@@ -430,9 +444,10 @@ def test_long_idle_runs_match_oracles():
     for _ in range(20):
         g = _sparse_long_graph(rng)
         expected = oracle_ham(g)
-        default = TwoStepStructure(g)
-        mid = default.decomposition.node_count() // 2
-        for structure in (default, TwoStepStructure(g, 0), TwoStepStructure(g, mid)):
+        d = interval_decomposition(g)
+        nodes = one_bag_nodes(d)
+        for r in (None, nodes[0], nodes[len(nodes) // 2]):
+            structure = TwoStepStructure(g, root_and_augment(d, r))
             directions |= _run_directions(structure)
             rd = structure.rooted
             folded += sum(abs(rd.times[s] - rd.times[c]) for s, c in _interval_nodes(structure))
@@ -453,11 +468,9 @@ def test_long_idle_runs_match_oracles():
     assert folded > 500
 
 
-def expanded_structure(g, monkeypatch):
+def expanded_structure(g):
     """TwoStepStructure over compute_tim_decomposition: one node per bag."""
-    with monkeypatch.context() as m:
-        m.setattr(tim_engine, "interval_decomposition", compute_tim_decomposition)
-        return TwoStepStructure(g)
+    return TwoStepStructure(g, root_and_augment(compute_tim_decomposition(g)))
 
 
 def bag_by_bag_tables(structure, plugin, inst):
@@ -480,7 +493,7 @@ def four_plugin_cases(g, rng):
     )
 
 
-def test_folded_runs_match_bag_by_bag_tables(monkeypatch):
+def test_folded_runs_match_bag_by_bag_tables():
     # the reference is the general step applied to every bag of the run, on
     # the tree with one node per bag
     rng = random.Random(9)
@@ -488,7 +501,7 @@ def test_folded_runs_match_bag_by_bag_tables(monkeypatch):
         g = _sparse_long_graph(rng)
         for plugin, inst in four_plugin_cases(g, rng):
             structure = TwoStepStructure(inst.graph)
-            expanded = expanded_structure(inst.graph, monkeypatch)
+            expanded = expanded_structure(inst.graph)
             ed = expanded.rooted
             node_of = {(t, min(bag)): x for x, (bag, t) in enumerate(zip(ed.bags, ed.times))}
             tables = bag_by_bag_tables(expanded, plugin, inst)
@@ -561,7 +574,7 @@ def reference_bag_step(structure, plugin, inst, node, child_results):
     return results
 
 
-def test_join_matches_nested_loop_reference(monkeypatch):
+def test_join_matches_nested_loop_reference():
     # the same child tables through the grouped join and the nested loop, on
     # the tree with one node per bag: the join keeps every key and exactly
     # the minimal totals
@@ -571,7 +584,7 @@ def test_join_matches_nested_loop_reference(monkeypatch):
     cases += four_plugin_cases(SEARCH_GRAPH, rng)
     up_children = set()
     for plugin, inst in cases:
-        expanded = expanded_structure(inst.graph, monkeypatch)
+        expanded = expanded_structure(inst.graph)
         rd = expanded.rooted
         tables = bag_by_bag_tables(expanded, plugin, inst)
         for node in expanded.postorder():
@@ -584,7 +597,7 @@ def test_join_matches_nested_loop_reference(monkeypatch):
     assert up_children >= {0, 1, 2}
 
 
-def test_interval_solve_matches_bag_by_bag_solve(monkeypatch):
+def test_interval_solve_matches_bag_by_bag_solve():
     # sparse long graphs, and two whose idle runs lie on cycles of the
     # initial bag forest, so the search expands them and the structure
     # keeps the bags no merge touched one node per timestep, each folded in
@@ -597,7 +610,7 @@ def test_interval_solve_matches_bag_by_bag_solve(monkeypatch):
     nodes = bags = 0
     for plugin, inst in cases:
         structure = TwoStepStructure(inst.graph)
-        expanded = expanded_structure(inst.graph, monkeypatch)
+        expanded = expanded_structure(inst.graph)
         nodes += len(structure.rooted.bags)
         bags += len(expanded.rooted.bags)
         tables = bag_by_bag_tables(expanded, plugin, inst)
@@ -613,19 +626,63 @@ def test_interval_solve_matches_bag_by_bag_solve(monkeypatch):
     assert nodes < bags / 2
 
 
+def test_answers_agree_on_interval_expanded_and_vim_trees():
+    # the engine solves on any valid rooted decomposition and reports its
+    # width as phi: the minimum TIM width on the interval tree and the tree
+    # with one node per bag, omega on the tree of one F_t bag plus
+    # singletons per time
+    rng = random.Random(19)
+    wider = 0
+    for _ in range(50):
+        g = gen_random(rng.randint(2, 6), rng.randint(1, 5), 0.3, max_times_per_edge=2,
+                       seed=rng.randrange(1 << 30))
+        if not g.time_edges:
+            continue
+        wider += vim_sequence(g).width > tim_width(g)
+        for plugin, inst in four_plugin_cases(g, rng):
+            h = inst.graph
+            trees = (
+                (interval_decomposition(h), tim_width(h)),
+                (compute_tim_decomposition(h), tim_width(h)),
+                (decomposition_from_vim(h), vim_sequence(h).width),
+            )
+            answers = set()
+            for d, width in trees:
+                assert validate_decomposition(h, d).ok
+                structure = TwoStepStructure(h, root_and_augment(d))
+                res = solve_component_exchangeable(plugin, inst, structure=structure)
+                assert res.phi == width
+                answers.add(res.answer)
+            assert len(answers) == 1, (type(plugin).__name__, inst)
+    assert wider
+
+
 def test_interval_tree_grows_with_time_edges_not_bags():
     g = gen_hard_ham_path(160)
     assert len(TwoStepStructure(g).rooted.bags) <= 2 * len(g.time_edges) + g.n
 
 
-def test_root_override_must_name_a_bag():
+def test_root_must_name_a_node():
     g = TemporalGraph(3, [(0, 1, 1), (1, 2, 2)])
+    d = interval_decomposition(g)
     for bad in (999, -1, 6):
         with pytest.raises(ValueError):
-            TwoStepStructure(g, bad)
-    # four bags and two time-0 copies: 5 names the second copy
-    rd = TwoStepStructure(g, 5).rooted
+            root_and_augment(d, bad)
+    # four nodes and two time-0 copies: 5 names the second copy
+    rd = TwoStepStructure(g, root_and_augment(d, 5)).rooted
     assert rd.copy_of[rd.root] == 1
+    # vertex 1 idles over 2..3 and vertex 2 over 1..3, before Lambda = 4;
+    # vertex 0 idles over 2..4 and roots its tree whole
+    g = TemporalGraph(3, [(0, 1, 1), (1, 2, 4)])
+    d = interval_decomposition(g)
+    runs = {(min(bag), t, end) for bag, t, end in zip(d.bags, d.times, d.ends) if t < end}
+    assert runs == {(1, 2, 3), (2, 1, 3), (0, 2, 4)}
+    for i, (bag, t, end) in enumerate(zip(d.bags, d.times, d.ends)):
+        if end == 3:
+            with pytest.raises(ValueError, match="expanded"):
+                root_and_augment(d, i)
+        elif t < end:
+            assert root_and_augment(d, i).root == i
 
 
 def test_one_vertex_answers_do_not_depend_on_the_vertex():
@@ -691,13 +748,16 @@ def test_shared_cache_folds_like_a_fresh_one(monkeypatch):
     rng = random.Random(15)
     for _ in range(6):
         g = _sparse_long_graph(rng)
-        mid = TwoStepStructure(g).decomposition.node_count() // 2
         for plugin, inst in four_plugin_cases(g, rng):
-            for root in (None, mid):
-                structure = TwoStepStructure(inst.graph, root)
+            d = interval_decomposition(inst.graph)
+            nodes = one_bag_nodes(d)
+            for root in (None, nodes[len(nodes) // 2]):
+                structure = TwoStepStructure(inst.graph, root_and_augment(d, root))
                 solve_component_exchangeable(plugin, inst, structure=structure)
     hard = gen_hard_ham_path(35)
-    for structure in (TwoStepStructure(hard), TwoStepStructure(hard, 0)):
+    d = interval_decomposition(hard)
+    for root in (None, one_bag_nodes(d)[0]):
+        structure = TwoStepStructure(hard, root_and_augment(d, root))
         solve_component_exchangeable(
             ham_tim_plugin(), HamiltonianInstance(hard), structure=structure
         )
