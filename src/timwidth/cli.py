@@ -117,7 +117,7 @@ def _solve_instance(problem, gf, args, engine):
     if problem == "ff":
         root = args.root if args.root is not None else gf.root
         if root is None:
-            raise SystemExit("firefighter needs --root or a root directive")
+            raise ValueError("firefighter needs --root or a root directive")
         if engine == "tim":
             print(
                 "warning: firefighter is NP-hard for bounded TIM width alone; "
@@ -127,22 +127,21 @@ def _solve_instance(problem, gf, args, engine):
         return solve_firefighter(FirefighterInstance(g, root, args.saves), engine)
     if problem == "matching":
         if engine != "tim":
-            raise SystemExit("matching is implemented for the tim engine")
+            raise ValueError("matching is implemented for the tim engine")
         return solve_matching(MatchingInstance(g, args.delta, args.size))
     if problem == "tred":
         source = args.source if args.source is not None else gf.source
         if source is None:
-            raise SystemExit("tred needs --source or a source directive")
+            raise ValueError("tred needs --source or a source directive")
         if engine != "tim":
-            raise SystemExit("tred is implemented for the tim engine")
+            raise ValueError("tred is implemented for the tim engine")
         return solve_tred(TredInstance(g, source, args.reach, args.deletions))
-    raise SystemExit(f"unknown problem {problem!r}")
 
 
 def cmd_solve(args):
     problem = PROBLEMS.get(args.problem)
     if problem is None:
-        raise SystemExit(f"unknown problem {args.problem!r}")
+        raise ValueError(f"unknown problem {args.problem!r}")
     gf = parse_graph_file(_read(args.file))
     start = time.perf_counter()
     engine = args.engine or ("tim" if problem in ("matching", "tred") else "vim")
@@ -173,13 +172,11 @@ def cmd_gen(args):
         sys.stdout.write(emit_graph_file(gen_hard_ham_path(args.n)))
     elif args.kind == "hardness":
         if not args.cnf:
-            raise SystemExit("hardness generation needs --cnf <file>")
+            raise ValueError("hardness generation needs --cnf <file>")
         cnf = parse_dimacs_2cnf(_read(args.cnf))
         inst = gen_firefighter_hardness(cnf, args.satisfied)
         print(f"# target_saves={inst.saves_target}")
         sys.stdout.write(emit_graph_file(inst.graph, root=inst.root))
-    else:
-        raise SystemExit(f"unknown generator {args.kind!r}")
     return 0
 
 

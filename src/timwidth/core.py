@@ -51,17 +51,6 @@ class TemporalGraph:
         self.lifetime = canon[-1][0] if canon else 0
         self._by_time = None
 
-    @classmethod
-    def _raw(cls, n, canonical_edges):
-        # internal fast path: edges must already be validated, (u < v),
-        # sorted by (t, u, v), and duplicate-free
-        g = cls.__new__(cls)
-        g.n = n
-        g.time_edges = canonical_edges
-        g.lifetime = canonical_edges[-1][2] if canonical_edges else 0
-        g._by_time = None
-        return g
-
     def _time_index(self):
         if self._by_time is None:
             by_time = {}

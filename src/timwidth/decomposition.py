@@ -65,8 +65,8 @@ class _BagState:
     interval nodes expanded (empty outside the search). Every cycle lies in
     it and no merge touches a node outside it; merge drops the merged-away
     id. A merge can leave some of it on no cycle, so it holds the current
-    2-core and perhaps more, which is all the forced merges and find_cycle
-    need.
+    2-core and perhaps more, which is all the forced merges, find_cycle and
+    _minimise's memo need.
     """
 
     __slots__ = ("bags", "times", "adj", "ends", "core")
@@ -126,38 +126,21 @@ class _BagState:
         return max((len(b) for b in self.bags.values()), default=0)
 
     def find_cycle(self):
-        """The first cycle a depth-first search of the whole forest in id
-        order meets; None, without that search, when the core holds none."""
-        if not _two_core(self.adj, self.core):
+        """The first cycle that a depth-first search of the 2-core meets,
+        started at its smallest id and taking neighbours in id order; None
+        when the core holds no cycle. Each 2-core node has two neighbours in
+        it, so the search never backtracks: it steps to the smallest
+        neighbour it did not come from until it reaches a node it has
+        visited."""
+        core = _two_core(self.adj, self.core)
+        if not core:
             return None
-        seen = set()
-        for start in sorted(self.adj):
-            if start in seen:
-                continue
-            parent = {start: None}
-            stack = [(start, iter(sorted(self.adj[start])))]
-            seen.add(start)
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nb in it:
-                    if nb == parent[node]:
-                        continue
-                    if nb in parent:
-                        cycle = [node]
-                        x = node
-                        while x != nb:
-                            x = parent[x]
-                            cycle.append(x)
-                        return cycle
-                    parent[nb] = node
-                    seen.add(nb)
-                    stack.append((nb, iter(sorted(self.adj[nb]))))
-                    advanced = True
-                    break
-                if not advanced:
-                    stack.pop()
-        return None
+        node, prev, index, path = min(core), None, {}, []
+        while node not in index:
+            index[node] = len(path)
+            path.append(node)
+            node, prev = min(x for x in self.adj[node] if x in core and x != prev), node
+        return path[index[node]:]
 
 
 def _forced_merges(state):
@@ -243,7 +226,9 @@ def _minimise(state, cap, seen):
     decomposition must identify some same-time pair of the cycle), so those
     are branched exhaustively with width-based pruning. seen holds the bag
     partitions already searched: the cap passed down is always the best
-    width found so far, so a partition searched before cannot beat it.
+    width found so far, so a partition searched before cannot beat it. No
+    merge touches a node outside state.core, so the core's bags determine
+    the partition.
     """
     _forced_merges(state)
     if state.width() >= cap:
@@ -251,7 +236,7 @@ def _minimise(state, cap, seen):
     cycle = state.find_cycle()
     if cycle is None:
         return state
-    key = frozenset((state.times[i], frozenset(b)) for i, b in state.bags.items())
+    key = frozenset((state.times[i], frozenset(state.bags[i])) for i in state.core)
     if key in seen:
         return None
     seen.add(key)
@@ -269,27 +254,6 @@ def _minimise(state, cap, seen):
             if result is not None:
                 best, cap = result, result.width()
     return best
-
-
-def _forest(n, groups_at):
-    """The bag forest with one node per group in the t-th entry of groups_at
-    (time t, from 1), and an edge between the nodes that hold a vertex at
-    consecutive times."""
-    bags, times, adj = {}, {}, {}
-    prev = None
-    for t, groups in enumerate(groups_at, start=1):
-        node_of = [0] * n
-        for group in groups:
-            nid = len(bags)
-            bags[nid], times[nid], adj[nid] = set(group), t, set()
-            for v in group:
-                node_of[v] = nid
-        if prev is not None:
-            for a, b in zip(prev, node_of):
-                adj[a].add(b)
-                adj[b].add(a)
-        prev = node_of
-    return _BagState(bags, times, adj, {})
 
 
 def _interval_forest(g):
@@ -429,6 +393,9 @@ def validate_decomposition(g: TemporalGraph, d: TimDecomposition) -> ValidationR
     time-edge inside exactly one bag at its time, (3) arcs are exactly the
     intersecting consecutive-time pairs. An interval node i holds its bag at
     each time from times[i] to ends[i]. Returns the first violation found.
+    Conditions 2 and 3 read the node that condition 1 found holding each
+    vertex at each time, so the check is linear in n * Lambda plus the
+    nodes, arcs and time-edges.
     """
 
     def fail(cond, msg, witness=()):
@@ -461,8 +428,9 @@ def validate_decomposition(g: TemporalGraph, d: TimDecomposition) -> ValidationR
     for i, t in enumerate(d.times):
         for s in range(t, ends[i] + 1):
             by_time.setdefault(s, []).append(i)
+    owner = {}  # time -> {vertex: the node holding it then}
     for t in range(1, lam + 1):
-        seen = {}
+        owner[t] = seen = {}
         for i in by_time.get(t, ()):
             for v in d.bags[i]:
                 if v in seen:
@@ -477,20 +445,15 @@ def validate_decomposition(g: TemporalGraph, d: TimDecomposition) -> ValidationR
                 return fail("condition1", f"vertex {v} in no bag at time {t}", (v, t))
 
     for u, v, t in g.time_edges:
-        holders = [i for i in by_time.get(t, ()) if u in d.bags[i] and v in d.bags[i]]
-        if len(holders) != 1:
-            return fail(
-                "condition2",
-                f"time-edge ({u}, {v}, {t}) lies in {len(holders)} bags",
-                (u, v, t),
-            )
+        if owner[t][u] != owner[t][v]:
+            return fail("condition2", f"time-edge ({u}, {v}, {t}) lies in 0 bags", (u, v, t))
 
-    expected = set()
-    for t in range(1, lam):
-        for i in by_time.get(t, ()):
-            for j in by_time.get(t + 1, ()):
-                if i != j and d.bags[i] & d.bags[j]:
-                    expected.add((i, j))
+    expected = {
+        (owner[t][v], owner[t + 1][v])
+        for t in range(1, lam)
+        for v in range(g.n)
+        if owner[t][v] != owner[t + 1][v]
+    }
     actual = set(d.arcs)
     if actual != expected:
         delta = tuple(sorted(actual.symmetric_difference(expected)))[:4]
@@ -514,13 +477,22 @@ def validate_decomposition(g: TemporalGraph, d: TimDecomposition) -> ValidationR
 
 
 def decomposition_from_vim(g: TemporalGraph) -> TimDecomposition:
-    """The width-omega decomposition with one F_t bag plus singletons per time."""
-    vs = vim_sequence(g)
-    groups_at = (
-        ([ft] if ft else []) + [(v,) for v in range(g.n) if v not in ft]
-        for ft in vs.bags[1 : g.lifetime + 1]
-    )
-    return _as_decomposition(g, _forest(g.n, groups_at))
+    """The width-omega decomposition with one F_t bag plus singletons per
+    time: nodes numbered in time order, F_t first, then the singletons by
+    vertex, and an arc between the nodes that hold a vertex at consecutive
+    times."""
+    bags, times, arcs, before = [], [], set(), None
+    for t, ft in enumerate(vim_sequence(g).bags[1 : g.lifetime + 1], start=1):
+        node_of = [0] * g.n
+        for group in ([ft] if ft else []) + [(v,) for v in range(g.n) if v not in ft]:
+            for v in group:
+                node_of[v] = len(bags)
+            bags.append(frozenset(group))
+            times.append(t)
+        if before is not None:
+            arcs.update(zip(before, node_of))
+        before = node_of
+    return TimDecomposition(g.n, g.lifetime, tuple(bags), tuple(times), tuple(sorted(arcs)))
 
 
 @dataclass(frozen=True)
@@ -563,10 +535,12 @@ def root_and_augment(d: TimDecomposition, root=None) -> RootedTimDecomposition:
 
     root names a node of d, or len(d.bags) + k for the time-0 copy of the
     k-th time-1 node, and roots its tree there; every other tree is rooted
-    at its time-Lambda node holding the lowest vertex id. ValueError when
-    root names no node, or an interval node that ends before Lambda: to
-    root inside an idle run, root an expanded decomposition
-    (compute_tim_decomposition's) instead.
+    at its time-Lambda node holding the lowest vertex id. Each tree is
+    oriented by one breadth-first search from its root, children in id
+    order. ValueError when root names no node, or an interval node that
+    ends before Lambda: to root inside an idle run, root an expanded
+    decomposition (compute_tim_decomposition's) instead; and when a tree
+    has no time-Lambda node to root it at.
     """
     bags = list(d.bags)
     times = list(d.times)
@@ -598,48 +572,31 @@ def root_and_augment(d: TimDecomposition, root=None) -> RootedTimDecomposition:
     for lst in adj:
         lst.sort()
 
-    visited = [False] * len(bags)
+    lam = d.lifetime
     parent = [None] * len(bags)
     children = [[] for _ in bags]
+    reached = [False] * len(bags)
     roots = []
-
-    def tree_nodes(start):
-        comp = [start]
-        visited[start] = True
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not visited[y]:
-                    visited[y] = True
-                    comp.append(y)
-                    stack.append(y)
-        return comp
-
-    lam = d.lifetime
-    for start in range(len(bags)):
-        if visited[start]:
+    # a tree's first top in this order is its root
+    tops = sorted((i for i in range(len(bags)) if ends[i] == lam), key=lambda i: (min(bags[i]), i))
+    for top in ([] if root is None else [root]) + tops:
+        if reached[top]:
             continue
-        comp = tree_nodes(start)
-        if root is not None and root in comp:
-            top = root
-        else:
-            candidates = [i for i in comp if ends[i] == lam]
-            top = min(candidates, key=lambda i: (min(bags[i]), i))
         roots.append(top)
-        parent[top] = None
+        reached[top] = True
         order = [top]
-        seen = {top}
         while order:
             nxt = []
             for x in order:
                 for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
+                    if not reached[y]:
+                        reached[y] = True
                         parent[y] = x
                         children[x].append(y)
                         nxt.append(y)
             order = nxt
+    if not all(reached):
+        raise ValueError(f"node {reached.index(False)} lies in a tree with no time-Lambda node")
 
     # an interval node takes the end next to its parent as its time and
     # hands the bag next to its child to a node of its own, unless that
@@ -730,14 +687,17 @@ def build_two_step(rd: RootedTimDecomposition, g: TemporalGraph) -> TwoStepDecom
 
     table = {}
     own = []
-    for bag, t in zip(rd.bags, rd.times):
+    for s, (bag, t) in enumerate(zip(rd.bags, rd.times)):
         mine = {}
         for v in bag:
             comp = comp_of.get((t, v)) or ComponentGraph(t, (v,), ())
             mine[t, comp.vertices[0]] = comp
-        assert sum(len(c.vertices) for c in mine.values()) == len(bag), (
-            "bag pairs must cover whole components"
-        )
+        if sum(len(c.vertices) for c in mine.values()) != len(bag):
+            v = min(
+                x for c in mine.values() if not bag.issuperset(c.vertices)
+                for x in bag.intersection(c.vertices)
+            )
+            raise ValueError(f"bag {s} at time {t} splits the snapshot component of vertex {v}")
         table.update(mine)
         own.append(tuple(sorted(mine)))
     width = max(

@@ -68,10 +68,7 @@ def parse_graph_file(text: str) -> GraphFile:
                 raise ParseError(line_no, "edge before header")
             if len(parts) != 4:
                 raise ParseError(line_no, "edge needs: e <u> <v> <t>")
-            try:
-                u, v, t = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(line_no, "edge fields must be integers") from None
+            u, v, t = _ints(line_no, parts[1:], "edge fields must be integers")
             n, lam = header
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(line_no, f"vertex out of range 0..{n - 1}")
@@ -89,10 +86,7 @@ def parse_graph_file(text: str) -> GraphFile:
                 raise ParseError(line_no, f"{kind} before header")
             if len(parts) != 2:
                 raise ParseError(line_no, f"{kind} needs one vertex id")
-            try:
-                v = int(parts[1])
-            except ValueError:
-                raise ParseError(line_no, "vertex id must be an integer") from None
+            (v,) = _ints(line_no, parts[1:], "vertex id must be an integer")
             if not (0 <= v < header[0]):
                 raise ParseError(line_no, "vertex out of range")
             if (root if kind == "root" else source) is not None:

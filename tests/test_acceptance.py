@@ -99,7 +99,7 @@ def _all_graphs_up_to(n_max, lam_max):
                     key=lambda e: (e[2], e[0], e[1]),
                 )
             )
-            yield TemporalGraph._raw(n, edges)
+            yield TemporalGraph(n, edges)
 
 
 @pytest.fixture(scope="module")

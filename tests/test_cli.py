@@ -152,6 +152,16 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_usage_errors_exit_2(capsys, single_edge):
+    # exit 1 is verify's code for a disagreement
+    code, out, err = run_cli(capsys, "solve", "ff", single_edge)
+    assert (code, out) == (2, "")
+    assert err == "error: firefighter needs --root or a root directive\n"
+    code, out, err = run_cli(capsys, "solve", "matching", single_edge, "--engine", "vim")
+    assert (code, out) == (2, "")
+    assert err == "error: matching is implemented for the tim engine\n"
+
+
 def test_gen_hardness(capsys, tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 3 3\n1 2 0\n-2 3 0\n-1 -3 0\n")

@@ -4,6 +4,7 @@ import signal
 from contextlib import contextmanager
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 
 from timwidth import decomposition
@@ -91,12 +92,20 @@ def test_validator_rejects_decomposition_of_other_shape():
 
 
 def test_validator_catches_wrong_arcs():
-    g = TemporalGraph(2, [(0, 1, 1), (0, 1, 2)])
-    d = compute_tim_decomposition(g)
-    tampered = TimDecomposition(d.n, d.lifetime, d.bags, d.times, ())
-    report = validate_decomposition(g, tampered)
-    assert not report.ok
-    assert report.violation.condition == "condition3"
+    two = TemporalGraph(2, [(0, 1, 1), (0, 1, 2)])
+    # nodes 0 {0, 1} and 1 {2} at time 1, 2 {0} and 3 {1, 2} at time 2
+    path = TemporalGraph(3, [(0, 1, 1), (1, 2, 2)])
+    for g, arcs, witness in [
+        (two, (), ((0, 1),)),
+        (path, ((0, 3), (1, 3)), ((0, 2),)),
+        (path, ((0, 2), (0, 3), (1, 2), (1, 3)), ((1, 2),)),
+    ]:
+        d = compute_tim_decomposition(g)
+        tampered = TimDecomposition(d.n, d.lifetime, d.bags, d.times, arcs)
+        report = validate_decomposition(g, tampered)
+        assert not report.ok
+        assert report.violation.condition == "condition3"
+        assert report.violation.witness == witness
 
 
 def test_all_vertices_one_bag_per_time_is_valid():
@@ -160,6 +169,12 @@ def test_vim_conversion_validates_with_width_omega(g):
     assert validate_decomposition(g, d).ok
     if g.lifetime:
         assert d.width == vim_sequence(g).width
+
+
+def test_rooting_refuses_a_tree_without_a_time_lambda_node():
+    d = TimDecomposition(2, 3, (frozenset({0, 1}),), (1,), ())
+    with pytest.raises(ValueError, match="node 0 lies in a tree with no time-Lambda node"):
+        root_and_augment(d)
 
 
 def test_forest_on_disconnected_underlying():

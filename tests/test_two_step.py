@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 
+import timwidth
 from timwidth.core import TemporalGraph, _components
 from timwidth.decomposition import (
     build_two_step,
     compute_tim_decomposition,
     root_and_augment,
 )
+from timwidth.tim_engine import TwoStepStructure
 
 from .conftest import temporal_graphs
 
@@ -113,3 +121,37 @@ def test_components_are_the_snapshot_components_of_the_bags(g):
             if rd.bags[x] & set(comp)
         )
         assert ts.components[s] == tuple(expected)
+
+
+# the tree of the first graph has bags {0, 2} and {1} at time 2, which split
+# the second graph's time-2 component {1, 2}
+HANDED_TREE_PROBE = """
+from timwidth.core import TemporalGraph
+from timwidth.decomposition import compute_tim_decomposition, root_and_augment
+from timwidth.tim_engine import TwoStepStructure
+first = TemporalGraph(3, [(0, 1, 1), (0, 2, 2)])
+second = TemporalGraph(3, [(0, 1, 1), (1, 2, 2)])
+TwoStepStructure(second, root_and_augment(compute_tim_decomposition(first)))
+"""
+SPLIT_MESSAGE = "bag 2 at time 2 splits the snapshot component of vertex 2"
+
+
+def test_handed_tree_that_splits_a_component_is_refused():
+    first = TemporalGraph(3, [(0, 1, 1), (0, 2, 2)])
+    second = TemporalGraph(3, [(0, 1, 1), (1, 2, 2)])
+    with pytest.raises(ValueError, match=SPLIT_MESSAGE):
+        TwoStepStructure(second, rooted(first))
+
+
+def test_handed_tree_is_refused_under_python_O():
+    # python -O strips asserts, so the check must raise on its own
+    package_root = str(Path(timwidth.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", HANDED_TREE_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == f"ValueError: {SPLIT_MESSAGE}"
