@@ -90,6 +90,9 @@ def run_suite(name, seed=0):
             g = gen_hard_ham_path(n)
             rows.append(_row(f"scaling-{n}", g, "temporal-hamiltonian-path", "tim",
                              lambda g=g: solve_hamiltonian(g, "tim")))
+            if n <= 320:  # VIM's work on this family grows about as n^2
+                rows.append(_row(f"scaling-{n}", g, "temporal-hamiltonian-path", "vim",
+                                 lambda g=g: solve_hamiltonian(g, "vim")))
     else:
         raise ValueError(f"unknown suite {name!r}; choose quick or scaling")
     return rows

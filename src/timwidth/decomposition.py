@@ -539,8 +539,10 @@ def root_and_augment(d: TimDecomposition, root=None) -> RootedTimDecomposition:
     oriented by one breadth-first search from its root, children in id
     order. ValueError when root names no node, or an interval node that
     ends before Lambda: to root inside an idle run, root an expanded
-    decomposition (compute_tim_decomposition's) instead; and when a tree
-    has no time-Lambda node to root it at.
+    decomposition (compute_tim_decomposition's) instead; when an arc
+    closes a cycle, which the search finds as a neighbour reached before
+    that is not the parent; and when a tree has no time-Lambda node to root
+    it at.
     """
     bags = list(d.bags)
     times = list(d.times)
@@ -594,6 +596,11 @@ def root_and_augment(d: TimDecomposition, root=None) -> RootedTimDecomposition:
                         parent[y] = x
                         children[x].append(y)
                         nxt.append(y)
+                    elif y != parent[x]:
+                        raise ValueError(
+                            f"the arc between nodes {min(x, y)} and {max(x, y)} closes a cycle; "
+                            "a decomposition's arcs must form a forest"
+                        )
             order = nxt
     if not all(reached):
         raise ValueError(f"node {reached.index(False)} lies in a tree with no time-Lambda node")

@@ -14,7 +14,9 @@ class HamiltonianVimPlugin(VimProblemPlugin):
     snapshot edges onto unvisited vertices. The initial state (no labels,
     h = 0) is the path not started yet. Starting goes to h = 2 and labels a V,
     b C for a snapshot edge (a, b): a strict path's first edge fixes its
-    start time, so one run covers every start."""
+    start time, so one run covers every start. successors generates those
+    steps instead of testing every labelling of A_t; transition specifies
+    them."""
 
     labels = (VISITED, UNVISITED, CURRENT)
     default_label = UNVISITED
@@ -45,6 +47,28 @@ class HamiltonianVimPlugin(VimProblemPlugin):
                 ):
                     return (h + 1,)
         return prev.counters if labels == prev.label_dict() else None
+
+    def successors(self, prev, active, snap):
+        labels = prev.label_dict()
+        h = prev.counters[0]
+        yield labels, prev.counters
+        if h == 0:
+            for a, b in snap.edges:
+                yield {a: VISITED, b: CURRENT}, (2,)
+                yield {b: VISITED, a: CURRENT}, (2,)
+            return
+        adj = snap.adjacency
+        for a in prev.labelled(CURRENT):
+            for b in adj.get(a, ()):
+                if b not in labels:
+                    step = dict(labels)
+                    step[a] = VISITED
+                    step[b] = CURRENT
+                    yield step, (h + 1,)
+
+    def step_bound(self, active, snap):
+        # the stay, then two starts per edge, or a move per edge end at a C
+        return 1 + 2 * len(snap.edges)
 
     def accept(self, state, instance):
         return state.counters[0] == instance.graph.n

@@ -68,6 +68,8 @@ class VimProblemPlugin:
     depend on the instance alone (the engine restricts them to F_0). Tr is
     one hook: transition maps a state and the next step's labels to the
     counters of the state that follows, or None when Tr rejects the step.
+    The engine asks successors for the steps Tr admits; a plugin that can
+    generate them overrides it, and step_bound with it.
     """
 
     labels: tuple = ()
@@ -88,6 +90,31 @@ class VimProblemPlugin:
     def transition(self, prev: KXState, labels, snap):
         """Counters after prev with labels (its non-default labels), or None."""
         raise NotImplementedError
+
+    def successors(self, prev: KXState, active, snap):
+        """Yield (label map, counters) once for each step Tr admits from prev.
+
+        prev is already restricted to F_t and active is the sorted A_t; a
+        step relabels active vertices only. This default tries every
+        labelling of active and keeps what transition admits, so transition
+        stays the specification a faster override must match.
+        """
+        base = prev.label_dict()
+        default = self.default_label
+        for assignment in product(self.labels, repeat=len(active)):
+            label_map = dict(base)
+            for v, l in zip(active, assignment):
+                if l == default:
+                    label_map.pop(v, None)
+                else:
+                    label_map[v] = l
+            counters = self.transition(prev, label_map, snap)
+            if counters is not None:
+                yield label_map, counters
+
+    def step_bound(self, active, snap):
+        """An upper bound on what successors yields from one state."""
+        return len(self.labels) ** len(active)
 
     def accept(self, state: KXState, instance) -> bool:
         raise NotImplementedError
@@ -129,10 +156,9 @@ def solve_locally_uniform(
 ) -> VimSolveResult:
     """Run the chronological DP of the locally-temporally-uniform meta-algorithm.
 
-    Candidate states at time t agree with some kept predecessor outside A_t,
-    which is exactly the set of states any transition can reach, so only the
-    A_t labellings are enumerated; Tr gives each one's counters or rejects it.
-    The guard counts those candidates before a timestep tries them.
+    Each kept state's successors come from the plugin, which yields exactly
+    the steps Tr admits. The guard bounds a timestep's work by the plugin's
+    step_bound per kept state before the timestep runs.
     """
     g = instance.graph
     vs = vim_sequence(g)
@@ -146,26 +172,16 @@ def solve_locally_uniform(
     tables = [frozenset(states)] if record else None
 
     for t in range(1, lam + 1):
-        ft, at = vs.bags[t], vs.actives[t]
-        estimate = len(states) * len(plugin.labels) ** len(at)
+        ft = vs.bags[t]
+        active = sorted(vs.actives[t])
+        snap = snapshot(g, t)
+        estimate = len(states) * plugin.step_bound(active, snap)
         if estimate > state_cap:
             raise ResourceLimitError(f"timestep {t}", estimate, state_cap)
-        snap = snapshot(g, t)
-        active = sorted(at)
         new_states = set()
         for prev in states:
-            r = prev.restrict(ft)
-            base = r.label_dict()
-            for assignment in product(plugin.labels, repeat=len(active)):
-                label_map = dict(base)
-                for v, l in zip(active, assignment):
-                    if l == default:
-                        label_map.pop(v, None)
-                    else:
-                        label_map[v] = l
-                counters = plugin.transition(r, label_map, snap)
-                if counters is not None:
-                    new_states.add(KXState.make(label_map, counters, default))
+            for label_map, counters in plugin.successors(prev.restrict(ft), active, snap):
+                new_states.add(KXState.make(label_map, counters, default))
         states = new_states
         table_sizes.append(len(states))
         if record:

@@ -177,6 +177,17 @@ def test_rooting_refuses_a_tree_without_a_time_lambda_node():
         root_and_augment(d)
 
 
+def test_rooting_refuses_arcs_that_close_a_cycle():
+    # the unmerged bag forest: {0, 1}, {2}; {0}, {1, 2}; {0, 1}, {2} at times 1-3
+    g = TemporalGraph(3, [(0, 1, 1), (1, 2, 2), (0, 1, 3)])
+    bags = tuple(frozenset(b) for b in ({0, 1}, {2}, {0}, {1, 2}, {0, 1}, {2}))
+    arcs = ((0, 2), (0, 3), (1, 3), (2, 4), (3, 4), (3, 5))
+    d = TimDecomposition(3, 3, bags, (1, 1, 2, 2, 3, 3), arcs)
+    assert validate_decomposition(g, d).violation.message == "decomposition graph contains a cycle"
+    with pytest.raises(ValueError, match=r"the arc between nodes \d+ and \d+ closes a cycle"):
+        root_and_augment(d)
+
+
 def test_forest_on_disconnected_underlying():
     g = TemporalGraph(4, [(0, 1, 1), (2, 3, 2)])
     d = compute_tim_decomposition(g)

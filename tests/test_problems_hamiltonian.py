@@ -3,12 +3,12 @@ import random
 import pytest
 
 from timwidth.core import TemporalGraph, Snapshot, shift_graph, snapshot
-from timwidth.generators import gen_hard_ham_path
+from timwidth.generators import gen_hard_ham_path, gen_random
 from timwidth.oracles import oracle_ham
 from timwidth.problems import HamiltonianInstance, ham_tim_plugin, ham_vim_plugin, solve_hamiltonian
 from timwidth.problems.hamiltonian import HamiltonianVimPlugin
 from timwidth.tim_engine import ComponentGraph
-from timwidth.vim_engine import KXState, solve_locally_uniform
+from timwidth.vim_engine import KXState, ResourceLimitError, VimProblemPlugin, solve_locally_uniform
 from timwidth.widths import vim_sequence
 
 from .conftest import random_graph
@@ -137,3 +137,73 @@ def test_one_run_matches_per_shift_runs():
             sparse += 1
         yes += answer
     assert yes >= 20 and sparse >= 10
+
+
+def test_generated_steps_are_exactly_tr():
+    # from every state the engine keeps, including StartOnF0Plugin's initial
+    # states, successors yields each step transition admits exactly once and
+    # no more than step_bound of them
+    rng = random.Random(2121)
+    checked = 0
+    for plugin in (HamiltonianVimPlugin(), StartOnF0Plugin()):
+        for _ in range(60):
+            g = random_graph(rng, n_max=6, lam_max=5, n_min=2)
+            vs = vim_sequence(g)
+            tables = solve_locally_uniform(plugin, HamiltonianInstance(g), record=True).tables
+            for t, table in enumerate(tables[: g.lifetime], start=1):
+                active = sorted(vs.actives[t])
+                snap = snapshot(g, t)
+                for kept in table:
+                    prev = kept.restrict(vs.bags[t])
+                    steps = [
+                        (frozenset(labels.items()), counters)
+                        for labels, counters in plugin.successors(prev, active, snap)
+                    ]
+                    spec = {
+                        (frozenset(labels.items()), counters)
+                        for labels, counters in VimProblemPlugin.successors(plugin, prev, active, snap)
+                    }
+                    assert len(steps) == len(set(steps)), (g, t, prev)
+                    assert set(steps) == spec, (g, t, prev)
+                    assert len(steps) <= plugin.step_bound(active, snap)
+                    checked += 1
+    assert checked >= 500
+
+
+def sparse_long_graphs(count=40):
+    """Seeded sparse gen_random graphs, n 8-30 and lifetime 2n, each joined
+    with a path through all vertices at increasing times: a yes-instance on
+    even seeds; odd seeds swap two consecutive times of the path, which
+    mostly gives a no. Without the path a graph this sparse has fewer than
+    n - 1 time-edges, so VIM would answer without running."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = rng.randint(8, 30)
+        g = gen_random(n, 2 * n, 0.3 / n, seed=seed)
+        order = rng.sample(range(n), n)
+        times = sorted(rng.sample(range(1, 2 * n + 1), n - 1))
+        if seed % 2:
+            i = rng.randrange(n - 2)
+            times[i], times[i + 1] = times[i + 1], times[i]
+        path = {(min(a, b), max(a, b), t) for a, b, t in zip(order, order[1:], times)}
+        yield seed, TemporalGraph(n, set(g.time_edges) | path)
+
+
+def test_vim_matches_tim_beyond_oracle_reach():
+    for n in (20, 35, 50, 65, 80):
+        g = gen_hard_ham_path(n)
+        answers = [solve_hamiltonian(g, engine)[0] for engine in ("vim", "tim")]
+        assert answers == [False, False], n  # a family of no-instances
+    compared, yes, refused = 0, 0, []
+    for seed, g in sparse_long_graphs():
+        try:
+            answers = {solve_hamiltonian(g, engine)[0] for engine in ("vim", "tim")}
+        except ResourceLimitError as err:
+            refused.append((seed, str(err)))
+            continue
+        assert len(answers) == 1, (seed, g)
+        compared += 1
+        yes += answers == {True}
+    print(f"VIM and TIM agree on {compared} sparse long graphs ({yes} yes); refused: {refused}")
+    assert len(refused) <= 4, refused
+    assert yes >= 10 and compared - yes >= 10
