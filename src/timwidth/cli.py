@@ -155,11 +155,16 @@ def cmd_solve(args):
 
 
 def cmd_gen(args):
+    if args.kind == "hardness":
+        if not args.cnf:
+            raise ValueError("hardness generation needs --cnf <file>")
+        cnf = parse_dimacs_2cnf(_read(args.cnf))
+        inst = gen_firefighter_hardness(cnf, args.satisfied)
+        print(f"# target_saves={inst.saves_target}")
+        sys.stdout.write(emit_graph_file(inst.graph, root=inst.root))
+        return 0
     if args.kind == "random":
-        g = gen_random(
-            args.n, args.lifetime, args.p, args.max_times, seed=args.seed
-        )
-        sys.stdout.write(emit_graph_file(g, root=args.root, source=args.source))
+        g = gen_random(args.n, args.lifetime, args.p, args.max_times, seed=args.seed)
     elif args.kind == "ordered-tree":
         g = gen_ordered_tree(
             args.n,
@@ -167,16 +172,9 @@ def cmd_gen(args):
             max_times_per_edge=args.max_times,
             time_budget=args.time_budget,
         )
-        sys.stdout.write(emit_graph_file(g))
-    elif args.kind == "hard-ham-path":
-        sys.stdout.write(emit_graph_file(gen_hard_ham_path(args.n)))
-    elif args.kind == "hardness":
-        if not args.cnf:
-            raise ValueError("hardness generation needs --cnf <file>")
-        cnf = parse_dimacs_2cnf(_read(args.cnf))
-        inst = gen_firefighter_hardness(cnf, args.satisfied)
-        print(f"# target_saves={inst.saves_target}")
-        sys.stdout.write(emit_graph_file(inst.graph, root=inst.root))
+    else:
+        g = gen_hard_ham_path(args.n)
+    sys.stdout.write(emit_graph_file(g, root=args.root, source=args.source))
     return 0
 
 

@@ -108,11 +108,7 @@ class Snapshot:
     @cached_property
     def adjacency(self):
         """Vertex -> frozenset of neighbours, over the active vertices only."""
-        adj = {}
-        for u, v in self.edges:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        return {v: frozenset(ns) for v, ns in adj.items()}
+        return _adjacency((), self.edges)
 
 
 @dataclass(frozen=True)
@@ -125,12 +121,9 @@ class ComponentGraph:
 
     @cached_property
     def adjacency(self):
-        """Vertex -> frozenset of neighbours, built once per component."""
-        adj = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(ns) for v, ns in adj.items()}
+        """Vertex -> frozenset of neighbours, built once per component; an
+        isolated vertex maps to the empty set."""
+        return _adjacency(self.vertices, self.edges)
 
     @cached_property
     def index(self):
@@ -149,6 +142,16 @@ class StaticGraph:
         return _components(self.n, self.edges)
 
 
+def _adjacency(vertices, edges):
+    """Vertex -> frozenset of neighbours over the edges, with an entry for
+    each of the vertices even if no edge touches it."""
+    adj = {v: set() for v in vertices}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return {v: frozenset(ns) for v, ns in adj.items()}
+
+
 def _components(n, edges):
     """Connected components as sorted vertex tuples, ordered by smallest member."""
     return _components_among(list(range(n)), range(n), edges)
@@ -164,10 +167,11 @@ def _edge_components(edges):
 
 
 def _components_among(root, vertices, edges):
-    """The components of the vertices, given in increasing order, as sorted
-    vertex tuples ordered by smallest member. root maps each vertex to
-    itself; it becomes one union-find over the edges, each component rooted
-    at its smallest member."""
+    """The vertices, given in increasing order, grouped by component as
+    sorted tuples ordered by smallest member. root is a union-find (vertex ->
+    parent, each tree rooted at its smallest member) that the edges are
+    merged into first; it may already hold earlier merges, so one root can
+    carry a growing graph across calls."""
     for u, v in edges:
         while root[u] != u:
             root[u] = root[root[u]]
@@ -182,12 +186,9 @@ def _components_among(root, vertices, edges):
     comps = {}
     for v in vertices:
         r = root[v]
-        if r == v:
-            comps[v] = [v]
-        else:
-            while root[r] != r:
-                r = root[r]
-            comps[r].append(v)
+        while root[r] != r:
+            r = root[r]
+        comps.setdefault(r, []).append(v)
     return [tuple(comp) for comp in comps.values()]
 
 

@@ -45,14 +45,17 @@ def gen_ordered_tree(
     """
     if n < 1:
         raise GeneratorError("need at least one vertex")
+    if max_times_per_edge < 1:
+        raise GeneratorError("max_times_per_edge must be >= 1")
+    if max_children < 1:
+        raise GeneratorError("max_children must be >= 1")
     rng = random.Random(seed)
     parent = [None] * n
     depth = [0] * n
     child_count = [0] * n
     for v in range(1, n):
+        # never empty: v vertices have room for v * max_children > v - 1 children
         options = [u for u in range(v) if child_count[u] < max_children]
-        if not options:
-            options = list(range(v))
         p = rng.choice(options)
         parent[v] = p
         child_count[p] += 1

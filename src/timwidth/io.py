@@ -116,11 +116,14 @@ def parse_temporal_graph(text: str) -> TemporalGraph:
 
 
 def emit_graph_file(g: TemporalGraph, root=None, source=None) -> str:
+    """The graph file of g; raises ValueError for a root or source that
+    parse_graph_file would reject."""
     lines = [f"tgraph {g.n} {g.lifetime}"]
-    if root is not None:
-        lines.append(f"root {root}")
-    if source is not None:
-        lines.append(f"source {source}")
+    for kind, v in (("root", root), ("source", source)):
+        if v is not None:
+            if not 0 <= v < g.n:
+                raise ValueError(f"{kind} {v} out of range 0..{g.n - 1}")
+            lines.append(f"{kind} {v}")
     for u, v, t in sorted(g.time_edges, key=lambda e: (e[2], e[0], e[1])):
         lines.append(f"e {u} {v} {t}")
     return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import TemporalGraph
+from .core import TemporalGraph, _components_among
 
 
 @dataclass(frozen=True)
@@ -54,52 +54,20 @@ def vim_sequence(g: TemporalGraph) -> VimSequence:
 class ConnectedVimResult:
     """A connected-VIM width together with its per-time bag lists.
 
-    bags[t] lists, for each component C of G_d(t), the nonempty intersections
-    V(C) & F_t as sorted tuples; bags[0] is always empty.
+    bags[t] lists, for each component C of G_d(t), the nonempty intersection
+    V(C) & F_t as a sorted tuple, the tuples ordered by smallest member;
+    bags[0] is always empty.
     """
 
     width: int
     bags: tuple
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def _sweep(g: TemporalGraph, direction: str):
-    """Yield (t, find) over times ascending (le) or descending (ge); find
-    maps a vertex to its component root in the prefix (suffix) graph at t,
-    maintained incrementally with one union-find."""
-    lam = g.lifetime
-    uf = _UnionFind(g.n)
-    for t in range(1, lam + 1) if direction == "le" else range(lam, 0, -1):
-        for u, v in g.edges_at(t):
-            uf.union(u, v)
-        yield t, uf.find
-
-
 def connected_vim_width(g: TemporalGraph, direction: str, vs=None) -> ConnectedVimResult:
     """The d-connected-VIM width for d in {"le", "ge"}.
 
+    G_d(t) grows by one snapshot per timestep, so one union-find, swept by
+    time ascending (le) or descending (ge), holds its components throughout.
     A precomputed VimSequence may be passed to avoid recomputation.
     """
     if direction not in ("le", "ge"):
@@ -109,13 +77,11 @@ def connected_vim_width(g: TemporalGraph, direction: str, vs=None) -> ConnectedV
         return ConnectedVimResult(1, ((),))
     if vs is None:
         vs = vim_sequence(g)
+    root = list(range(g.n))
     per_time = [()] * (lam + 1)
     width = 1
-    for t, find in _sweep(g, direction):
-        groups = {}
-        for x in vs.bags[t]:
-            groups.setdefault(find(x), []).append(x)
-        bags_t = tuple(tuple(sorted(members)) for _, members in sorted(groups.items()))
+    for t in range(1, lam + 1) if direction == "le" else range(lam, 0, -1):
+        bags_t = tuple(_components_among(root, sorted(vs.bags[t]), g.edges_at(t)))
         per_time[t] = bags_t
         for b in bags_t:
             if len(b) > width:
@@ -138,19 +104,10 @@ def bidirectional_cvim_width(g: TemporalGraph) -> int:
         return 1
     vs = vim_sequence(g)
     # largest |component of G_d(t) intersected with F_t| for each t
-    le = [0] * (lam + 1)
-    ge = [0] * (lam + 1)
-    for per_time, direction in ((le, "le"), (ge, "ge")):
-        for t, find in _sweep(g, direction):
-            sizes = {}
-            best = 0
-            for x in vs.bags[t]:
-                r = find(x)
-                c = sizes.get(r, 0) + 1
-                sizes[r] = c
-                if c > best:
-                    best = c
-            per_time[t] = best
+    le, ge = (
+        [max(map(len, bags_t), default=0) for bags_t in connected_vim_width(g, d, vs).bags]
+        for d in ("le", "ge")
+    )
     prefix_le = [0] * (lam + 2)
     for t in range(1, lam + 1):
         prefix_le[t] = max(prefix_le[t - 1], le[t])

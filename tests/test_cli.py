@@ -75,6 +75,21 @@ def test_gen_deterministic(capsys):
     assert out1 == out2
 
 
+def test_gen_refuses_vertex_outside_graph(capsys):
+    for flag in ("--root", "--source"):
+        code, out, err = run_cli(capsys, "gen", "random", "--n", "3", flag, "5")
+        assert code == 2 and out == ""
+        assert f"{flag[2:]} 5 out of range 0..2" in err
+
+
+def test_gen_keeps_root_and_source_for_every_family(capsys):
+    for kind in ("random", "ordered-tree", "hard-ham-path"):
+        code, out, _ = run_cli(capsys, "gen", kind, "--n", "8", "--root", "1", "--source", "2")
+        assert code == 0
+        gf = parse_graph_file(out)
+        assert (gf.root, gf.source) == (1, 2)
+
+
 def test_decompose_round_trips(capsys, tmp_path, two_hop):
     code, out, _ = run_cli(capsys, "decompose", two_hop, "--two-step")
     assert code == 0

@@ -71,6 +71,12 @@ def test_components_examples():
     assert [c.vertices for c in components_at(g2, 1)] == [(0,), (1,), (2,)]
 
 
+def test_adjacency_entries():
+    g = TemporalGraph(4, [(0, 1, 1), (1, 2, 1)])
+    assert snapshot(g, 1).adjacency == {0: {1}, 1: {0, 2}, 2: {1}}
+    assert [c.adjacency for c in components_at(g, 1)] == [{0: {1}, 1: {0, 2}, 2: {1}}, {3: set()}]
+
+
 @settings(max_examples=60)
 @given(temporal_graphs())
 def test_components_match_union_find_oracle(g):

@@ -96,6 +96,13 @@ def test_ordered_tree_budget_error():
         gen_ordered_tree(10, seed=0, max_times_per_edge=3, time_budget=2)
 
 
+def test_ordered_tree_refuses_empty_ranges():
+    with pytest.raises(GeneratorError, match="max_times_per_edge must be >= 1"):
+        gen_ordered_tree(5, seed=0, max_times_per_edge=0)
+    with pytest.raises(GeneratorError, match="max_children must be >= 1"):
+        gen_ordered_tree(5, seed=0, max_children=0)
+
+
 def test_hard_family_shape():
     for n in (8, 20, 40):
         g = gen_hard_ham_path(n)

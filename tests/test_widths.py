@@ -1,4 +1,4 @@
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from timwidth.core import TemporalGraph, prefix_graph, suffix_graph
 from timwidth.decomposition import tim_width
@@ -81,6 +81,20 @@ def test_cvim_matches_direct_definition(g):
             for comp in graph_of(g, t).components():
                 best = max(best, len(set(comp) & vs.bags[t]))
         assert connected_vim_width(g, direction).width == best
+
+
+@settings(max_examples=60)
+@given(temporal_graphs())
+# at t=2 the prefix component {0, 3} meets F_2 in (3,) only, so that part sorts after (1, 2)
+@example(TemporalGraph(5, [(0, 3, 1), (1, 2, 2), (3, 4, 3)]))
+def test_cvim_bags_match_direct_definition(g):
+    vs = vim_sequence(g)
+    for direction, graph_of in (("le", prefix_graph), ("ge", suffix_graph)):
+        bags = connected_vim_width(g, direction, vs).bags
+        assert bags[0] == ()
+        for t in range(1, g.lifetime + 1):
+            parts = (tuple(sorted(set(c) & vs.bags[t])) for c in graph_of(g, t).components())
+            assert bags[t] == tuple(sorted(p for p in parts if p))
 
 
 def test_bidirectional_examples():
