@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 from ..core import shift_graph
 from ..tim_engine import TimProblemPlugin, solve_component_exchangeable
 from ..vim_engine import KXState, VimProblemPlugin, solve_locally_uniform
@@ -110,6 +112,22 @@ class FirefighterTimPlugin(TimProblemPlugin):
             saved = sum(1 for l in labelling if l != BURNING)
             return (-saved,) + (0,) * (lam - 1) + (d, d)
         return (0,) + tuple(0 if i < t else d for i in range(1, lam + 1)) + (d,)
+
+    def assignments(self, comp, t, role, instance):
+        if role == "start":
+            labelling = tuple(BURNING if v == instance.root else UNBURNT for v in comp.vertices)
+            return [(labelling, (0,) * (instance.graph.lifetime + 2))]
+        # val and fin admit every labelling; its vector depends only on its
+        # defence count, and at fin on its burning count too
+        vectors = {}
+        out = []
+        for labelling in product(self.label_set(instance), repeat=len(comp.vertices)):
+            key = (labelling.count(NEWDEF), role == "fin" and labelling.count(BURNING))
+            vec = vectors.get(key)
+            if vec is None:
+                vec = vectors[key] = self.check(labelling, comp, t, role, instance)
+            out.append((labelling, vec))
+        return out
 
     def successors(self, prev_labelling, comp, instance):
         from itertools import combinations

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 from ..tim_engine import TimProblemPlugin, solve_component_exchangeable
 from ..vim_engine import KXState, VimProblemPlugin, solve_locally_uniform
 from .instances import HamiltonianInstance
@@ -102,6 +104,16 @@ class HamiltonianTimPlugin(TimProblemPlugin):
         if role == "fin" and UNVISITED in labelling:
             return None
         return (cur,)
+
+    def assignments(self, comp, t, role, instance):
+        # at most one C; the other vertices avoid V at start and U at fin
+        rest = {"start": (UNVISITED,), "fin": (VISITED,)}.get(role, (VISITED, UNVISITED))
+        k = len(comp.vertices)
+        out = [(labelling, (0,)) for labelling in product(rest, repeat=k)]
+        for i in range(k):
+            for others in product(rest, repeat=k - 1):
+                out.append((others[:i] + (CURRENT,) + others[i:], (1,)))
+        return out
 
     def successors(self, prev_labelling, comp, instance):
         out = [prev_labelling]

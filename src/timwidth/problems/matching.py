@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 from ..tim_engine import TimProblemPlugin, solve_component_exchangeable
 from .instances import MatchingInstance
 
@@ -52,6 +54,34 @@ def has_perfect_matching(vertices, edges) -> bool:
     return rec(full)
 
 
+def matched_sets(comp):
+    """Bitmasks over comp's vertex positions of the vertex sets that some
+    matching of comp's edges covers, each once."""
+    k = len(comp.vertices)
+    idx = comp.index
+    adj = [0] * k
+    for u, v in comp.edges:
+        adj[idx[u]] |= 1 << idx[v]
+        adj[idx[v]] |= 1 << idx[u]
+    out = set()
+
+    def rec(i, used):
+        # positions below i are decided; i is left unmatched or matched upward
+        if i == k:
+            out.add(used)
+            return
+        rec(i + 1, used)
+        if not used >> i & 1:
+            partners = adj[i] & ~used & ~((2 << i) - 1)
+            while partners:
+                p = partners & -partners
+                partners ^= p
+                rec(i + 1, used | 1 << i | p)
+
+    rec(0, 0)
+    return out
+
+
 class MatchingTimPlugin(TimProblemPlugin):
     """Labels (1,D,D) for currently matched vertices and (0,a,b) windows
     tracking how far a vertex is from its previous and next allowed match.
@@ -88,6 +118,28 @@ class MatchingTimPlugin(TimProblemPlugin):
         if not has_perfect_matching(matched, comp.edges):
             return None
         return (-(len(matched) // 2),)
+
+    def assignments(self, comp, t, role, instance):
+        d = instance.delta
+        labels = self.label_set(instance)
+        k = len(comp.vertices)
+        if role == "start":
+            starts = [l for l in labels if l[0] == 0 and l[1] == d]
+            return [(labelling, (0,)) for labelling in product(starts, repeat=k)]
+        # the matched vertices are those a matching of the edges covers; every
+        # other vertex takes any other label
+        m = matched_label(d)
+        others = [l for l in labels if l != m]
+        out = []
+        for mask in matched_sets(comp):
+            free = [i for i in range(k) if not mask >> i & 1]
+            vec = (-((k - len(free)) // 2),)
+            labelling = [m] * k
+            for rest in product(others, repeat=len(free)):
+                for i, l in zip(free, rest):
+                    labelling[i] = l
+                out.append((tuple(labelling), vec))
+        return out
 
     def _next_options(self, label, delta):
         if label == matched_label(delta):

@@ -10,18 +10,16 @@ from .instances import TredInstance
 REACHED, CURRENT, UNREACHED = "R", "N", "U"
 
 
+_CUT = {(REACHED, UNREACHED), (UNREACHED, REACHED)}
+
+
 def label_validity_deletions(labelling, comp) -> int:
     """Edges of the component joining a reached and an unreached vertex.
 
     Each such snapshot edge must be deleted for the labelling to hold.
     """
-    state = dict(zip(comp.vertices, labelling))
-    d = 0
-    for u, v in comp.edges:
-        pair = {state[u], state[v]}
-        if pair == {REACHED, UNREACHED}:
-            d += 1
-    return d
+    idx = comp.index
+    return sum((labelling[idx[u]], labelling[idx[v]]) in _CUT for u, v in comp.edges)
 
 
 class TredTimPlugin(TimProblemPlugin):
@@ -46,6 +44,13 @@ class TredTimPlugin(TimProblemPlugin):
                     return None
             return (0, 1) if instance.source in comp.vertices else (0, 0)
         return (label_validity_deletions(labelling, comp), labelling.count(CURRENT))
+
+    def assignments(self, comp, t, role, instance):
+        if role == "start":
+            labelling = tuple(CURRENT if v == instance.source else UNREACHED for v in comp.vertices)
+            return [(labelling, (0, 1) if instance.source in comp.vertices else (0, 0))]
+        # val and fin admit every labelling
+        return super().assignments(comp, t, role, instance)
 
     def successors(self, prev_labelling, comp, instance):
         verts = comp.vertices

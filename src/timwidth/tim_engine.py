@@ -2,11 +2,12 @@
 
 The engine answers component-exchangeable temporally uniform problems:
 plugins supply St / Val / Fin (one check hook that returns a labelling's
-counter vector) and Tr (one successors hook) on timed components, plus a
-componentwise upper bound on the summed counter vectors. Realisability is
-computed bottom-up; per bag only the assignments of its own-time components
-and a small boundary labelling are visible to the parent, which keeps the
-per-bag tables at partial-profile size.
+counter vector, and an assignments hook that generates what it admits) and
+Tr (one successors hook) on timed components, plus a componentwise upper
+bound on the summed counter vectors. Realisability is computed bottom-up;
+per bag only the assignments of its own-time components and a small
+boundary labelling are visible to the parent, which keeps the per-bag
+tables at partial-profile size.
 """
 
 from __future__ import annotations
@@ -31,8 +32,11 @@ class TimProblemPlugin:
 
     Labellings are tuples aligned with a component's sorted vertex tuple.
     check is St, Val or Fin by role and returns the counter vector a
-    labelling fixes, or None when the role rejects it. successors is Tr: it
-    returns exactly the labellings that may follow a labelling, each once.
+    labelling fixes, or None when the role rejects it. assignments returns
+    the (labelling, vector) pairs check admits, each once; its default tries
+    every labelling through check, so check stays the specification that a
+    generating override must match. successors is Tr: it returns exactly
+    the labellings that may follow a labelling, each once.
     check, successors and assignments must be deterministic and free of
     side effects: the engine memoises their answers per bag and per solve.
     On a component of one vertex and no edges, check (roles val and fin)
@@ -67,7 +71,8 @@ class TimProblemPlugin:
         raise NotImplementedError
 
     def assignments(self, comp, t, role, instance):
-        """All admissible (labelling, vector) pairs of one timed component."""
+        """Every (labelling, vector) pair check admits on one timed
+        component, each once, as a list; this default generates and tests."""
         out = []
         for labelling in product(self.label_set(instance), repeat=len(comp.vertices)):
             vec = self.check(labelling, comp, t, role, instance)
@@ -83,7 +88,7 @@ def _role(t, lam):
 def _sumset(base, sets):
     acc = {tuple(base)}
     for s in sets:
-        acc = {tuple(a + b for a, b in zip(x, y)) for x in acc for y in s}
+        acc = {tuple(map(add, x, y)) for x in acc for y in s}
     return acc
 
 
@@ -96,10 +101,11 @@ def _minimal(totals):
 
     Dropping the rest keeps every answer: answers ask whether some sum of
     totals is <= v_upper, and a dominated total can always be swapped for
-    one below it. A total below another comes first in sorted order.
+    one below it. A total below another comes first in sorted order. Fewer
+    than two totals come back as the same object, not a copy.
     """
     if len(totals) < 2:
-        return set(totals)
+        return totals
     kept = []
     for total in sorted(totals):
         if not any(_leq(low, total) for low in kept):
@@ -194,12 +200,15 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     _minimal). Each own component's options come from one memo per call,
     keyed by the component and its earlier labelling: the successors of
     that labelling the role admits, or, for None (Tr checked at the parent,
-    or t = 0), every assignment the role admits. An up-child's table is
-    joined through groups of its entries, by the labels it hands up and
-    then by the labellings of the components whose Tr this bag checks, each
-    with the union of its totals: per restriction the join walks the
-    product of those components' cached successor sets and looks the
-    groups up.
+    or t = 0), the plugin's assignments. The None options are the same for
+    every combination of down-children, so they are taken once per bag,
+    and the guard counts them: it refuses the bag once the down-children's
+    entries times the options of the components taken so far pass cap. An
+    up-child's table is joined through groups of its entries, by the labels
+    it hands up and then by the labellings of the components whose Tr this
+    bag checks, each with the union of its totals: per restriction the join
+    walks the product of those components' cached successor sets and looks
+    the groups up.
     """
     rd, comps = structure.rooted, structure.comps
     t = rd.times[node]
@@ -208,21 +217,6 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     up = [c for c in rd.children[node] if rd.times[c] == t + 1]
 
     own = structure.own_comps[node]
-    # a Tr-checked component's options depend on the labels below it; the
-    # others' are the same for every combination of down-children
-    tr_here = [structure.tr_site.get(key) == node for key in own]
-
-    # guard before materialising anything: the label product alone ought to
-    # stay below the cap
-    n_labels = len(plugin.label_set(instance))
-    estimate = 1
-    for c in down:
-        estimate *= max(len(child_results[c]), 1)
-    for key, here in zip(own, tr_here):
-        if not here:
-            estimate *= max(n_labels ** len(comps[key].vertices), 1)
-    if estimate > cap:
-        raise ResourceLimitError(f"bag {node}", estimate, cap)
 
     option_cache = {}
 
@@ -238,6 +232,22 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
                 opts = [(l, vec) for l, vec in checked if vec is not None]
             option_cache[key, prev] = opts
         return opts
+
+    # a Tr-checked component's options depend on the labels below it (None
+    # here); the others' are generated one component at a time, stopping
+    # once the guard's running product passes the cap
+    estimate = 1
+    for c in down:
+        estimate *= max(len(child_results[c]), 1)
+    free_options = []
+    for key in own:
+        if structure.tr_site.get(key) == node:
+            free_options.append(None)
+        elif estimate <= cap:
+            free_options.append(options_of(key, None))
+            estimate *= max(len(free_options[-1]), 1)
+    if estimate > cap:
+        raise ResourceLimitError(f"bag {node}", estimate, cap)
 
     up_checks = {c: structure.checks_from_child.get((node, c), ()) for c in up}
     up_need = {
@@ -291,45 +301,57 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
         cache[restriction] = combined = _minimal(combined)
         return combined
 
-    results = {}
-    down_keys = [list(child_results[c].items()) for c in down]
+    def label_at_of(keys, rho):
+        return {
+            v: l
+            for key, (labelling, _vec) in zip(keys, rho)
+            for v, l in zip(comps[key].vertices, labelling)
+        }
+
+    def up_totals(rho):
+        # each up-child's totals that agree with rho; None once one has none
+        own_label_at = label_at_of(own, rho)
+        out = []
+        for c in up:
+            tot = filter_up(c, own_label_at)
+            if not tot:
+                return None
+            out.append(tot)
+        return out
+
+    # each down-child entry as the labels it fixes one timestep before, and its totals
+    down_entries = [
+        [(label_at_of(structure.own_comps[c], rho_c), totals_c)
+         for (rho_c, _extra), totals_c in child_results[c].items()]
+        for c in down
+    ]
     extra_vs = structure.extra_vertices[node]
+    zero = (0,) * plugin.arity(instance)
+    results = {}
 
-    for down_combo in product(*down_keys):
+    for down_combo in product(*down_entries):
         prev_label_at = {}
-        down_totals = []
-        for c, (key_c, totals_c) in zip(down, down_combo):
-            rho_c, _ = key_c
-            for comp_key, (labelling, _vec) in zip(structure.own_comps[c], rho_c):
-                for v, l in zip(comps[comp_key].vertices, labelling):
-                    prev_label_at[v] = l
-            down_totals.append(totals_c)
-
+        for label_at_c, _totals in down_combo:
+            prev_label_at.update(label_at_c)
+        extra = tuple((v, prev_label_at[v]) for v in extra_vs)
+        # every rho adds the same down-children's totals: sum them once
+        down_sets = [totals for _, totals in down_combo]
+        if len(down_sets) > 1:
+            down_sets = [_sumset(zero, down_sets)]
         options = [
-            options_of(key, tuple(prev_label_at[v] for v in comps[key].vertices) if here else None)
-            for key, here in zip(own, tr_here)
+            opts if opts is not None
+            else options_of(key, tuple(prev_label_at[v] for v in comps[key].vertices))
+            for key, opts in zip(own, free_options)
         ]
         for rho in product(*options):
-            own_label_at = {}
-            for key, (labelling, _vec) in zip(own, rho):
-                for v, l in zip(comps[key].vertices, labelling):
-                    own_label_at[v] = l
-
-            up_totals = []
-            ok = True
-            for c in up:
-                tot = filter_up(c, own_label_at)
-                if not tot:
-                    ok = False
-                    break
-                up_totals.append(tot)
-            if not ok:
-                continue
-
-            own_sum = tuple(sum(vals) for vals in zip(*(vec for _, vec in rho)))
-            totals = _sumset(own_sum, down_totals + up_totals)
-            extra = tuple((v, prev_label_at[v]) for v in extra_vs)
-            results.setdefault((rho, extra), set()).update(totals)
+            sets = down_sets
+            if up:
+                joined = up_totals(rho)
+                if joined is None:
+                    continue
+                sets = down_sets + joined
+            own_sum = rho[0][1] if len(rho) == 1 else tuple(map(sum, zip(*(vec for _, vec in rho))))
+            results.setdefault((rho, extra), set()).update(_sumset(own_sum, sets))
 
     return {key: _minimal(totals) for key, totals in results.items()}
 
