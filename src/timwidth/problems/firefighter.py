@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import product
-
 from ..core import shift_graph
 from ..tim_engine import TimProblemPlugin, solve_component_exchangeable
 from ..vim_engine import KXState, VimProblemPlugin, solve_locally_uniform
@@ -117,17 +115,8 @@ class FirefighterTimPlugin(TimProblemPlugin):
         if role == "start":
             labelling = tuple(BURNING if v == instance.root else UNBURNT for v in comp.vertices)
             return [(labelling, (0,) * (instance.graph.lifetime + 2))]
-        # val and fin admit every labelling; its vector depends only on its
-        # defence count, and at fin on its burning count too
-        vectors = {}
-        out = []
-        for labelling in product(self.label_set(instance), repeat=len(comp.vertices)):
-            key = (labelling.count(NEWDEF), role == "fin" and labelling.count(BURNING))
-            vec = vectors.get(key)
-            if vec is None:
-                vec = vectors[key] = self.check(labelling, comp, t, role, instance)
-            out.append((labelling, vec))
-        return out
+        # val and fin admit every labelling
+        return super().assignments(comp, t, role, instance)
 
     def successors(self, prev_labelling, comp, instance):
         from itertools import combinations

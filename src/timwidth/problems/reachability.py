@@ -10,16 +10,18 @@ from .instances import TredInstance
 REACHED, CURRENT, UNREACHED = "R", "N", "U"
 
 
-_CUT = {(REACHED, UNREACHED), (UNREACHED, REACHED)}
-
-
 def label_validity_deletions(labelling, comp) -> int:
     """Edges of the component joining a reached and an unreached vertex.
 
     Each such snapshot edge must be deleted for the labelling to hold.
     """
-    idx = comp.index
-    return sum((labelling[idx[u]], labelling[idx[v]]) in _CUT for u, v in comp.edges)
+    state = dict(zip(comp.vertices, labelling))
+    d = 0
+    for u, v in comp.edges:
+        pair = {state[u], state[v]}
+        if pair == {REACHED, UNREACHED}:
+            d += 1
+    return d
 
 
 class TredTimPlugin(TimProblemPlugin):

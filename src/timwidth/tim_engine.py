@@ -101,11 +101,10 @@ def _minimal(totals):
 
     Dropping the rest keeps every answer: answers ask whether some sum of
     totals is <= v_upper, and a dominated total can always be swapped for
-    one below it. A total below another comes first in sorted order. Fewer
-    than two totals come back as the same object, not a copy.
+    one below it. A total below another comes first in sorted order.
     """
     if len(totals) < 2:
-        return totals
+        return set(totals)
     kept = []
     for total in sorted(totals):
         if not any(_leq(low, total) for low in kept):
@@ -201,9 +200,7 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     keyed by the component and its earlier labelling: the successors of
     that labelling the role admits, or, for None (Tr checked at the parent,
     or t = 0), the plugin's assignments. The None options are the same for
-    every combination of down-children, so they are taken once per bag,
-    and the guard counts them: it refuses the bag once the down-children's
-    entries times the options of the components taken so far pass cap. An
+    every combination of down-children, so they are taken once per bag. An
     up-child's table is joined through groups of its entries, by the labels
     it hands up and then by the labellings of the components whose Tr this
     bag checks, each with the union of its totals: per restriction the join
@@ -217,6 +214,21 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     up = [c for c in rd.children[node] if rd.times[c] == t + 1]
 
     own = structure.own_comps[node]
+    # a Tr-checked component's options depend on the labels below it; the
+    # others' are the same for every combination of down-children
+    tr_here = [structure.tr_site.get(key) == node for key in own]
+
+    # guard before materialising anything: the label product alone ought to
+    # stay below the cap
+    n_labels = len(plugin.label_set(instance))
+    estimate = 1
+    for c in down:
+        estimate *= max(len(child_results[c]), 1)
+    for key, here in zip(own, tr_here):
+        if not here:
+            estimate *= max(n_labels ** len(comps[key].vertices), 1)
+    if estimate > cap:
+        raise ResourceLimitError(f"bag {node}", estimate, cap)
 
     option_cache = {}
 
@@ -233,21 +245,7 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
             option_cache[key, prev] = opts
         return opts
 
-    # a Tr-checked component's options depend on the labels below it (None
-    # here); the others' are generated one component at a time, stopping
-    # once the guard's running product passes the cap
-    estimate = 1
-    for c in down:
-        estimate *= max(len(child_results[c]), 1)
-    free_options = []
-    for key in own:
-        if structure.tr_site.get(key) == node:
-            free_options.append(None)
-        elif estimate <= cap:
-            free_options.append(options_of(key, None))
-            estimate *= max(len(free_options[-1]), 1)
-    if estimate > cap:
-        raise ResourceLimitError(f"bag {node}", estimate, cap)
+    free_options = [None if here else options_of(key, None) for key, here in zip(own, tr_here)]
 
     up_checks = {c: structure.checks_from_child.get((node, c), ()) for c in up}
     up_need = {

@@ -4,11 +4,8 @@ generate-and-test default stays the specification they must match."""
 import random
 from collections import Counter
 
-import pytest
-
-from timwidth.core import ComponentGraph, TemporalGraph, _components
+from timwidth.core import ComponentGraph, _components
 from timwidth.generators import gen_random
-from timwidth.oracles import oracle_ham
 from timwidth.problems import (
     FirefighterInstance,
     HamiltonianInstance,
@@ -18,11 +15,9 @@ from timwidth.problems import (
     ham_tim_plugin,
     matching_tim_plugin,
     normalize_firefighter,
-    solve_hamiltonian,
     tred_tim_plugin,
 )
 from timwidth.tim_engine import TimProblemPlugin, solve_component_exchangeable
-from timwidth.vim_engine import ResourceLimitError
 
 from .test_acceptance import _random_instance_graph
 
@@ -120,15 +115,3 @@ def test_engine_answers_equal_with_product_assignments():
         assert got.profile_counts == want.profile_counts, (type(plugin).__name__, inst)
         assert got.bag_count == want.bag_count
 
-
-def test_profile_cap_counts_generated_options():
-    # one timestep of K6: its time-0 bag has 3^6 = 729 labellings but only
-    # 7 that start admits, so a cap between the two no longer refuses it
-    g = TemporalGraph(6, [(u, v, 1) for u in range(6) for v in range(u + 1, 6)])
-    cap = 100
-    assert len(ham_tim_plugin().label_set(HamiltonianInstance(g))) ** g.n > cap
-    answer, (res,) = solve_hamiltonian(g, "tim", cap=cap)
-    assert answer == oracle_ham(g)
-    assert max(res.profile_counts.values()) <= cap
-    with pytest.raises(ResourceLimitError):
-        solve_hamiltonian(g, "tim", cap=6)
