@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from ..core import shift_graph
 from ..tim_engine import TimProblemPlugin, solve_component_exchangeable
 from ..vim_engine import KXState, VimProblemPlugin, solve_locally_uniform
@@ -119,10 +121,7 @@ class FirefighterTimPlugin(TimProblemPlugin):
         return super().assignments(comp, t, role, instance)
 
     def successors(self, prev_labelling, comp, instance):
-        from itertools import combinations
-
         verts = comp.vertices
-        idx = comp.index
         adj = comp.adjacency
         b1 = [v for v, l in zip(verts, prev_labelling) if l == BURNING]
         u1 = [v for v, l in zip(verts, prev_labelling) if l == UNBURNT]

@@ -95,6 +95,11 @@ class HamiltonianTimPlugin(TimProblemPlugin):
         # one current location per timestep 0..Lambda
         return (instance.graph.lifetime + 1,)
 
+    def total_cap(self, instance):
+        # every entry counts current locations, never negative, and v_upper
+        # names no target
+        return self.v_upper(instance)
+
     def check(self, labelling, comp, t, role, instance):
         cur = labelling.count(CURRENT)
         if cur > 1:
@@ -143,14 +148,13 @@ def solve_hamiltonian(g, engine="vim", **kwargs):
         raise ValueError(f"unknown engine {engine!r}")
     if g.n <= 1:
         return True, []
-    if not g.time_edges:
+    # a strict temporal path through n vertices takes n - 1 time-edges
+    if len(g.time_edges) < g.n - 1:
         return False, []
     if engine == "tim":
         res = solve_component_exchangeable(
             ham_tim_plugin(), HamiltonianInstance(g), **kwargs
         )
         return res.answer, [res]
-    if len(g.time_edges) < g.n - 1:
-        return False, []
     res = solve_locally_uniform(ham_vim_plugin(), HamiltonianInstance(g), **kwargs)
     return res.answer, [res]

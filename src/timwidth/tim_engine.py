@@ -61,6 +61,19 @@ class TimProblemPlugin:
     def v_upper(self, instance) -> tuple:
         raise NotImplementedError
 
+    def total_cap(self, instance):
+        """A componentwise cap that no subtree total of a yes-instance
+        exceeds, as a tuple of arity entries (math.inf leaves an entry
+        uncapped), or None for no cap. The engine drops every stored total
+        past it. A coordinate may be capped only where every per-component
+        entry is non-negative, so totals only grow towards the root, and
+        where the cap names no target, so the kept totals answer every
+        target alike. Hamiltonian path caps its count of current locations
+        at v_upper, one per timestep. Firefighter and tred keep None:
+        firefighter's saved entry is negative and a cap on its budget
+        entries kept tables no smaller, and tred's v_upper is its target."""
+        return None
+
     def check(self, labelling, comp: ComponentGraph, t, role, instance):
         """St ("start"), Val ("val") or Fin ("fin"): the labelling's vector
         as a tuple, or None when the role does not admit the labelling."""
@@ -473,12 +486,21 @@ def solve_component_exchangeable(
     cap=DEFAULT_PROFILE_CAP,
     structure=None,
 ) -> TimSolveResult:
+    """Decide instance on structure's rooted tree, by default the interval one.
+
+    Tables are built children first: fold_idle_run walks each interval node
+    whose child is a singleton bag, realisable_profiles joins every other
+    bag. Each table drops the totals past plugin.total_cap as it is stored,
+    and a key left with none; profile_counts counts those capped tables,
+    per node. cap bounds each bag's label product (ResourceLimitError).
+    """
     g = instance.graph
     if g.lifetime == 0:
         raise ValueError("engine needs lifetime >= 1; handle edgeless instances upstream")
     if structure is None:
         structure = TwoStepStructure(g)
     rd = structure.rooted
+    limit = plugin.total_cap(instance)
 
     idle_seen = {}
     results = {}
@@ -495,6 +517,10 @@ def solve_component_exchangeable(
             bag_count += 1
         for c in children:
             del results[c]
+        if limit is not None:
+            # totals only grow towards the root: one past the cap stays past it
+            res = {key: kept for key, totals in res.items()
+                   if (kept := {total for total in totals if _leq(total, limit)})}
         results[node] = res
         profile_counts[node] = sum(len(v) for v in res.values())
 

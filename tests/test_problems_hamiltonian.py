@@ -1,13 +1,14 @@
 import random
+from itertools import product
 
 import pytest
 
 from timwidth.core import TemporalGraph, Snapshot, shift_graph, snapshot
-from timwidth.generators import gen_hard_ham_path, gen_random
+from timwidth.generators import gen_hard_ham_path, gen_ordered_tree, gen_random
 from timwidth.oracles import oracle_ham
 from timwidth.problems import HamiltonianInstance, ham_tim_plugin, ham_vim_plugin, solve_hamiltonian
-from timwidth.problems.hamiltonian import HamiltonianVimPlugin
-from timwidth.tim_engine import ComponentGraph
+from timwidth.problems.hamiltonian import HamiltonianTimPlugin, HamiltonianVimPlugin
+from timwidth.tim_engine import ComponentGraph, TwoStepStructure, solve_component_exchangeable
 from timwidth.vim_engine import KXState, ResourceLimitError, VimProblemPlugin, solve_locally_uniform
 from timwidth.widths import vim_sequence
 
@@ -81,6 +82,20 @@ def test_single_vertex_and_edgeless():
     assert solve_hamiltonian(TemporalGraph(1, []), "tim")[0]
     assert not solve_hamiltonian(TemporalGraph(3, []), "vim")[0]
     assert not solve_hamiltonian(TemporalGraph(3, []), "tim")[0]
+
+
+def test_too_few_time_edges_answer_no_without_a_run():
+    # a strict temporal path through n vertices takes n - 1 time-edges
+    graphs = [TemporalGraph(5, [(0, 1, 1), (1, 2, 2), (2, 3, 3)])]
+    rng = random.Random(24)
+    while len(graphs) < 20:
+        g = random_graph(rng, n_max=7, lam_max=4, n_min=3)
+        if len(g.time_edges) == g.n - 2:
+            graphs.append(g)
+    for g in graphs:
+        assert not oracle_ham(g), g
+        for engine in ("vim", "tim"):
+            assert solve_hamiltonian(g, engine) == (False, []), (engine, g)
 
 
 def test_unknown_engine_rejected_before_shortcuts():
@@ -207,3 +222,60 @@ def test_vim_matches_tim_beyond_oracle_reach():
     print(f"VIM and TIM agree on {compared} sparse long graphs ({yes} yes); refused: {refused}")
     assert len(refused) <= 4, refused
     assert yes >= 10 and compared - yes >= 10
+
+
+def test_tim_vectors_are_never_negative():
+    # what makes total_cap sound: subtree totals only grow towards the root,
+    # so a total past v_upper stays past it
+    plugin = ham_tim_plugin()
+    rng = random.Random(240)
+    seen = 0
+    for _ in range(30):
+        g = random_graph(rng, n_max=6, lam_max=4, p=0.5, n_min=2)
+        if not g.time_edges:
+            continue
+        inst = HamiltonianInstance(g)
+        for comp in TwoStepStructure(g).comps.values():
+            for t, role in ((0, "start"), (comp.t, "val"), (g.lifetime, "fin")):
+                vectors = [vec for _, vec in plugin.assignments(comp, t, role, inst)]
+                for labelling in product(plugin.labels, repeat=len(comp.vertices)):
+                    vec = plugin.check(labelling, comp, t, role, inst)
+                    if vec is not None:
+                        vectors.append(vec)
+                assert all(x >= 0 for vec in vectors for x in vec), (comp, role)
+                seen += len(vectors)
+    assert seen > 1000
+
+
+class UncappedHamiltonianTimPlugin(HamiltonianTimPlugin):
+    def total_cap(self, instance):
+        return None
+
+
+def test_total_cap_keeps_answers_and_shrinks_tables():
+    graphs = []
+    rng = random.Random(2424)
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        graphs.append(gen_random(n, rng.randint(1, 6), rng.uniform(0.2, 0.7),
+                                 max_times_per_edge=2, seed=rng.randrange(1 << 30)))
+    for n in range(4, 29, 3):
+        graphs.append(gen_ordered_tree(n, seed=n, max_times_per_edge=2, max_children=2))
+    graphs += [gen_hard_ham_path(n) for n in range(8, 41, 8)]
+    checked = smaller = yes = 0
+    for g in graphs:
+        if g.lifetime == 0:
+            continue
+        inst = HamiltonianInstance(g)
+        structure = TwoStepStructure(g)
+        capped = solve_component_exchangeable(ham_tim_plugin(), inst, structure=structure)
+        full = solve_component_exchangeable(UncappedHamiltonianTimPlugin(), inst, structure=structure)
+        assert capped.answer == full.answer, g
+        assert capped.profile_counts.keys() == full.profile_counts.keys()
+        assert all(capped.profile_counts[x] <= c for x, c in full.profile_counts.items()), g
+        smaller += capped.profile_counts != full.profile_counts
+        yes += capped.answer
+        if g.n <= 7:
+            assert capped.answer == oracle_ham(g), g
+            checked += 1
+    assert checked >= 150 and smaller >= 100 and yes >= 30, (checked, smaller, yes)
