@@ -2,7 +2,6 @@
 
 from .core import (
     ComponentGraph,
-    Snapshot,
     StaticGraph,
     TemporalGraph,
     TemporalGraphError,

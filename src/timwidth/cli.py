@@ -182,6 +182,8 @@ def cmd_verify(args):
     """Cross-check engines and oracles; each disagreeing instance goes to
     stderr as a .tg file headed by a '#' line with its problem, its
     `timwidth solve` options and the answers given."""
+    if args.count < 0:
+        raise ValueError(f"count {args.count} is below 0")
     rng = random.Random(args.seed)
     agree = 0
     total = 0

@@ -81,39 +81,10 @@ class TemporalGraph:
 
 
 @dataclass(frozen=True)
-class Snapshot:
-    """The static graph of edges active at one timestep, over all n vertices."""
-
-    n: int
-    t: int
-    edges: tuple
-
-    @cached_property
-    def active_vertices(self):
-        out = set()
-        for u, v in self.edges:
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
-
-    @cached_property
-    def _edge_set(self):
-        return frozenset(self.edges)
-
-    def has_edge(self, u, v):
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_set
-
-    @cached_property
-    def adjacency(self):
-        """Vertex -> frozenset of neighbours, over the active vertices only."""
-        return _adjacency((), self.edges)
-
-
-@dataclass(frozen=True)
 class ComponentGraph:
-    """One timed connected component with its snapshot edges."""
+    """A timed view of one snapshot: sorted vertices and the snapshot's
+    edges among them. The TIM engine's views are connected components;
+    snapshot() gives the whole snapshot over its active vertices."""
 
     t: int
     vertices: tuple
@@ -121,9 +92,13 @@ class ComponentGraph:
 
     @cached_property
     def adjacency(self):
-        """Vertex -> frozenset of neighbours, built once per component; an
+        """Vertex -> frozenset of neighbours, built once per view; an
         isolated vertex maps to the empty set."""
-        return _adjacency(self.vertices, self.edges)
+        adj = {v: set() for v in self.vertices}
+        for u, v in self.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        return {v: frozenset(ns) for v, ns in adj.items()}
 
     @cached_property
     def index(self):
@@ -140,16 +115,6 @@ class StaticGraph:
 
     def components(self):
         return _components(self.n, self.edges)
-
-
-def _adjacency(vertices, edges):
-    """Vertex -> frozenset of neighbours over the edges, with an entry for
-    each of the vertices even if no edge touches it."""
-    adj = {v: set() for v in vertices}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    return {v: frozenset(ns) for v, ns in adj.items()}
 
 
 def _components(n, edges):
@@ -192,11 +157,13 @@ def _components_among(root, vertices, edges):
     return [tuple(comp) for comp in comps.values()]
 
 
-def snapshot(g: TemporalGraph, t: int) -> Snapshot:
-    """The snapshot of g at time t. Time 0 is the synthetic empty snapshot."""
+def snapshot(g: TemporalGraph, t: int) -> ComponentGraph:
+    """The snapshot of g at time t over its active vertices A_t, those with
+    an edge at t. Time 0 is the synthetic empty snapshot."""
     if t < 0 or t > g.lifetime:
         raise TemporalGraphError(f"time {t} outside [0, {g.lifetime}]")
-    return Snapshot(g.n, t, g.edges_at(t) if t >= 1 else ())
+    edges = g.edges_at(t) if t >= 1 else ()
+    return ComponentGraph(t, tuple(sorted({v for e in edges for v in e})), edges)
 
 
 def component_graphs(t, comps, edges):

@@ -35,7 +35,6 @@ class FirefighterVimPlugin(VimProblemPlugin):
 
     labels = (BURNING, DEFENDED, UNBURNT)
     default_label = UNBURNT
-    counter_arity = 2
 
     def counter_ranges(self, instance):
         n = max(instance.graph.n, 1)
@@ -55,15 +54,14 @@ class FirefighterVimPlugin(VimProblemPlugin):
         if not d1 <= d2:
             return None
         newly = d2 - d1
-        if not newly <= snap.active_vertices:
-            return None
-        if any(prev.label(v) != UNBURNT for v in newly):
+        adj = snap.adjacency
+        # only unburnt active vertices, the keys of adj, may be newly defended
+        if any(v not in adj or prev.label(v) != UNBURNT for v in newly):
             return None
         h1, bud1 = prev.counters
         bud2 = bud1 - len(newly) + 1
         if bud2 < 1:
             return None
-        adj = snap.adjacency
         closed = set(b1)
         for v in b1:
             closed |= adj.get(v, frozenset())
@@ -85,9 +83,6 @@ class FirefighterTimPlugin(TimProblemPlugin):
 
     labels = (BURNING, UNBURNT, NEWDEF, DEFENDED)
 
-    def arity(self, instance):
-        return instance.graph.lifetime + 2
-
     def counter_bound(self, instance):
         return max(instance.graph.n, 1)
 
@@ -100,7 +95,7 @@ class FirefighterTimPlugin(TimProblemPlugin):
             + (beta + lam - 1,)
         )
 
-    def check(self, labelling, comp, t, role, instance):
+    def check(self, labelling, comp, role, instance):
         lam = instance.graph.lifetime
         d = labelling.count(NEWDEF)
         if role == "start":
@@ -111,14 +106,14 @@ class FirefighterTimPlugin(TimProblemPlugin):
         if role == "fin":
             saved = sum(1 for l in labelling if l != BURNING)
             return (-saved,) + (0,) * (lam - 1) + (d, d)
-        return (0,) + tuple(0 if i < t else d for i in range(1, lam + 1)) + (d,)
+        return (0,) + tuple(0 if i < comp.t else d for i in range(1, lam + 1)) + (d,)
 
-    def assignments(self, comp, t, role, instance):
+    def assignments(self, comp, role, instance):
         if role == "start":
             labelling = tuple(BURNING if v == instance.root else UNBURNT for v in comp.vertices)
             return [(labelling, (0,) * (instance.graph.lifetime + 2))]
         # val and fin admit every labelling
-        return super().assignments(comp, t, role, instance)
+        return super().assignments(comp, role, instance)
 
     def successors(self, prev_labelling, comp, instance):
         verts = comp.vertices

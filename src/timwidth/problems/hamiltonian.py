@@ -22,7 +22,6 @@ class HamiltonianVimPlugin(VimProblemPlugin):
 
     labels = (VISITED, UNVISITED, CURRENT)
     default_label = UNVISITED
-    counter_arity = 1
 
     def counter_ranges(self, instance):
         return ((0, max(instance.graph.n, 1)),)
@@ -34,8 +33,9 @@ class HamiltonianVimPlugin(VimProblemPlugin):
         h = prev.counters[0]
         c2 = {v for v, l in labels.items() if l == CURRENT}
         v2 = {v for v, l in labels.items() if l == VISITED}
+        adj = snap.adjacency
         if h == 0:
-            if len(v2) == len(c2) == 1 and snap.has_edge(next(iter(v2)), next(iter(c2))):
+            if len(v2) == len(c2) == 1 and next(iter(c2)) in adj.get(next(iter(v2)), ()):
                 return (2,)
         else:
             c1 = prev.labelled(CURRENT)
@@ -43,14 +43,14 @@ class HamiltonianVimPlugin(VimProblemPlugin):
             if len(gone) == 1 and len(arrived) == 1:
                 a, b = next(iter(gone)), next(iter(arrived))
                 if (
-                    snap.has_edge(a, b)
+                    b in adj.get(a, ())
                     and prev.label(b) == UNVISITED
                     and prev.labelled(VISITED) | {a} == v2
                 ):
                     return (h + 1,)
         return prev.counters if labels == prev.label_dict() else None
 
-    def successors(self, prev, active, snap):
+    def successors(self, prev, snap):
         labels = prev.label_dict()
         h = prev.counters[0]
         yield labels, prev.counters
@@ -68,7 +68,7 @@ class HamiltonianVimPlugin(VimProblemPlugin):
                     step[b] = CURRENT
                     yield step, (h + 1,)
 
-    def step_bound(self, active, snap):
+    def step_bound(self, snap):
         # the stay, then two starts per edge, or a move per edge end at a C
         return 1 + 2 * len(snap.edges)
 
@@ -85,9 +85,6 @@ class HamiltonianTimPlugin(TimProblemPlugin):
 
     labels = (VISITED, UNVISITED, CURRENT)
 
-    def arity(self, instance):
-        return 1
-
     def counter_bound(self, instance):
         return 1
 
@@ -100,7 +97,7 @@ class HamiltonianTimPlugin(TimProblemPlugin):
         # names no target
         return self.v_upper(instance)
 
-    def check(self, labelling, comp, t, role, instance):
+    def check(self, labelling, comp, role, instance):
         cur = labelling.count(CURRENT)
         if cur > 1:
             return None
@@ -110,7 +107,7 @@ class HamiltonianTimPlugin(TimProblemPlugin):
             return None
         return (cur,)
 
-    def assignments(self, comp, t, role, instance):
+    def assignments(self, comp, role, instance):
         # at most one C; the other vertices avoid V at start and U at fin
         rest = {"start": (UNVISITED,), "fin": (VISITED,)}.get(role, (VISITED, UNVISITED))
         k = len(comp.vertices)

@@ -100,16 +100,13 @@ class MatchingTimPlugin(TimProblemPlugin):
             out.append((0, a, max(1, d - a)))
         return tuple(dict.fromkeys(out))
 
-    def arity(self, instance):
-        return 1
-
     def counter_bound(self, instance):
         return max(1, instance.graph.n // 2)
 
     def v_upper(self, instance):
         return (-instance.size_target,)
 
-    def check(self, labelling, comp, t, role, instance):
+    def check(self, labelling, comp, role, instance):
         d = instance.delta
         if role == "start":
             return (0,) if all(l[0] == 0 and l[1] == d for l in labelling) else None
@@ -119,7 +116,7 @@ class MatchingTimPlugin(TimProblemPlugin):
             return None
         return (-(len(matched) // 2),)
 
-    def assignments(self, comp, t, role, instance):
+    def assignments(self, comp, role, instance):
         d = instance.delta
         labels = self.label_set(instance)
         k = len(comp.vertices)

@@ -29,9 +29,6 @@ class TredTimPlugin(TimProblemPlugin):
 
     labels = (REACHED, CURRENT, UNREACHED)
 
-    def arity(self, instance):
-        return 2
-
     def counter_bound(self, instance):
         n = max(instance.graph.n, 1)
         return max(1, n * n)
@@ -39,7 +36,7 @@ class TredTimPlugin(TimProblemPlugin):
     def v_upper(self, instance):
         return (instance.max_deletions, instance.max_reached)
 
-    def check(self, labelling, comp, t, role, instance):
+    def check(self, labelling, comp, role, instance):
         if role == "start":
             for v, l in zip(comp.vertices, labelling):
                 if l != (CURRENT if v == instance.source else UNREACHED):
@@ -47,12 +44,12 @@ class TredTimPlugin(TimProblemPlugin):
             return (0, 1) if instance.source in comp.vertices else (0, 0)
         return (label_validity_deletions(labelling, comp), labelling.count(CURRENT))
 
-    def assignments(self, comp, t, role, instance):
+    def assignments(self, comp, role, instance):
         if role == "start":
             labelling = tuple(CURRENT if v == instance.source else UNREACHED for v in comp.vertices)
             return [(labelling, (0, 1) if instance.source in comp.vertices else (0, 0))]
         # val and fin admit every labelling
-        return super().assignments(comp, t, role, instance)
+        return super().assignments(comp, role, instance)
 
     def successors(self, prev_labelling, comp, instance):
         verts = comp.vertices

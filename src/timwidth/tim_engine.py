@@ -30,9 +30,10 @@ from .vim_engine import ResourceLimitError
 class TimProblemPlugin:
     """Problem bundle for the component-exchangeable engine.
 
-    Labellings are tuples aligned with a component's sorted vertex tuple.
-    check is St, Val or Fin by role and returns the counter vector a
-    labelling fixes, or None when the role rejects it. assignments returns
+    Labellings are tuples aligned with a component's sorted vertex tuple,
+    and each hook reads the component's time as comp.t. check is St, Val or
+    Fin by role and returns the counter vector a labelling fixes, with
+    len(v_upper) entries, or None when the role rejects it. assignments returns
     the (labelling, vector) pairs check admits, each once; its default tries
     every labelling through check, so check stays the specification that a
     generating override must match. successors is Tr: it returns exactly
@@ -42,7 +43,7 @@ class TimProblemPlugin:
     On a component of one vertex and no edges, check (roles val and fin)
     and successors must not depend on which vertex it holds: inside runs of
     idle bags the engine asks them once per timestep for all such components.
-    There, one-vertex answers that name t, as firefighter's do, fold one
+    There, one-vertex answers that name comp.t, as firefighter's do, fold one
     timestep at a time; answers alike at consecutive timesteps fold at once.
     """
 
@@ -51,19 +52,18 @@ class TimProblemPlugin:
     def label_set(self, instance):
         return self.labels
 
-    def arity(self, instance) -> int:
-        raise NotImplementedError
-
     def counter_bound(self, instance) -> int:
         """Max absolute value of any per-component vector entry."""
         raise NotImplementedError
 
     def v_upper(self, instance) -> tuple:
+        """The vector the summed counters must stay at or below for a yes;
+        its length is the length of every counter vector."""
         raise NotImplementedError
 
     def total_cap(self, instance):
         """A componentwise cap that no subtree total of a yes-instance
-        exceeds, as a tuple of arity entries (math.inf leaves an entry
+        exceeds, as a tuple as long as v_upper (math.inf leaves an entry
         uncapped), or None for no cap. The engine drops every stored total
         past it. A coordinate may be capped only where every per-component
         entry is non-negative, so totals only grow towards the root, and
@@ -74,7 +74,7 @@ class TimProblemPlugin:
         entries kept tables no smaller, and tred's v_upper is its target."""
         return None
 
-    def check(self, labelling, comp: ComponentGraph, t, role, instance):
+    def check(self, labelling, comp: ComponentGraph, role, instance):
         """St ("start"), Val ("val") or Fin ("fin"): the labelling's vector
         as a tuple, or None when the role does not admit the labelling."""
         raise NotImplementedError
@@ -83,12 +83,12 @@ class TimProblemPlugin:
         """Tr: every labelling that may follow prev_labelling, each once."""
         raise NotImplementedError
 
-    def assignments(self, comp, t, role, instance):
+    def assignments(self, comp, role, instance):
         """Every (labelling, vector) pair check admits on one timed
         component, each once, as a list; this default generates and tests."""
         out = []
         for labelling in product(self.label_set(instance), repeat=len(comp.vertices)):
-            vec = self.check(labelling, comp, t, role, instance)
+            vec = self.check(labelling, comp, role, instance)
             if vec is not None:
                 out.append((labelling, vec))
         return out
@@ -147,9 +147,9 @@ class TwoStepStructure:
         if rooted is None:
             rooted = root_and_augment(interval_decomposition(g))
         self.rooted = rd = rooted
-        self.two_step = build_two_step(rd, g)
-        self.comps = comps = self.two_step.snapshot_components
-        self.own_comps = self.two_step.own_comps
+        two_step = build_two_step(rd, g)
+        self.comps = comps = two_step.snapshot_components
+        self.own_comps = two_step.own_comps
 
         # Tr of a component at time t runs where its time-(t-1) labels are
         # visible. Every bag at t-1 holding one of its vertices is a tree
@@ -192,7 +192,6 @@ class TwoStepStructure:
 class TimSolveResult:
     answer: bool
     phi: int
-    two_step_width: int
     profile_counts: dict
     bag_count: int
     n: int
@@ -250,10 +249,10 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
         if opts is None:
             comp = comps[key]
             if prev is None:
-                opts = plugin.assignments(comp, t, role, instance)
+                opts = plugin.assignments(comp, role, instance)
             else:
                 succ = plugin.successors(prev, comp, instance)
-                checked = ((l, plugin.check(l, comp, t, role, instance)) for l in succ)
+                checked = ((l, plugin.check(l, comp, role, instance)) for l in succ)
                 opts = [(l, vec) for l, vec in checked if vec is not None]
             option_cache[key, prev] = opts
         return opts
@@ -337,7 +336,6 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
         for c in down
     ]
     extra_vs = structure.extra_vertices[node]
-    zero = (0,) * plugin.arity(instance)
     results = {}
 
     for down_combo in product(*down_entries):
@@ -348,6 +346,7 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
         # every rho adds the same down-children's totals: sum them once
         down_sets = [totals for _, totals in down_combo]
         if len(down_sets) > 1:
+            zero = (0,) * len(next(iter(down_sets[0])))
             down_sets = [_sumset(zero, down_sets)]
         options = [
             opts if opts is not None
@@ -397,7 +396,7 @@ def fold_idle_run(structure, plugin, instance, node, base_results, seen):
     singleton bag, to rd.times[node]; base_results is that child's profile
     table. Its keys are ((((label,), vector),), ()), and a bag's profiles
     depend on its child's only through the child's label and totals, so the
-    walk keeps one totals set per label, minimal on entry and on return: a
+    walk keeps one totals set per label, minimal on return: a
     subset of what realisable_profiles would return for the node's bag,
     applied bag by bag, with the same answers.
 
@@ -427,7 +426,7 @@ def fold_idle_run(structure, plugin, instance, node, base_results, seen):
             comp = ComponentGraph(t, (v,), ())
             row = tuple(
                 (d, vec, ((succ[d] if back else frozenset(c for c in labels if d in succ[c]), vec),))
-                for d, vec in plugin.assignments(comp, t, _role(t, lam), instance)
+                for d, vec in plugin.assignments(comp, _role(t, lam), instance)
             )
             powers = seen[t, back] = seen.setdefault(row, [row])
         return powers
@@ -454,7 +453,6 @@ def fold_idle_run(structure, plugin, instance, node, base_results, seen):
     by_label = {}
     for (((labelling, _vec),), _extra), totals in base_results.items():
         by_label.setdefault(labelling, set()).update(totals)
-    by_label = {labelling: _minimal(totals) for labelling, totals in by_label.items()}
     t, end = below + step, top + step
     while t != end:
         # equal rows are one interned list of powers
@@ -535,13 +533,12 @@ def solve_component_exchangeable(
     if any(not tree for tree in per_tree):
         answer = False
     else:
-        overall = _sumset(tuple([0] * plugin.arity(instance)), per_tree)
+        overall = _sumset((0,) * len(vu), per_tree)
         answer = any(_leq(total, vu) for total in overall)
 
     return TimSolveResult(
         answer,
         structure.rooted.width,
-        structure.two_step.width,
         profile_counts,
         bag_count,
         g.n,

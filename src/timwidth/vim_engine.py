@@ -64,17 +64,18 @@ class VimProblemPlugin:
     """A problem definition the VIM engine can run.
 
     Subclasses fix the label alphabet (with a distinguished default label),
-    the counter arity, the Tr / Ac routines, and the initial states, which
+    the counter ranges, the Tr / Ac routines, and the initial states, which
     depend on the instance alone (the engine restricts them to F_0). Tr is
     one hook: transition maps a state and the next step's labels to the
-    counters of the state that follows, or None when Tr rejects the step.
-    The engine asks successors for the steps Tr admits; a plugin that can
-    generate them overrides it, and step_bound with it.
+    counters of the state that follows, one per counter range, or None when
+    Tr rejects the step. snap is snapshot(g, t): the edges at t over their
+    endpoints, the sorted A_t. The engine asks successors for the steps Tr
+    admits; a plugin that can generate them overrides it, and step_bound
+    with it.
     """
 
     labels: tuple = ()
     default_label: str = "U"
-    counter_arity: int = 0
 
     def counter_ranges(self, instance):
         """Inclusive (lo, hi) per counter that Tr can return; the engine does
@@ -91,16 +92,17 @@ class VimProblemPlugin:
         """Counters after prev with labels (its non-default labels), or None."""
         raise NotImplementedError
 
-    def successors(self, prev: KXState, active, snap):
+    def successors(self, prev: KXState, snap):
         """Yield (label map, counters) once for each step Tr admits from prev.
 
-        prev is already restricted to F_t and active is the sorted A_t; a
-        step relabels active vertices only. This default tries every
-        labelling of active and keeps what transition admits, so transition
-        stays the specification a faster override must match.
+        prev is already restricted to F_t; a step relabels the active
+        vertices, snap.vertices, only. This default tries every labelling of
+        them and keeps what transition admits, so transition stays the
+        specification a faster override must match.
         """
         base = prev.label_dict()
         default = self.default_label
+        active = snap.vertices
         for assignment in product(self.labels, repeat=len(active)):
             label_map = dict(base)
             for v, l in zip(active, assignment):
@@ -112,9 +114,9 @@ class VimProblemPlugin:
             if counters is not None:
                 yield label_map, counters
 
-    def step_bound(self, active, snap):
+    def step_bound(self, snap):
         """An upper bound on what successors yields from one state."""
-        return len(self.labels) ** len(active)
+        return len(self.labels) ** len(snap.vertices)
 
     def accept(self, state: KXState, instance) -> bool:
         raise NotImplementedError
@@ -173,14 +175,13 @@ def solve_locally_uniform(
 
     for t in range(1, lam + 1):
         ft = vs.bags[t]
-        active = sorted(vs.actives[t])
         snap = snapshot(g, t)
-        estimate = len(states) * plugin.step_bound(active, snap)
+        estimate = len(states) * plugin.step_bound(snap)
         if estimate > state_cap:
             raise ResourceLimitError(f"timestep {t}", estimate, state_cap)
         new_states = set()
         for prev in states:
-            for label_map, counters in plugin.successors(prev.restrict(ft), active, snap):
+            for label_map, counters in plugin.successors(prev.restrict(ft), snap):
                 new_states.add(KXState.make(label_map, counters, default))
         states = new_states
         table_sizes.append(len(states))

@@ -294,7 +294,7 @@ def test_criterion_6_table_size_bounds(engine_suites):
             if not _vim_bound_ok(run, 3, 2, b):
                 violations += 1
         for run in entry["tim_runs"]:
-            k = ff_t.arity(norm)
+            k = len(ff_t.v_upper(norm))
             b = ff_t.counter_bound(norm)
             if not _tim_bound_ok(run, 4, k, b):
                 violations += 1

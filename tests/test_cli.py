@@ -112,6 +112,12 @@ def test_verify_small(capsys):
     assert done == total
 
 
+def test_verify_refuses_negative_count(capsys):
+    code, out, err = run_cli(capsys, "verify", "--count", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: count -5 is below 0\n"
+
+
 def test_verify_prints_each_disagreement(capsys, monkeypatch, tmp_path):
     # every solver answers wrong, so all four problems disagree on each graph
     seen = []

@@ -57,8 +57,8 @@ def test_generated_assignments_equal_product():
                 if len(plugin.label_set(inst)) ** len(comp.vertices) > max_product:
                     continue
                 for role in ROLES:
-                    got = plugin.assignments(comp, comp.t, role, inst)
-                    want = TimProblemPlugin.assignments(plugin, comp, comp.t, role, inst)
+                    got = plugin.assignments(comp, role, inst)
+                    want = TimProblemPlugin.assignments(plugin, comp, role, inst)
                     assert len(got) == len(set(got)), (type(plugin).__name__, role, comp)
                     assert set(got) == set(want), (type(plugin).__name__, role, comp)
                     seen[type(plugin).__name__, role, len(comp.vertices) >= 5] += 1

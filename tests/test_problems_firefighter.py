@@ -1,6 +1,6 @@
 import pytest
 
-from timwidth.core import Snapshot, TemporalGraph
+from timwidth.core import TemporalGraph, snapshot
 from timwidth.oracles import oracle_firefighter_max
 from timwidth.problems import (
     FirefighterInstance,
@@ -25,14 +25,14 @@ def vim_instance(g, root, h):
 
 def test_vim_transition_defend():
     plugin = ff_vim_plugin()
-    snap = Snapshot(2, 1, ((0, 1),))
+    snap = snapshot(TemporalGraph(2, [(0, 1, 1)]), 1)
     s1 = state({0: "B"}, 1, 1)
     assert plugin.transition(s1, {0: "B", 1: "D"}, snap) == (1, 1)
 
 
 def test_vim_transition_spread():
     plugin = ff_vim_plugin()
-    snap = Snapshot(2, 1, ((0, 1),))
+    snap = snapshot(TemporalGraph(2, [(0, 1, 1)]), 1)
     s1 = state({0: "B"}, 1, 1)
     assert plugin.transition(s1, {0: "B", 1: "B"}, snap) == (2, 2)
     # an undefended neighbour must burn
@@ -41,7 +41,7 @@ def test_vim_transition_spread():
 
 def test_vim_transition_budget_stays_positive():
     plugin = ff_vim_plugin()
-    snap = Snapshot(3, 1, ((0, 1), (0, 2)))
+    snap = snapshot(TemporalGraph(3, [(0, 1, 1), (0, 2, 1)]), 1)
     s1 = state({0: "B"}, 1, 1)
     assert plugin.transition(s1, {0: "B", 1: "D", 2: "B"}, snap) == (2, 1)
     # two defences from budget 1 would leave budget 0

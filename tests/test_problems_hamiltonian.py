@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from timwidth.core import TemporalGraph, Snapshot, shift_graph, snapshot
+from timwidth.core import TemporalGraph, shift_graph, snapshot
 from timwidth.generators import gen_hard_ham_path, gen_ordered_tree, gen_random
 from timwidth.oracles import oracle_ham
 from timwidth.problems import HamiltonianInstance, ham_tim_plugin, ham_vim_plugin, solve_hamiltonian
@@ -21,7 +21,7 @@ def state(labels, h):
 
 def test_vim_transition_move():
     plugin = ham_vim_plugin()
-    snap = Snapshot(2, 1, ((0, 1),))
+    snap = snapshot(TemporalGraph(2, [(0, 1, 1)]), 1)
     s1 = state({0: "C"}, 1)
     assert plugin.transition(s1, {0: "V", 1: "C"}, snap) == (2,)
     # the current vertex may not move onto a visited vertex
@@ -30,7 +30,7 @@ def test_vim_transition_move():
 
 def test_vim_transition_identity():
     plugin = ham_vim_plugin()
-    snap = Snapshot(2, 1, ())
+    snap = snapshot(TemporalGraph(2, [(0, 1, 2)]), 1)
     s1 = state({0: "C"}, 1)
     assert plugin.transition(s1, {0: "C"}, snap) == (1,)
     # a move needs a snapshot edge
@@ -39,7 +39,7 @@ def test_vim_transition_identity():
 
 def test_vim_start_over_snapshot_edge():
     plugin = ham_vim_plugin()
-    snap = Snapshot(3, 1, ((0, 1),))
+    snap = snapshot(TemporalGraph(3, [(0, 1, 1)]), 1)
     start = state({}, 0)
     assert plugin.transition(start, {0: "V", 1: "C"}, snap) == (2,)
     assert plugin.transition(start, {1: "V", 0: "C"}, snap) == (2,)
@@ -63,9 +63,9 @@ def test_tim_st_examples():
     plugin = ham_tim_plugin()
     comp = ComponentGraph(1, (0, 1), ((0, 1),))
     inst = HamiltonianInstance(TemporalGraph(2, [(0, 1, 1)]))
-    assert plugin.check(("C", "U"), comp, 0, "start", inst) == (1,)
-    assert plugin.check(("C", "C"), comp, 0, "start", inst) is None
-    assert plugin.check(("V", "U"), comp, 0, "start", inst) is None
+    assert plugin.check(("C", "U"), comp, "start", inst) == (1,)
+    assert plugin.check(("C", "C"), comp, "start", inst) is None
+    assert plugin.check(("V", "U"), comp, "start", inst) is None
 
 
 def test_tim_transition_example():
@@ -166,21 +166,20 @@ def test_generated_steps_are_exactly_tr():
             vs = vim_sequence(g)
             tables = solve_locally_uniform(plugin, HamiltonianInstance(g), record=True).tables
             for t, table in enumerate(tables[: g.lifetime], start=1):
-                active = sorted(vs.actives[t])
                 snap = snapshot(g, t)
                 for kept in table:
                     prev = kept.restrict(vs.bags[t])
                     steps = [
                         (frozenset(labels.items()), counters)
-                        for labels, counters in plugin.successors(prev, active, snap)
+                        for labels, counters in plugin.successors(prev, snap)
                     ]
                     spec = {
                         (frozenset(labels.items()), counters)
-                        for labels, counters in VimProblemPlugin.successors(plugin, prev, active, snap)
+                        for labels, counters in VimProblemPlugin.successors(plugin, prev, snap)
                     }
                     assert len(steps) == len(set(steps)), (g, t, prev)
                     assert set(steps) == spec, (g, t, prev)
-                    assert len(steps) <= plugin.step_bound(active, snap)
+                    assert len(steps) <= plugin.step_bound(snap)
                     checked += 1
     assert checked >= 500
 
@@ -236,10 +235,10 @@ def test_tim_vectors_are_never_negative():
             continue
         inst = HamiltonianInstance(g)
         for comp in TwoStepStructure(g).comps.values():
-            for t, role in ((0, "start"), (comp.t, "val"), (g.lifetime, "fin")):
-                vectors = [vec for _, vec in plugin.assignments(comp, t, role, inst)]
+            for role in ("start", "val", "fin"):
+                vectors = [vec for _, vec in plugin.assignments(comp, role, inst)]
                 for labelling in product(plugin.labels, repeat=len(comp.vertices)):
-                    vec = plugin.check(labelling, comp, t, role, inst)
+                    vec = plugin.check(labelling, comp, role, inst)
                     if vec is not None:
                         vectors.append(vec)
                 assert all(x >= 0 for vec in vectors for x in vec), (comp, role)

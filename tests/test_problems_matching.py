@@ -34,9 +34,9 @@ def test_validity_perfect_matching():
     m = matched_label(2)
     free = (0, 2, 1)
     comp = ComponentGraph(1, (0, 1, 2), ((0, 1), (1, 2)))
-    assert plugin.check((m, m, free), comp, 1, "val", inst) == (-1,)
+    assert plugin.check((m, m, free), comp, "val", inst) == (-1,)
     # both endpoints matched but no edge between them inside the component
-    assert plugin.check((m, free, m), comp, 1, "val", inst) is None
+    assert plugin.check((m, free, m), comp, "val", inst) is None
 
 
 def test_label_dynamics_reach_fixpoint():

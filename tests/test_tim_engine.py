@@ -185,12 +185,12 @@ def configuration_oracle(plugin, instance):
     for t in range(0, lam + 1):
         role = "start" if t == 0 else ("fin" if t == lam else "val")
         for view in per_time_components[t]:
-            options = plugin.assignments(view, t, role, instance)
+            options = plugin.assignments(view, role, instance)
             slots.append(((t, view), options))
 
     ref_tr = REFERENCE_TR[type(plugin)]
     vu = plugin.v_upper(instance)
-    k = plugin.arity(instance)
+    k = len(vu)
     keys = [key for key, _ in slots]
     for combo in product(*[opts for _, opts in slots]):
         chosen = dict(zip(keys, combo))
@@ -262,7 +262,7 @@ def test_realisable_profiles_at_time0_leaf():
     for (rho, extra), totals in profiles.items():
         assert extra == ()
         ((labelling, vector),) = rho
-        assert plugin.check(labelling, structure.comps[(0, 0)], 0, "start", inst) == vector
+        assert plugin.check(labelling, structure.comps[(0, 0)], "start", inst) == vector
         assert totals == {vector}
 
 
@@ -395,7 +395,7 @@ def test_profile_counts_respect_bound(rng):
         res = solve_component_exchangeable(plugin, inst)
         phi = res.phi
         b = plugin.counter_bound(inst)
-        k = plugin.arity(inst)
+        k = len(plugin.v_upper(inst))
         bound = (
             len(plugin.label_set(inst)) ** (3 * phi * phi)
             * (2 * b + 1) ** (3 * k * phi * phi)
@@ -550,7 +550,7 @@ def reference_bag_step(structure, plugin, inst, node, child_results):
             prev_at.update(labels_of(structure.own_comps[c], rho_c))
         options = []
         for key in own:
-            opts = plugin.assignments(comps[key], t, role, inst)
+            opts = plugin.assignments(comps[key], role, inst)
             if structure.tr_site.get(key) == node:
                 opts = [(lab, vec) for lab, vec in opts if tr_holds(key, prev_at, lab)]
             options.append(opts)
@@ -703,7 +703,7 @@ def test_one_vertex_answers_do_not_depend_on_the_vertex():
             for v in range(g.n):
                 comp = ComponentGraph(t, (v,), ())
                 checks = tuple(
-                    plugin.check((l,), comp, t, role, inst) for role in ("val", "fin") for l in labels
+                    plugin.check((l,), comp, role, inst) for role in ("val", "fin") for l in labels
                 )
                 succ = tuple(frozenset(plugin.successors((l,), comp, inst)) for l in labels)
                 answers.add((checks, succ))

@@ -45,8 +45,6 @@ def reference_algorithm2(plugin, instance):
 
 def test_enumerate_counts():
     class NoCounter(HamiltonianVimPlugin):
-        counter_arity = 0
-
         def counter_ranges(self, instance):
             return ()
 
@@ -64,7 +62,7 @@ def test_enumerate_counts():
 
 
 def test_counterless_plugin_keeps_its_steps():
-    # counter_arity 0: every kept state carries the empty counter vector,
+    # no counters: every kept state carries the empty counter vector,
     # which is a step Tr admits, not a rejection
     class Counterless(VimProblemPlugin):
         labels = ("U", "X")
@@ -121,7 +119,7 @@ def test_table_sizes_respect_bound(rng):
         inst = HamiltonianInstance(g)
         res = solve_locally_uniform(plugin, inst)
         b = plugin.counter_bound(inst)
-        bound = (2 * b + 1) ** plugin.counter_arity * len(plugin.labels) ** res.omega
+        bound = (2 * b + 1) ** len(plugin.counter_ranges(inst)) * len(plugin.labels) ** res.omega
         assert all(size <= bound for size in res.table_sizes)
 
 
