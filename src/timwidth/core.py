@@ -14,9 +14,10 @@ class TemporalGraph:
     """An undirected temporal graph on vertices 0..n-1.
 
     Time-edges are (u, v, t) triples with u < v and t >= 1; an edge active at
-    several times is stored as one triple per activation. The lifetime is the
-    largest timestep present (0 for edgeless graphs). Instances are immutable
-    after construction and safe to share between threads.
+    several times is stored as one triple per activation, and time_edges
+    holds them sorted by (t, u, v). The lifetime is the largest timestep
+    present (0 for edgeless graphs). Instances are immutable after
+    construction and safe to share between threads.
     """
 
     __slots__ = ("n", "time_edges", "lifetime", "_by_time")

@@ -508,6 +508,8 @@ class RootedTimDecomposition:
     singleton bag too: a time-0 copy, or the interval's own last bag, split
     off as a node. So s is an interval node exactly when it and its only
     child are singleton bags, and it spans |times[s] - times[child]| bags.
+    copy_of, derived on first access, maps each time-0 copy to the node it
+    copies, its one tree neighbour.
     """
 
     n: int
@@ -517,11 +519,18 @@ class RootedTimDecomposition:
     roots: tuple
     parent: tuple
     children: tuple
-    copy_of: dict  # time-0 node id -> original time-1 node id
 
     @property
     def width(self):
         return max((len(b) for b in self.bags), default=0)
+
+    @cached_property
+    def copy_of(self):
+        return {
+            s: self.children[s][0] if self.parent[s] is None else self.parent[s]
+            for s, t in enumerate(self.times)
+            if t == 0
+        }
 
     @property
     def root(self):
@@ -549,7 +558,6 @@ def root_and_augment(d: TimDecomposition, root=None) -> RootedTimDecomposition:
     ends = list(d.ends or d.times)
     arcs = list(d.arcs)
 
-    copy_of = {}
     for i in range(len(bags)):
         if times[i] == 1:
             cid = len(bags)
@@ -557,7 +565,6 @@ def root_and_augment(d: TimDecomposition, root=None) -> RootedTimDecomposition:
             times.append(0)
             ends.append(0)
             arcs.append((cid, i))
-            copy_of[cid] = i
     if root is not None:
         if not 0 <= root < len(bags):
             raise ValueError(f"root {root} names none of the {len(bags)} nodes and time-0 copies")
@@ -635,7 +642,6 @@ def root_and_augment(d: TimDecomposition, root=None) -> RootedTimDecomposition:
         tuple(sorted(roots)),
         tuple(parent),
         tuple(tuple(c) for c in children),
-        copy_of,
     )
 
 
@@ -653,16 +659,15 @@ class TwoStepDecomposition:
     each component of snapshot t is covered by exactly one bag at time t,
     and an interval node lists only its bag at rooted.times[s].
     components[s], the timed components of B2(s) as (t, vertex-tuple)
-    entries ordered by time, then smallest member, and pairs[s], the pair
-    set of B2(s), are derived on first access. width is max |B2(s)|: a
+    entries ordered by time, then smallest member, pairs[s], the pair set
+    of B2(s), and width, max |B2(s)|, are derived on first access. A
     child's time differs from its parent's and bags at one time are
-    disjoint, so it is |B(s)| plus the children's |B(c)|.
+    disjoint, so |B2(s)| is |B(s)| plus the children's |B(c)|.
     """
 
     rooted: RootedTimDecomposition
     snapshot_components: dict
     own_comps: tuple
-    width: int
 
     @cached_property
     def components(self):
@@ -679,6 +684,15 @@ class TwoStepDecomposition:
     def pairs(self):
         return tuple(
             frozenset((v, t) for t, verts in comps for v in verts) for comps in self.components
+        )
+
+    @cached_property
+    def width(self):
+        rd = self.rooted
+        return max(
+            (len(bag) + sum(len(rd.bags[c]) for c in children)
+             for bag, children in zip(rd.bags, rd.children)),
+            default=0,
         )
 
 
@@ -707,9 +721,4 @@ def build_two_step(rd: RootedTimDecomposition, g: TemporalGraph) -> TwoStepDecom
             raise ValueError(f"bag {s} at time {t} splits the snapshot component of vertex {v}")
         table.update(mine)
         own.append(tuple(sorted(mine)))
-    width = max(
-        (len(bag) + sum(len(rd.bags[c]) for c in children)
-         for bag, children in zip(rd.bags, rd.children)),
-        default=0,
-    )
-    return TwoStepDecomposition(rd, table, tuple(own), width)
+    return TwoStepDecomposition(rd, table, tuple(own))

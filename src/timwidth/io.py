@@ -124,7 +124,7 @@ def emit_graph_file(g: TemporalGraph, root=None, source=None) -> str:
             if not 0 <= v < g.n:
                 raise ValueError(f"{kind} {v} out of range 0..{g.n - 1}")
             lines.append(f"{kind} {v}")
-    for u, v, t in sorted(g.time_edges, key=lambda e: (e[2], e[0], e[1])):
+    for u, v, t in g.time_edges:
         lines.append(f"e {u} {v} {t}")
     return "\n".join(lines) + "\n"
 

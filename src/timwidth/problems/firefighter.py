@@ -78,8 +78,10 @@ def ff_vim_plugin() -> FirefighterVimPlugin:
 
 
 class FirefighterTimPlugin(TimProblemPlugin):
-    """Vectors (s, d_1..d_Lambda, d'): saved count (negated, final snapshot
-    only), cumulative-defence entries, and per-step defence count."""
+    """Vectors (s, d_1..d_Lambda), Lambda + 1 entries: the saved count,
+    negated and set on the final snapshot only, then the cumulative-defence
+    entries, d_i counting the defences made at times up to i. d_Lambda is
+    the total, which the budget caps at start_budget + Lambda - 1."""
 
     labels = (BURNING, UNBURNT, NEWDEF, DEFENDED)
 
@@ -87,31 +89,24 @@ class FirefighterTimPlugin(TimProblemPlugin):
         return max(instance.graph.n, 1)
 
     def v_upper(self, instance):
-        lam = instance.graph.lifetime
         beta = instance.start_budget
-        return (
-            (-instance.saves_target,)
-            + tuple(beta + i for i in range(lam))
-            + (beta + lam - 1,)
-        )
+        return (-instance.saves_target,) + tuple(beta + i for i in range(instance.graph.lifetime))
 
     def check(self, labelling, comp, role, instance):
         lam = instance.graph.lifetime
-        d = labelling.count(NEWDEF)
         if role == "start":
             for v, l in zip(comp.vertices, labelling):
                 if l != (BURNING if v == instance.root else UNBURNT):
                     return None
-            return (0,) * (lam + 2)
-        if role == "fin":
-            saved = sum(1 for l in labelling if l != BURNING)
-            return (-saved,) + (0,) * (lam - 1) + (d, d)
-        return (0,) + tuple(0 if i < comp.t else d for i in range(1, lam + 1)) + (d,)
+            return (0,) * (lam + 1)
+        saved = sum(1 for l in labelling if l != BURNING) if role == "fin" else 0
+        d = labelling.count(NEWDEF)
+        return (-saved,) + tuple(0 if i < comp.t else d for i in range(1, lam + 1))
 
     def assignments(self, comp, role, instance):
         if role == "start":
             labelling = tuple(BURNING if v == instance.root else UNBURNT for v in comp.vertices)
-            return [(labelling, (0,) * (instance.graph.lifetime + 2))]
+            return [(labelling, (0,) * (instance.graph.lifetime + 1))]
         # val and fin admit every labelling
         return super().assignments(comp, role, instance)
 

@@ -135,11 +135,11 @@ class TwoStepStructure:
     fold_idle_run walks; it holds only the key of its bag next to its
     parent. comps is build_two_step's table, mapping each (t, v) key to its
     ComponentGraph, and own_comps[s] lists the keys bag s covers, its home.
-    tr_site maps each key at t >= 1 to the bag that checks its Tr: the
-    home's parent when the parent is one time earlier and holds one of its
-    vertices, else the home. checks_from_child groups the keys moved to a
-    parent by (parent, home), and extra_vertices[s] lists the vertices of
-    those keys outside the parent's bag, whose labels s hands up.
+    A key at t >= 1 has its Tr checked at the home's parent when the parent
+    is one time earlier and holds one of its vertices, else at the home.
+    checks_from_child lists the keys moved to a parent by (parent, home),
+    and extra_vertices[s] lists the vertices of those keys outside the
+    parent's bag, whose labels s hands up.
     """
 
     def __init__(self, g: TemporalGraph, rooted=None):
@@ -155,23 +155,17 @@ class TwoStepStructure:
         # visible. Every bag at t-1 holding one of its vertices is a tree
         # neighbour of its home, so that is the home unless the parent is one.
         # A parent lies wholly before or after t, interval nodes included.
-        self.tr_site = {}
         self.checks_from_child = {}
         self.extra_vertices = []
         for s, keys in enumerate(self.own_comps):
-            t, p = rd.times[s], rd.parent[s]
-            up_child = p is not None and rd.times[p] < t
+            p = rd.parent[s]
             extra = set()
-            for key in keys:
-                if t == 0:
-                    continue
-                verts = comps[key].vertices
-                if up_child and not rd.bags[p].isdisjoint(verts):
-                    self.tr_site[key] = p
-                    self.checks_from_child.setdefault((p, s), []).append(key)
-                    extra.update(verts)
-                else:
-                    self.tr_site[key] = s
+            if p is not None and rd.times[p] < rd.times[s]:
+                for key in keys:
+                    verts = comps[key].vertices
+                    if not rd.bags[p].isdisjoint(verts):
+                        self.checks_from_child.setdefault((p, s), []).append(key)
+                        extra.update(verts)
             self.extra_vertices.append(tuple(sorted(extra - rd.bags[p])) if extra else ())
 
     def postorder(self):
@@ -228,7 +222,8 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     own = structure.own_comps[node]
     # a Tr-checked component's options depend on the labels below it; the
     # others' are the same for every combination of down-children
-    tr_here = [structure.tr_site.get(key) == node for key in own]
+    moved = structure.checks_from_child.get((rd.parent[node], node), ())
+    tr_here = [t >= 1 and key not in moved for key in own]
 
     # guard before materialising anything: the label product alone ought to
     # stay below the cap

@@ -9,45 +9,36 @@ from .core import TemporalGraph, _components_among
 
 @dataclass(frozen=True)
 class VimSequence:
-    """Bags F_0..F_Lambda and active sets A_0..A_Lambda of a temporal graph.
+    """Bags F_0..F_Lambda of a temporal graph and its VIM width.
 
-    F_t holds the vertices inside their active interval at time t, A_t the
-    vertices with an incident edge active at t. By convention F_0 = F_1 and
-    A_0 = A_1. The width is max |F_t| over t in [1, Lambda], or 1 for
-    edgeless graphs.
+    F_t holds the vertices inside their active interval at time t; by
+    convention F_0 = F_1. The width is max |F_t| over t in [1, Lambda], or
+    1 for edgeless graphs. The active set A_t is snapshot(g, t).vertices.
     """
 
     bags: tuple
-    actives: tuple
     width: int
 
 
 def vim_sequence(g: TemporalGraph) -> VimSequence:
     lam = g.lifetime
     if lam == 0:
-        return VimSequence((frozenset(),), (frozenset(),), 1)
+        return VimSequence((frozenset(),), 1)
+    # time_edges run in time order, so a vertex's first and last edge times
+    # are the first and last seen
     first = {}
     last = {}
-    active = [set() for _ in range(lam + 1)]
     for u, v, t in g.time_edges:
         for x in (u, v):
-            if x not in first or t < first[x]:
-                first[x] = t
-            if x not in last or t > last[x]:
-                last[x] = t
-            active[t].add(x)
+            first.setdefault(x, t)
+            last[x] = t
     bags = [set() for _ in range(lam + 1)]
     for x, f in first.items():
         for t in range(f, last[x] + 1):
             bags[t].add(x)
     bags[0] = bags[1]
-    active[0] = active[1]
     frozen = tuple(frozenset(b) for b in bags)
-    return VimSequence(
-        frozen,
-        tuple(frozenset(a) for a in active),
-        max(len(b) for b in frozen[1:]),
-    )
+    return VimSequence(frozen, max(len(b) for b in frozen[1:]))
 
 
 @dataclass(frozen=True)

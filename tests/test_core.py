@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timwidth.core import (
     TemporalGraph,
@@ -19,6 +20,17 @@ def test_construction_canonicalises():
     g = TemporalGraph(3, [(2, 1, 3), (0, 1, 1)])
     assert g.time_edges == ((0, 1, 1), (1, 2, 3))
     assert g.lifetime == 3
+
+
+@settings(max_examples=60)
+@given(temporal_graphs(), st.randoms(use_true_random=False))
+def test_time_edges_sorted_by_time_then_endpoints(g, rnd):
+    # emit_graph_file and vim_sequence rely on this order
+    given_edges = [(v, u, t) if rnd.random() < 0.5 else (u, v, t) for u, v, t in g.time_edges]
+    rnd.shuffle(given_edges)
+    h = TemporalGraph(g.n, given_edges)
+    assert h.time_edges == g.time_edges
+    assert list(h.time_edges) == sorted(h.time_edges, key=lambda e: (e[2], e[0], e[1]))
 
 
 def test_construction_rejects_bad_edges():

@@ -8,7 +8,7 @@ from collections import Counter
 from itertools import product
 from pathlib import Path
 
-from timwidth.core import snapshot
+from timwidth.core import TemporalGraph, snapshot
 from timwidth.generators import gen_random
 from timwidth.problems import FirefighterInstance, HamiltonianInstance, normalize_firefighter
 from timwidth.problems.firefighter import ff_vim_plugin
@@ -28,11 +28,13 @@ def test_tim_vectors_have_v_upper_length():
     max_product = 1_024
     rng = random.Random(2525)
     seen = Counter()
-    for _ in range(12):
-        n = rng.randint(1, 6)
-        g = gen_random(n, rng.randint(1, 3), 0.45, max_times_per_edge=2, seed=rng.randrange(1 << 30))
-        if g.lifetime == 0:
-            continue  # the engine needs lifetime >= 1
+    graphs = [
+        gen_random(rng.randint(1, 6), rng.randint(1, 3), 0.45, max_times_per_edge=2, seed=rng.randrange(1 << 30))
+        for _ in range(12)
+    ]
+    # an edgeless graph has lifetime 0 and one time-0 snapshot of singletons
+    graphs.append(TemporalGraph(3, []))
+    for g in graphs:
         for comp in snapshot_components(g):
             for plugin, inst in plugin_cases(g, comp):
                 name = type(plugin).__name__

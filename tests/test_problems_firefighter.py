@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from timwidth.core import TemporalGraph, snapshot
+from timwidth.generators import gen_ordered_tree, gen_random
 from timwidth.oracles import oracle_firefighter_max
 from timwidth.problems import (
     FirefighterInstance,
@@ -9,7 +12,8 @@ from timwidth.problems import (
     normalize_firefighter,
     solve_firefighter,
 )
-from timwidth.tim_engine import ComponentGraph
+from timwidth.problems.firefighter import NEWDEF, FirefighterTimPlugin
+from timwidth.tim_engine import ComponentGraph, TimProblemPlugin, solve_component_exchangeable
 from timwidth.vim_engine import KXState
 
 from .conftest import random_graph
@@ -109,3 +113,45 @@ def test_oracle_modes_agree(rng):
         active = oracle_firefighter_max(g, root, mode="active")
         unrestricted = oracle_firefighter_max(g, root, mode="unrestricted")
         assert endangered == active == unrestricted, (g, root)
+
+
+class RepeatedDefenceCount(FirefighterTimPlugin):
+    """The vectors with a last entry d', the defences the labelling makes,
+    capped in v_upper like d_Lambda; assignments generate and test."""
+
+    def v_upper(self, instance):
+        return super().v_upper(instance) + (instance.start_budget + instance.graph.lifetime - 1,)
+
+    def check(self, labelling, comp, role, instance):
+        vec = super().check(labelling, comp, role, instance)
+        return None if vec is None else vec + (labelling.count(NEWDEF),)
+
+    def assignments(self, comp, role, instance):
+        return TimProblemPlugin.assignments(self, comp, role, instance)
+
+
+def test_tim_vectors_equal_with_repeated_defence_count():
+    rng = random.Random(6767)
+    graphs = [
+        ("random", gen_random(rng.randint(3, 7), rng.randint(1, 4), 0.4, max_times_per_edge=2,
+                              seed=rng.randrange(1 << 30)))
+        for _ in range(40)
+    ]
+    graphs += [
+        ("tree", gen_ordered_tree(n, seed=rng.randrange(1 << 30), max_times_per_edge=2))
+        for n in range(4, 21, 2)
+    ]
+    answers = set()
+    for kind, g in graphs:
+        roots = sorted({v for u, w, _ in g.time_edges for v in (u, w)})
+        if not roots:
+            continue
+        inst = normalize_firefighter(FirefighterInstance(g, rng.choice(roots), rng.randint(g.n // 2, g.n)))
+        got = solve_component_exchangeable(ff_tim_plugin(), inst)
+        want = solve_component_exchangeable(RepeatedDefenceCount(), inst)
+        assert got.answer == want.answer, inst
+        assert got.profile_counts == want.profile_counts, inst
+        assert got.bag_count == want.bag_count, inst
+        answers.add((kind, got.answer))
+    # yes and no on both kinds
+    assert len(answers) == 4

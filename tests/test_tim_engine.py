@@ -307,6 +307,13 @@ def home_of(structure, key):
     return next(s for s, keys in enumerate(structure.own_comps) if key in keys)
 
 
+def tr_site(structure, key):
+    """The bag that checks the Tr of key, at t >= 1, as checks_from_child says."""
+    home = home_of(structure, key)
+    parent = structure.rooted.parent[home]
+    return parent if key in structure.checks_from_child.get((parent, home), ()) else home
+
+
 def reference_tr_site(structure, key):
     """The Tr site by a scan of the rooted nodes other than its home that
     hold a bag at t-1 meeting the component's vertices: its home if all of
@@ -356,14 +363,15 @@ def check_tr_sites(g, structure):
     owned = [key for keys in structure.own_comps for key in keys]
     # each component is own to exactly one bag, its home
     assert len(owned) == len(set(owned)) and set(owned) == set(structure.comps)
-    assert set(structure.tr_site) == {key for key in owned if key[0] >= 1}
-    moved = {}
-    for key, site in structure.tr_site.items():
-        assert site == reference_tr_site(structure, key)
-        home = home_of(structure, key)
-        if site != home:
-            moved.setdefault((site, home), []).append(key)
-    assert structure.checks_from_child == moved
+    # each key at t >= 1 is checked at its home unless checks_from_child
+    # moves it to the home's parent
+    moved = structure.checks_from_child
+    for (site, home), keys in moved.items():
+        assert site == rd.parent[home] and keys
+        assert all(key[0] >= 1 and home_of(structure, key) == home for key in keys)
+    for key in owned:
+        if key[0] >= 1:
+            assert tr_site(structure, key) == reference_tr_site(structure, key)
     for s, p in enumerate(rd.parent):
         verts = {v for key in moved.get((p, s), ()) for v in structure.comps[key].vertices}
         extra = tuple(sorted(verts - rd.bags[p])) if verts else ()
@@ -551,7 +559,7 @@ def reference_bag_step(structure, plugin, inst, node, child_results):
         options = []
         for key in own:
             opts = plugin.assignments(comps[key], role, inst)
-            if structure.tr_site.get(key) == node:
+            if t >= 1 and tr_site(structure, key) == node:
                 opts = [(lab, vec) for lab, vec in opts if tr_holds(key, prev_at, lab)]
             options.append(opts)
         for rho in product(*options):

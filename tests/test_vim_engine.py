@@ -162,7 +162,7 @@ def test_guard_counts_candidates_not_bag_labellings():
     g = TemporalGraph(14, edges)
     vs = vim_sequence(g)
     assert vs.width == 14
-    assert max(len(a) for a in vs.actives) <= 3
+    assert max(len(snapshot(g, t).vertices) for t in range(1, g.lifetime + 1)) <= 3
     res = solve_locally_uniform(ham_vim_plugin(), HamiltonianInstance(g))
     assert res.answer == oracle_ham(g)
 
