@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 
 class TemporalGraphError(ValueError):
@@ -81,6 +80,22 @@ class TemporalGraph:
         return f"TemporalGraph(n={self.n}, time_edges={list(self.time_edges)!r})"
 
 
+class _built_once:
+    """A read-only attribute computed on first read and stored in the
+    instance __dict__ under its own name, where later reads find it without
+    a call. functools.cached_property does the same, but on Python 3.11 it
+    takes a lock on each instance's first read."""
+
+    def __init__(self, build):
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class ComponentGraph:
     """A timed view of one snapshot: sorted vertices and the snapshot's
@@ -91,7 +106,7 @@ class ComponentGraph:
     vertices: tuple
     edges: tuple
 
-    @cached_property
+    @_built_once
     def adjacency(self):
         """Vertex -> frozenset of neighbours, built once per view; an
         isolated vertex maps to the empty set."""
@@ -101,7 +116,7 @@ class ComponentGraph:
             adj[v].add(u)
         return {v: frozenset(ns) for v, ns in adj.items()}
 
-    @cached_property
+    @_built_once
     def index(self):
         """Vertex -> its position in the labelling tuples."""
         return {v: i for i, v in enumerate(self.vertices)}

@@ -154,7 +154,7 @@ def parse_decomposition(text: str, n: int, lifetime: int) -> TimDecomposition:
     bags = {}
     times = {}
     node_lines = {}
-    arcs = []
+    arc_lines = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -175,14 +175,17 @@ def parse_decomposition(text: str, n: int, lifetime: int) -> TimDecomposition:
         elif parts[0] == "arc":
             if len(parts) != 3:
                 raise ParseError(line_no, "arc needs: arc <i> <j>")
-            arcs.append((tuple(_ints(line_no, parts[1:], "arc fields must be integers")), line_no))
+            arc = tuple(_ints(line_no, parts[1:], "arc fields must be integers"))
+            if arc in arc_lines:
+                raise ParseError(line_no, "duplicate arc {} {}".format(*arc))
+            arc_lines[arc] = line_no
         else:
             raise ParseError(line_no, f"unknown record {parts[0]!r}")
     ids = sorted(bags)
     for i, nid in enumerate(ids):
         if nid != i:
             raise ParseError(node_lines[nid], f"node ids must be dense from 0, got {nid}")
-    for arc, line_no in arcs:
+    for arc, line_no in arc_lines.items():
         for nid in arc:
             if nid not in bags:
                 raise ParseError(line_no, f"arc names undeclared node {nid}")
@@ -191,7 +194,7 @@ def parse_decomposition(text: str, n: int, lifetime: int) -> TimDecomposition:
         lifetime,
         tuple(bags[i] for i in ids),
         tuple(times[i] for i in ids),
-        tuple(sorted(arc for arc, _ in arcs)),
+        tuple(sorted(arc_lines)),
     )
 
 

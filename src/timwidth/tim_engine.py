@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import add
+from operator import add, le
 
 from .core import ComponentGraph, TemporalGraph
 # no solve calls compute_tim_decomposition; perfbench/tracing.py patches it here
@@ -98,15 +98,30 @@ def _role(t, lam):
     return "start" if t == 0 else ("fin" if t == lam else "val")
 
 
-def _sumset(base, sets):
-    acc = {tuple(base)}
-    for s in sets:
-        acc = {tuple(map(add, x, y)) for x in acc for y in s}
-    return acc
+def _add_sums(into, base, sets):
+    """Adds to into every sum of base and one vector from each of sets;
+    returns into."""
+    if not sets:
+        into.add(base)
+        return into
+    # the partial sums; None while they are the zero vector alone
+    acc = (base,) if any(base) else None
+    for s in sets[:-1]:
+        acc = s if acc is None else {tuple(map(add, x, y)) for x in acc for y in s}
+    last = sets[-1]
+    if acc is None:
+        into |= last
+        return into
+    for x in acc:
+        if any(x):
+            into.update([tuple(map(add, x, y)) for y in last])
+        else:
+            into |= last
+    return into
 
 
 def _leq(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _minimal(totals):
@@ -202,16 +217,24 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     to each own-time component and extra lists boundary labels the parent
     needs; each key maps to the minimal achievable subtree total vectors,
     those no other achievable total is componentwise at or below (see
-    _minimal). Each own component's options come from one memo per call,
+    _minimal).
+
+    Labels are read by position: each vertex of this bag, and of its
+    down-children, maps once per call to the (component, position) where
+    its label sits in a rho, so the earlier labelling of a component, the
+    extra labels and an up-child's restriction are tuples read straight off
+    the rhos. Each own component's options come from one memo per call,
     keyed by the component and its earlier labelling: the successors of
     that labelling the role admits, or, for None (Tr checked at the parent,
-    or t = 0), the plugin's assignments. The None options are the same for
-    every combination of down-children, so they are taken once per bag. An
-    up-child's table is joined through groups of its entries, by the labels
-    it hands up and then by the labellings of the components whose Tr this
-    bag checks, each with the union of its totals: per restriction the join
-    walks the product of those components' cached successor sets and looks
-    the groups up.
+    or t = 0), the plugin's assignments, taken once per bag. Each up-child's
+    table is grouped once per call, by the labels it hands up and then by
+    the labellings of the components whose Tr this bag checks, each with
+    the union of its totals; per restriction of rho to the vertices those
+    components share with this bag, the join walks the product of their
+    cached successor sets and looks the groups up. A bag with one
+    down-child reads that child's entries and totals as they are; several
+    are summed per combination. Each rho's sums go straight into its key's
+    set.
     """
     rd, comps = structure.rooted, structure.comps
     t = rd.times[node]
@@ -240,27 +263,36 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     option_cache = {}
 
     def options_of(key, prev):
-        opts = option_cache.get((key, prev))
-        if opts is None:
-            comp = comps[key]
-            if prev is None:
-                opts = plugin.assignments(comp, role, instance)
-            else:
-                succ = plugin.successors(prev, comp, instance)
-                checked = ((l, plugin.check(l, comp, role, instance)) for l in succ)
-                opts = [(l, vec) for l, vec in checked if vec is not None]
-            option_cache[key, prev] = opts
+        comp = comps[key]
+        if prev is None:
+            opts = plugin.assignments(comp, role, instance)
+        else:
+            opts = []
+            for l in plugin.successors(prev, comp, instance):
+                vec = plugin.check(l, comp, role, instance)
+                if vec is not None:
+                    opts.append((l, vec))
+        option_cache[key, prev] = opts
         return opts
 
-    free_options = [None if here else options_of(key, None) for key, here in zip(own, tr_here)]
-
-    up_checks = {c: structure.checks_from_child.get((node, c), ()) for c in up}
-    up_need = {
-        c: sorted({v for key in up_checks[c] for v in comps[key].vertices} & rd.bags[node])
-        for c in up
+    # where each label one timestep before sits: (down-child, component,
+    # position)
+    below = {
+        v: (d, i, j)
+        for d, c in enumerate(down)
+        for i, key in enumerate(structure.own_comps[c])
+        for j, v in enumerate(comps[key].vertices)
     }
-    up_cache = {c: {} for c in up}
-    up_groups = {}
+    free_options = []
+    tr_keys = []
+    for x, (key, here) in enumerate(zip(own, tr_here)):
+        if here:
+            free_options.append(None)
+            tr_keys.append((x, key, [below[v] for v in comps[key].vertices]))
+        else:
+            free_options.append(options_of(key, None))
+    extra_at = [(v, *below[v]) for v in structure.extra_vertices[node]]
+
     # Tr as sets, by (component key, earlier labelling)
     succ_cache = {}
 
@@ -270,95 +302,85 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
             succ = succ_cache[key, prev] = frozenset(plugin.successors(prev, comps[key], instance))
         return succ
 
-    def groups_of(c):
-        # the child's totals by the labels it hands up, then by the labellings
-        # of the components whose Tr this bag checks; built on first use
-        groups = up_groups.get(c)
-        if groups is None:
-            groups = up_groups[c] = {}
-            at = [structure.own_comps[c].index(key) for key in up_checks[c]]
-            for (rho_c, extra_c), totals_c in child_results[c].items():
-                by_nxt = groups.setdefault(extra_c, {})
-                nxt = tuple(rho_c[i][0] for i in at)
-                if nxt in by_nxt:
-                    by_nxt[nxt] = by_nxt[nxt] | totals_c
-                else:
-                    by_nxt[nxt] = totals_c
-        return groups
-
-    def filter_up(c, own_label_at):
-        restriction = tuple(own_label_at[v] for v in up_need[c])
-        cache = up_cache[c]
-        if restriction in cache:
-            return cache[restriction]
+    def joined_up(groups, need, checks, restriction):
+        # the union of the child's totals whose checked labellings follow
+        # rho's restriction and the labels the child hands up
         combined = set()
-        for extra_c, by_nxt in groups_of(c).items():
+        for extra_c, by_nxt in groups.items():
             label_at = dict(extra_c)
-            label_at.update(zip(up_need[c], restriction))
+            label_at.update(zip(need, restriction))
             succs = [
                 successor_set(key, tuple(label_at[v] for v in comps[key].vertices))
-                for key in up_checks[c]
+                for key in checks
             ]
             for nxt in product(*succs):
                 if nxt in by_nxt:
                     combined |= by_nxt[nxt]
         # a sum with a dominated total is dominated too (see _minimal)
-        cache[restriction] = combined = _minimal(combined)
-        return combined
+        return _minimal(combined)
 
-    def label_at_of(keys, rho):
-        return {
-            v: l
-            for key, (labelling, _vec) in zip(keys, rho)
-            for v, l in zip(comps[key].vertices, labelling)
-        }
+    if up:
+        # where each own label sits in a rho: (component, position)
+        own_at = {v: (i, j) for i, key in enumerate(own) for j, v in enumerate(comps[key].vertices)}
+    ups = []
+    for c in up:
+        checks = structure.checks_from_child.get((node, c), ())
+        need = sorted({v for key in checks for v in comps[key].vertices} & rd.bags[node])
+        at = [structure.own_comps[c].index(key) for key in checks]
+        # the child's totals by the labels it hands up, then by the
+        # labellings of the components whose Tr this bag checks
+        groups = {}
+        for (rho_c, extra_c), totals_c in child_results[c].items():
+            by_nxt = groups.setdefault(extra_c, {})
+            nxt = tuple([rho_c[i][0] for i in at])
+            have = by_nxt.get(nxt)
+            by_nxt[nxt] = totals_c if have is None else have | totals_c
+        ups.append(([own_at[v] for v in need], {}, groups, need, checks))
 
-    def up_totals(rho):
-        # each up-child's totals that agree with rho; None once one has none
-        own_label_at = label_at_of(own, rho)
-        out = []
-        for c in up:
-            tot = filter_up(c, own_label_at)
-            if not tot:
-                return None
-            out.append(tot)
-        return out
-
-    # each down-child entry as the labels it fixes one timestep before, and its totals
-    down_entries = [
-        [(label_at_of(structure.own_comps[c], rho_c), totals_c)
-         for (rho_c, _extra), totals_c in child_results[c].items()]
-        for c in down
-    ]
-    extra_vs = structure.extra_vertices[node]
+    # per combination of down-children: their rhos and summed totals
+    if not down:
+        combos = [((), None)]
+    elif len(down) == 1:
+        combos = (((rho_c,), totals_c) for (rho_c, _extra), totals_c in child_results[down[0]].items())
+    else:
+        zero = (0,) * len(plugin.v_upper(instance))
+        combos = (
+            (tuple(rho_c for (rho_c, _extra), _totals in combo),
+             _add_sums(set(), zero, [totals for _, totals in combo]))
+            for combo in product(*(child_results[c].items() for c in down))
+        )
     results = {}
 
-    for down_combo in product(*down_entries):
-        prev_label_at = {}
-        for label_at_c, _totals in down_combo:
-            prev_label_at.update(label_at_c)
-        extra = tuple((v, prev_label_at[v]) for v in extra_vs)
-        # every rho adds the same down-children's totals: sum them once
-        down_sets = [totals for _, totals in down_combo]
-        if len(down_sets) > 1:
-            zero = (0,) * len(next(iter(down_sets[0])))
-            down_sets = [_sumset(zero, down_sets)]
-        options = [
-            opts if opts is not None
-            else options_of(key, tuple(prev_label_at[v] for v in comps[key].vertices))
-            for key, opts in zip(own, free_options)
-        ]
+    for rhos, down_totals in combos:
+        extra = tuple([(v, rhos[d][i][0][j]) for v, d, i, j in extra_at]) if extra_at else ()
+        options = free_options
+        if tr_keys:
+            options = list(free_options)
+            for x, key, where in tr_keys:
+                prev = tuple([rhos[d][i][0][j] for d, i, j in where])
+                opts = option_cache.get((key, prev))
+                options[x] = options_of(key, prev) if opts is None else opts
         for rho in product(*options):
-            sets = down_sets
-            if up:
-                joined = up_totals(rho)
+            sets = [] if down_totals is None else [down_totals]
+            for need_at, cache, groups, need, checks in ups:
+                restriction = tuple([rho[i][0][j] for i, j in need_at])
+                joined = cache.get(restriction)
                 if joined is None:
-                    continue
-                sets = down_sets + joined
-            own_sum = rho[0][1] if len(rho) == 1 else tuple(map(sum, zip(*(vec for _, vec in rho))))
-            results.setdefault((rho, extra), set()).update(_sumset(own_sum, sets))
+                    joined = cache[restriction] = joined_up(groups, need, checks, restriction)
+                if not joined:
+                    break
+                sets.append(joined)
+            else:
+                own_sum = rho[0][1] if len(rho) == 1 else tuple(map(sum, zip(*(vec for _, vec in rho))))
+                into = results.get((rho, extra))
+                if into is None:
+                    into = results[rho, extra] = set()
+                _add_sums(into, own_sum, sets)
 
-    return {key: _minimal(totals) for key, totals in results.items()}
+    for key, totals in results.items():
+        if len(totals) > 1:
+            results[key] = _minimal(totals)
+    return results
 
 
 def _compose(row, power):
@@ -400,28 +422,43 @@ def fold_idle_run(structure, plugin, instance, node, base_results, seen):
     the labellings the bag before it in the walk may hold. A stretch of k
     timesteps with equal rows applies T^k, whose offsets are the minimal
     vector sums over the k-step label paths from each source. seen holds,
-    for the whole solve, the rows of each (time, whether the walk goes back
-    in time), interned by content as the list of their powers T, T^2, ...,
-    each built from the one before, and per direction, for each time a
-    walk has passed, how far on the walk keeps that time's rows, so a run
-    finds where each stretch ends with about one lookup.
+    for the whole solve: the plugin's one-vertex answers per time, its
+    assignments there and Tr into it, which both walk directions read, so
+    each is asked once per time; the rows of each (time, whether the walk
+    goes back in time), interned by content as the list of their powers T,
+    T^2, ..., each built from the one before; and per direction, for each
+    time a walk has passed, how far on the walk keeps that time's rows, so
+    a run finds where each stretch ends with about one lookup.
     """
     rd = structure.rooted
     lam = structure.graph.lifetime
     labels = [(label,) for label in plugin.label_set(instance)]
     v = min(rd.bags[node])
 
+    # the plugin's one-vertex answers, asked once per time in a solve: the
+    # assignments at a time, and Tr into it as a set per earlier label
+    assigned = seen.setdefault("assignments", {})
+    entering = seen.setdefault("successors", {})
+
     def rows(t, back):
         powers = seen.get((t, back))
         if powers is None:
             # Tr runs from the earlier bag to the later one: into the bag at
             # t when the walk goes forward in time, out of it when it goes back
-            tr_comp = ComponentGraph(t + 1 if back else t, (v,), ())
-            succ = {c: frozenset(plugin.successors(c, tr_comp, instance)) for c in labels}
-            comp = ComponentGraph(t, (v,), ())
+            u = t + 1 if back else t
+            succ = entering.get(u)
+            if succ is None:
+                tr_comp = ComponentGraph(u, (v,), ())
+                succ = entering[u] = {
+                    c: frozenset(plugin.successors(c, tr_comp, instance)) for c in labels
+                }
+            opts = assigned.get(t)
+            if opts is None:
+                comp = ComponentGraph(t, (v,), ())
+                opts = assigned[t] = plugin.assignments(comp, _role(t, lam), instance)
             row = tuple(
                 (d, vec, ((succ[d] if back else frozenset(c for c in labels if d in succ[c]), vec),))
-                for d, vec in plugin.assignments(comp, _role(t, lam), instance)
+                for d, vec in opts
             )
             powers = seen[t, back] = seen.setdefault(row, [row])
         return powers
@@ -481,17 +518,23 @@ def solve_component_exchangeable(
 ) -> TimSolveResult:
     """Decide instance on structure's rooted tree, by default the interval one.
 
+    A structure handed in must be built for instance.graph (ValueError).
+
     Tables are built children first: fold_idle_run walks each interval node
     whose child is a singleton bag, realisable_profiles joins every other
-    bag. Each table drops the totals past plugin.total_cap as it is stored,
-    and a key left with none; profile_counts counts those capped tables,
-    per node. cap bounds each bag's label product (ResourceLimitError).
+    bag, and a node with a child whose table is empty gets an empty table,
+    which either would return. Each table drops the totals past
+    plugin.total_cap as it is stored, and a key left with none; profile_counts
+    counts those capped tables, per node. cap bounds each bag's label
+    product (ResourceLimitError).
     """
     g = instance.graph
     if g.lifetime == 0:
         raise ValueError("engine needs lifetime >= 1; handle edgeless instances upstream")
     if structure is None:
         structure = TwoStepStructure(g)
+    elif structure.graph is not g and structure.graph != g:
+        raise ValueError("structure was built for another graph than the instance's")
     rd = structure.rooted
     limit = plugin.total_cap(instance)
 
@@ -501,19 +544,29 @@ def solve_component_exchangeable(
     bag_count = 0
     for node in structure.postorder():
         children = rd.children[node]
-        if len(rd.bags[node]) == len(children) == 1 and len(rd.bags[children[0]]) == 1:
+        run = len(rd.bags[node]) == len(children) == 1 and len(rd.bags[children[0]]) == 1
+        bag_count += abs(rd.times[node] - rd.times[children[0]]) if run else 1
+        if not all(results[c] for c in children):
+            # a child with no profile leaves none to its parent
+            res = {}
+        elif run:
             res = fold_idle_run(structure, plugin, instance, node, results[children[0]], idle_seen)
-            bag_count += abs(rd.times[node] - rd.times[children[0]])
         else:
             child_results = {c: results[c] for c in children}
             res = realisable_profiles(structure, plugin, instance, node, child_results, cap)
-            bag_count += 1
         for c in children:
             del results[c]
-        if limit is not None:
-            # totals only grow towards the root: one past the cap stays past it
-            res = {key: kept for key, totals in res.items()
-                   if (kept := {total for total in totals if _leq(total, limit)})}
+        if limit is not None and res:
+            # totals only grow towards the root: one past the cap stays past
+            # it; a set with none past it is kept as it is
+            capped = {}
+            for key, totals in res.items():
+                over = [total for total in totals if not _leq(total, limit)]
+                if over:
+                    totals = totals.difference(over)
+                if totals:
+                    capped[key] = totals
+            res = capped
         results[node] = res
         profile_counts[node] = sum(len(v) for v in res.values())
 
@@ -528,7 +581,7 @@ def solve_component_exchangeable(
     if any(not tree for tree in per_tree):
         answer = False
     else:
-        overall = _sumset((0,) * len(vu), per_tree)
+        overall = _add_sums(set(), (0,) * len(vu), per_tree)
         answer = any(_leq(total, vu) for total in overall)
 
     return TimSolveResult(

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timwidth import core
 from timwidth.core import (
+    ComponentGraph,
     TemporalGraph,
     TemporalGraphError,
     components_at,
@@ -87,6 +89,26 @@ def test_adjacency_entries():
     g = TemporalGraph(4, [(0, 1, 1), (1, 2, 1)])
     assert snapshot(g, 1).adjacency == {0: {1}, 1: {0, 2}, 2: {1}}
     assert [c.adjacency for c in components_at(g, 1)] == [{0: {1}, 1: {0, 2}, 2: {1}}, {3: set()}]
+
+
+def test_view_builds_adjacency_and_index_once(monkeypatch):
+    # each is built on first read and then read from the view; neither
+    # enters eq, hash or repr, which compare and print the fields only
+    built = []
+    for name in ("adjacency", "index"):
+        attr = vars(core.ComponentGraph)[name]
+        monkeypatch.setattr(attr, "build", lambda view, b=attr.build, n=name: built.append(n) or b(view))
+    view = ComponentGraph(2, (0, 1, 3), ((0, 1), (1, 3)))
+    twin = ComponentGraph(2, (0, 1, 3), ((0, 1), (1, 3)))
+    before = (hash(view), repr(view))
+    for _ in range(3):
+        assert view.adjacency == {0: {1}, 1: {0, 3}, 3: {1}}
+        assert view.index == {0: 0, 1: 1, 3: 2}
+    assert built == ["adjacency", "index"]
+    assert view == twin and (hash(view), repr(view)) == before == (hash(twin), repr(twin))
+    assert "adjacency" not in repr(view) and "index" not in repr(view)
+    with pytest.raises(AttributeError):
+        view.t = 3
 
 
 @settings(max_examples=60)

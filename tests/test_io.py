@@ -153,6 +153,16 @@ def test_dimacs_non_integer_fields_name_lines():
     assert err.value.line_no == 2
 
 
+def test_repeated_arc_is_refused_at_its_line():
+    # validate_decomposition used to report the repeat as a cycle
+    text = "node 0 time=1 bag=0,1\nnode 1 time=2 bag=0,1\narc 0 1\n# again\narc 0 1\n"
+    with pytest.raises(ParseError, match="duplicate arc 0 1") as err:
+        parse_decomposition(text, 2, 2)
+    assert err.value.line_no == 5
+    # the reverse arc is a different arc, left to validate_decomposition
+    assert parse_decomposition(text.replace("arc 0 1\n#", "arc 1 0\n#"), 2, 2).arcs == ((0, 1), (1, 0))
+
+
 def test_decomposition_errors_name_lines():
     good = "node 0 time=1 bag=0,1\nnode 1 time=2 bag=0,1\narc 0 1\n"
     assert parse_decomposition(good, 2, 2).arcs == ((0, 1),)

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import product
+from operator import le
 
 import pytest
 
@@ -426,6 +427,25 @@ def test_engine_requires_lifetime():
         solve_component_exchangeable(
             ham_tim_plugin(), HamiltonianInstance(TemporalGraph(2, []))
         )
+
+
+def test_structure_must_be_built_for_the_instance_graph():
+    # a structure of another graph used to decide that graph instead: here
+    # a Hamiltonian path the instance's graph does not have
+    built_for = TemporalGraph(3, [(0, 1, 1), (1, 2, 2)])
+    g = TemporalGraph(3, [(0, 1, 2), (0, 2, 2)])
+    assert not oracle_ham(g)
+    assert not solve_component_exchangeable(ham_tim_plugin(), HamiltonianInstance(g)).answer
+    with pytest.raises(ValueError, match="another graph"):
+        solve_component_exchangeable(
+            ham_tim_plugin(), HamiltonianInstance(g), structure=TwoStepStructure(built_for)
+        )
+    # an equal graph built apart is the same graph
+    twin = TemporalGraph(3, [(1, 2, 2), (0, 1, 1)])
+    res = solve_component_exchangeable(
+        ham_tim_plugin(), HamiltonianInstance(twin), structure=TwoStepStructure(built_for)
+    )
+    assert res.answer == oracle_ham(twin)
 
 
 def _sparse_long_graph(rng):
@@ -959,3 +979,243 @@ def test_bag_asks_tr_once_per_component_and_earlier_labelling(monkeypatch):
         solve_component_exchangeable(plugin, inst)
     assert sum(sum(bag.values()) for bag in asked) > 1000
     assert all(count == 1 for bag in asked for count in bag.values())
+
+
+def previous_join(structure, plugin, instance, node, child_results):
+    """realisable_profiles as it was before it read labels by position: a
+    label map per entry and per rho, the down-children's totals summed
+    from a zero vector, each rho's sums built apart and then merged."""
+    rd, comps = structure.rooted, structure.comps
+    t = rd.times[node]
+    role = "start" if t == 0 else ("fin" if t == structure.graph.lifetime else "val")
+    down = [c for c in rd.children[node] if rd.times[c] == t - 1]
+    up = [c for c in rd.children[node] if rd.times[c] == t + 1]
+    own = structure.own_comps[node]
+    moved = structure.checks_from_child.get((rd.parent[node], node), ())
+    tr_here = [t >= 1 and key not in moved for key in own]
+
+    def sumset(base, sets):
+        acc = {tuple(base)}
+        for s in sets:
+            acc = {tuple(a + b for a, b in zip(x, y)) for x in acc for y in s}
+        return acc
+
+    option_cache = {}
+
+    def options_of(key, prev):
+        opts = option_cache.get((key, prev))
+        if opts is None:
+            comp = comps[key]
+            if prev is None:
+                opts = plugin.assignments(comp, role, instance)
+            else:
+                succ = plugin.successors(prev, comp, instance)
+                checked = ((l, plugin.check(l, comp, role, instance)) for l in succ)
+                opts = [(l, vec) for l, vec in checked if vec is not None]
+            option_cache[key, prev] = opts
+        return opts
+
+    free_options = [None if here else options_of(key, None) for key, here in zip(own, tr_here)]
+    up_checks = {c: structure.checks_from_child.get((node, c), ()) for c in up}
+    up_need = {
+        c: sorted({v for key in up_checks[c] for v in comps[key].vertices} & rd.bags[node])
+        for c in up
+    }
+    up_cache = {c: {} for c in up}
+    up_groups = {}
+    succ_cache = {}
+
+    def successor_set(key, prev):
+        succ = succ_cache.get((key, prev))
+        if succ is None:
+            succ = succ_cache[key, prev] = frozenset(plugin.successors(prev, comps[key], instance))
+        return succ
+
+    def groups_of(c):
+        groups = up_groups.get(c)
+        if groups is None:
+            groups = up_groups[c] = {}
+            at = [structure.own_comps[c].index(key) for key in up_checks[c]]
+            for (rho_c, extra_c), totals_c in child_results[c].items():
+                by_nxt = groups.setdefault(extra_c, {})
+                nxt = tuple(rho_c[i][0] for i in at)
+                by_nxt[nxt] = by_nxt[nxt] | totals_c if nxt in by_nxt else totals_c
+        return groups
+
+    def filter_up(c, own_label_at):
+        restriction = tuple(own_label_at[v] for v in up_need[c])
+        cache = up_cache[c]
+        if restriction in cache:
+            return cache[restriction]
+        combined = set()
+        for extra_c, by_nxt in groups_of(c).items():
+            label_at = dict(extra_c)
+            label_at.update(zip(up_need[c], restriction))
+            succs = [
+                successor_set(key, tuple(label_at[v] for v in comps[key].vertices))
+                for key in up_checks[c]
+            ]
+            for nxt in product(*succs):
+                if nxt in by_nxt:
+                    combined |= by_nxt[nxt]
+        cache[restriction] = combined = _minimal(combined)
+        return combined
+
+    def label_at_of(keys, rho):
+        return {
+            v: l
+            for key, (labelling, _vec) in zip(keys, rho)
+            for v, l in zip(comps[key].vertices, labelling)
+        }
+
+    down_entries = [
+        [(label_at_of(structure.own_comps[c], rho_c), totals_c)
+         for (rho_c, _extra), totals_c in child_results[c].items()]
+        for c in down
+    ]
+    results = {}
+    for down_combo in product(*down_entries):
+        prev_label_at = {}
+        for label_at_c, _totals in down_combo:
+            prev_label_at.update(label_at_c)
+        extra = tuple((v, prev_label_at[v]) for v in structure.extra_vertices[node])
+        down_sets = [totals for _, totals in down_combo]
+        if len(down_sets) > 1:
+            zero = (0,) * len(next(iter(down_sets[0])))
+            down_sets = [sumset(zero, down_sets)]
+        options = [
+            opts if opts is not None
+            else options_of(key, tuple(prev_label_at[v] for v in comps[key].vertices))
+            for key, opts in zip(own, free_options)
+        ]
+        for rho in product(*options):
+            own_label_at = label_at_of(own, rho)
+            joined = [filter_up(c, own_label_at) for c in up]
+            if not all(joined):
+                continue
+            own_sum = tuple(map(sum, zip(*(vec for _, vec in rho))))
+            results.setdefault((rho, extra), set()).update(sumset(own_sum, down_sets + joined))
+    return {key: _minimal(totals) for key, totals in results.items()}
+
+
+def previous_fold(structure, plugin, instance, node, base_results, seen):
+    """fold_idle_run as it was before the one-vertex answers were shared
+    between the walk directions: each (time, direction) asks the plugin."""
+    rd = structure.rooted
+    lam = structure.graph.lifetime
+    labels = [(label,) for label in plugin.label_set(instance)]
+    v = min(rd.bags[node])
+
+    def rows(t, back):
+        powers = seen.get((t, back))
+        if powers is None:
+            tr_comp = ComponentGraph(t + 1 if back else t, (v,), ())
+            succ = {c: frozenset(plugin.successors(c, tr_comp, instance)) for c in labels}
+            comp = ComponentGraph(t, (v,), ())
+            role = "start" if t == 0 else ("fin" if t == lam else "val")
+            row = tuple(
+                (d, vec, ((succ[d] if back else frozenset(c for c in labels if d in succ[c]), vec),))
+                for d, vec in plugin.assignments(comp, role, instance)
+            )
+            powers = seen[t, back] = seen.setdefault(row, [row])
+        return powers
+
+    below, top = rd.times[rd.children[node][0]], rd.times[node]
+    back = below > top
+    step = -1 if back else 1
+    stretch_end = seen.setdefault(("ends", back), {})
+
+    def stretch(t, end):
+        powers, path, u = rows(t, back), [], t
+        while True:
+            path.append(u)
+            u = stretch_end.get(u, u + step)
+            if (u - end) * step >= 0 or rows(u, back) is not powers:
+                break
+        stretch_end.update(dict.fromkeys(path, u))
+        return end if (u - end) * step > 0 else u
+
+    by_label = {}
+    for (((labelling, _vec),), _extra), totals in base_results.items():
+        by_label.setdefault(labelling, set()).update(totals)
+    t, end = below + step, top + step
+    while t != end:
+        powers, u = rows(t, back), stretch(t, end)
+        k, t = (u - t) * step, u
+        while len(powers) < k:
+            powers.append(tim_engine._compose(powers[0], powers[-1]))
+        prev, by_label, vectors = by_label, {}, {}
+        for labelling, vec, pairs in powers[k - 1]:
+            incoming = set()
+            for sources, offset in pairs:
+                reached = set()
+                for c in sources & prev.keys():
+                    reached |= prev[c]
+                if any(offset):
+                    reached = {tuple(a + b for a, b in zip(total, offset)) for total in reached}
+                incoming |= reached
+            if incoming:
+                by_label[labelling], vectors[labelling] = incoming, vec
+    return {
+        (((labelling, vectors[labelling]),), ()): _minimal(totals)
+        for labelling, totals in by_label.items()
+    }
+
+
+def test_join_tables_equal_previous_join(monkeypatch):
+    # the positional join and the fold that asks one-vertex answers once per
+    # time give the previous tables at every node of the interval tree, fed
+    # the same child tables; the tables go on capped as the solve caps them
+    one_vertex_asks = []
+    inside_fold = []
+
+    def counting(successors):
+        def wrapped(self, prev_labelling, comp, instance):
+            if inside_fold and len(comp.vertices) == 1:
+                one_vertex_asks[-1][comp.t, prev_labelling] += 1
+            return successors(self, prev_labelling, comp, instance)
+        return wrapped
+
+    for cls in REFERENCE_TR:
+        monkeypatch.setattr(cls, "successors", counting(cls.successors))
+    rng = random.Random(27)
+    cases = [case for _ in range(6) for case in four_plugin_cases(_sparse_long_graph(rng), rng)]
+    cases += four_plugin_cases(SEARCH_GRAPH, rng)
+    cases.append((ham_tim_plugin(), HamiltonianInstance(gen_hard_ham_path(35))))
+    shapes = set()
+    both_ways = 0
+    for plugin, inst in cases:
+        d = interval_decomposition(inst.graph)
+        limit = plugin.total_cap(inst)
+        for root in (None, one_bag_nodes(d)[len(one_bag_nodes(d)) // 2]):
+            structure = TwoStepStructure(inst.graph, root_and_augment(d, root))
+            rd = structure.rooted
+            seen, previous_seen, tables = {}, {}, {}
+            one_vertex_asks.append(Counter())
+            for node in structure.postorder():
+                children = {c: tables.pop(c) for c in rd.children[node]}
+                if _is_interval(rd, node):
+                    (base,) = children.values()
+                    inside_fold.append(node)
+                    table = fold_idle_run(structure, plugin, inst, node, base, seen)
+                    inside_fold.pop()
+                    expected = previous_fold(structure, plugin, inst, node, base, previous_seen)
+                else:
+                    table = realisable_profiles(structure, plugin, inst, node, children)
+                    expected = previous_join(structure, plugin, inst, node, children)
+                    t = rd.times[node]
+                    shapes.add((sum(rd.times[c] == t - 1 for c in children),
+                                sum(rd.times[c] == t + 1 for c in children)))
+                assert table == expected, (type(plugin).__name__, inst.graph, node)
+                if limit is not None:
+                    table = {key: kept for key, totals in table.items()
+                             if (kept := {x for x in totals if all(map(le, x, limit))})}
+                tables[node] = table
+            assert all(count == 1 for count in one_vertex_asks[-1].values())
+            # the rows of (time, whether the walk goes back), among the cache's other keys
+            walked = {key for key in seen if type(key) is tuple and len(key) == 2 and type(key[0]) is int}
+            both_ways += sum((t, not back) in walked for t, back in walked if back)
+    assert {down for down, _ in shapes} >= {0, 1, 2}
+    assert {up for _, up in shapes} >= {0, 1, 2}
+    assert sum(map(len, one_vertex_asks)) > 100
+    assert both_ways > 50
