@@ -48,23 +48,23 @@ from .tim_engine import (
 )
 from .problems import (
     FirefighterInstance,
+    FirefighterTimPlugin,
+    FirefighterVimPlugin,
     HamiltonianInstance,
+    HamiltonianTimPlugin,
+    HamiltonianVimPlugin,
     MatchingInstance,
+    MatchingTimPlugin,
     TredInstance,
+    TredTimPlugin,
     TwoCnf,
-    ff_tim_plugin,
-    ff_vim_plugin,
     gen_firefighter_hardness,
-    ham_tim_plugin,
-    ham_vim_plugin,
     hardness_target,
-    matching_tim_plugin,
     normalize_firefighter,
     solve_firefighter,
     solve_hamiltonian,
     solve_matching,
     solve_tred,
-    tred_tim_plugin,
 )
 from .generators import (
     gen_hard_ham_path,

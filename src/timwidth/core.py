@@ -65,9 +65,6 @@ class TemporalGraph:
     def underlying_edges(self):
         return frozenset((u, v) for u, v, _ in self.time_edges)
 
-    def vertices(self):
-        return range(self.n)
-
     def __eq__(self, other):
         if not isinstance(other, TemporalGraph):
             return NotImplemented

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
-from .core import ComponentGraph, TemporalGraph, _edge_components, component_graphs
+from .core import ComponentGraph, TemporalGraph, _built_once, _edge_components, component_graphs
 from .widths import vim_sequence
 
 
@@ -108,8 +107,7 @@ class _BagState:
         return range(i + n, prev + 1, n)
 
     def merge(self, keep, other):
-        if other < keep:
-            keep, other = other, keep
+        """Merges node other into node keep; keep must be the smaller id."""
         self.bags[keep] |= self.bags.pop(other)
         for nb in list(self.adj[other]):
             self.adj[nb].discard(other)
@@ -120,7 +118,6 @@ class _BagState:
         del self.adj[other]
         del self.times[other]
         self.core.discard(other)
-        return keep
 
     def width(self):
         return max((len(b) for b in self.bags.values()), default=0)
@@ -524,7 +521,7 @@ class RootedTimDecomposition:
     def width(self):
         return max((len(b) for b in self.bags), default=0)
 
-    @cached_property
+    @_built_once
     def copy_of(self):
         return {
             s: self.children[s][0] if self.parent[s] is None else self.parent[s]
@@ -669,7 +666,7 @@ class TwoStepDecomposition:
     snapshot_components: dict
     own_comps: tuple
 
-    @cached_property
+    @_built_once
     def components(self):
         own, comps = self.own_comps, self.snapshot_components
         return tuple(
@@ -680,13 +677,13 @@ class TwoStepDecomposition:
             for s, children in enumerate(self.rooted.children)
         )
 
-    @cached_property
+    @_built_once
     def pairs(self):
         return tuple(
             frozenset((v, t) for t, verts in comps for v in verts) for comps in self.components
         )
 
-    @cached_property
+    @_built_once
     def width(self):
         rd = self.rooted
         return max(

@@ -4,35 +4,35 @@ from .instances import (
     MatchingInstance,
     TredInstance,
 )
-from .hamiltonian import ham_tim_plugin, ham_vim_plugin, solve_hamiltonian
+from .hamiltonian import HamiltonianTimPlugin, HamiltonianVimPlugin, solve_hamiltonian
 from .firefighter import (
-    ff_tim_plugin,
-    ff_vim_plugin,
+    FirefighterTimPlugin,
+    FirefighterVimPlugin,
     normalize_firefighter,
     solve_firefighter,
 )
-from .matching import matching_tim_plugin, solve_matching
-from .reachability import solve_tred, tred_tim_plugin
+from .matching import MatchingTimPlugin, solve_matching
+from .reachability import TredTimPlugin, solve_tred
 from .hardness import CnfError, TwoCnf, gen_firefighter_hardness, hardness_target
 
 __all__ = [
     "CnfError",
     "FirefighterInstance",
+    "FirefighterTimPlugin",
+    "FirefighterVimPlugin",
     "HamiltonianInstance",
+    "HamiltonianTimPlugin",
+    "HamiltonianVimPlugin",
     "MatchingInstance",
+    "MatchingTimPlugin",
     "TredInstance",
+    "TredTimPlugin",
     "TwoCnf",
-    "ff_tim_plugin",
-    "ff_vim_plugin",
     "gen_firefighter_hardness",
-    "ham_tim_plugin",
-    "ham_vim_plugin",
     "hardness_target",
-    "matching_tim_plugin",
     "normalize_firefighter",
     "solve_firefighter",
     "solve_hamiltonian",
     "solve_matching",
     "solve_tred",
-    "tred_tim_plugin",
 ]

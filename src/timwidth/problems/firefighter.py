@@ -36,16 +36,13 @@ class FirefighterVimPlugin(VimProblemPlugin):
     labels = (BURNING, DEFENDED, UNBURNT)
     default_label = UNBURNT
 
-    def counter_ranges(self, instance):
-        n = max(instance.graph.n, 1)
-        return ((1, n), (1, instance.start_budget + instance.graph.lifetime))
-
-    def initial_states(self, instance):
-        return [
-            KXState.make(
-                {instance.root: BURNING}, (1, instance.start_budget), UNBURNT
-            )
-        ]
+    def __init__(self, instance: FirefighterInstance):
+        g = instance.graph
+        self.max_burnt = g.n - instance.saves_target
+        self.counter_ranges = ((1, max(g.n, 1)), (1, instance.start_budget + g.lifetime))
+        self.initial_states = (
+            KXState.make({instance.root: BURNING}, (1, instance.start_budget), UNBURNT),
+        )
 
     def transition(self, prev, labels, snap):
         b1, d1 = prev.labelled(BURNING), prev.labelled(DEFENDED)
@@ -69,12 +66,8 @@ class FirefighterVimPlugin(VimProblemPlugin):
             return None
         return (h1 + len(b2 - b1), bud2)
 
-    def accept(self, state, instance):
-        return instance.graph.n - state.counters[0] >= instance.saves_target
-
-
-def ff_vim_plugin() -> FirefighterVimPlugin:
-    return FirefighterVimPlugin()
+    def accept(self, state):
+        return state.counters[0] <= self.max_burnt
 
 
 class FirefighterTimPlugin(TimProblemPlugin):
@@ -85,32 +78,33 @@ class FirefighterTimPlugin(TimProblemPlugin):
 
     labels = (BURNING, UNBURNT, NEWDEF, DEFENDED)
 
-    def counter_bound(self, instance):
-        return max(instance.graph.n, 1)
-
-    def v_upper(self, instance):
+    def __init__(self, instance: FirefighterInstance):
+        g = instance.graph
+        self.root = instance.root
+        self.lifetime = lam = g.lifetime
+        self.counter_bound = max(g.n, 1)
         beta = instance.start_budget
-        return (-instance.saves_target,) + tuple(beta + i for i in range(instance.graph.lifetime))
+        self.v_upper = (-instance.saves_target,) + tuple(beta + i for i in range(lam))
 
-    def check(self, labelling, comp, role, instance):
-        lam = instance.graph.lifetime
+    def check(self, labelling, comp, role):
+        lam = self.lifetime
         if role == "start":
             for v, l in zip(comp.vertices, labelling):
-                if l != (BURNING if v == instance.root else UNBURNT):
+                if l != (BURNING if v == self.root else UNBURNT):
                     return None
             return (0,) * (lam + 1)
         saved = sum(1 for l in labelling if l != BURNING) if role == "fin" else 0
         d = labelling.count(NEWDEF)
         return (-saved,) + tuple(0 if i < comp.t else d for i in range(1, lam + 1))
 
-    def assignments(self, comp, role, instance):
+    def assignments(self, comp, role):
         if role == "start":
-            labelling = tuple(BURNING if v == instance.root else UNBURNT for v in comp.vertices)
-            return [(labelling, (0,) * (instance.graph.lifetime + 1))]
+            labelling = tuple(BURNING if v == self.root else UNBURNT for v in comp.vertices)
+            return [(labelling, (0,) * (self.lifetime + 1))]
         # val and fin admit every labelling
-        return super().assignments(comp, role, instance)
+        return super().assignments(comp, role)
 
-    def successors(self, prev_labelling, comp, instance):
+    def successors(self, prev_labelling, comp):
         verts = comp.vertices
         adj = comp.adjacency
         b1 = [v for v, l in zip(verts, prev_labelling) if l == BURNING]
@@ -136,10 +130,6 @@ class FirefighterTimPlugin(TimProblemPlugin):
         return out
 
 
-def ff_tim_plugin() -> FirefighterTimPlugin:
-    return FirefighterTimPlugin()
-
-
 def solve_firefighter(inst: FirefighterInstance, engine="vim", **kwargs):
     """Decide reserve temporal firefighter; returns (answer, engine runs)."""
     g = inst.graph
@@ -151,7 +141,7 @@ def solve_firefighter(inst: FirefighterInstance, engine="vim", **kwargs):
         return g.n - 1 >= inst.saves_target, []
     norm = normalize_firefighter(inst)
     if engine == "vim":
-        res = solve_locally_uniform(ff_vim_plugin(), norm, **kwargs)
+        res = solve_locally_uniform(FirefighterVimPlugin(norm), norm.graph, **kwargs)
     else:
-        res = solve_component_exchangeable(ff_tim_plugin(), norm, **kwargs)
+        res = solve_component_exchangeable(FirefighterTimPlugin(norm), norm.graph, **kwargs)
     return res.answer, [res]

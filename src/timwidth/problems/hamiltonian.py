@@ -23,11 +23,10 @@ class HamiltonianVimPlugin(VimProblemPlugin):
     labels = (VISITED, UNVISITED, CURRENT)
     default_label = UNVISITED
 
-    def counter_ranges(self, instance):
-        return ((0, max(instance.graph.n, 1)),)
-
-    def initial_states(self, instance):
-        return [KXState.make({}, (0,), self.default_label)]
+    def __init__(self, instance: HamiltonianInstance):
+        self.n = instance.graph.n
+        self.counter_ranges = ((0, max(self.n, 1)),)
+        self.initial_states = (KXState.make({}, (0,), UNVISITED),)
 
     def transition(self, prev, labels, snap):
         h = prev.counters[0]
@@ -72,32 +71,24 @@ class HamiltonianVimPlugin(VimProblemPlugin):
         # the stay, then two starts per edge, or a move per edge end at a C
         return 1 + 2 * len(snap.edges)
 
-    def accept(self, state, instance):
-        return state.counters[0] == instance.graph.n
-
-
-def ham_vim_plugin() -> HamiltonianVimPlugin:
-    return HamiltonianVimPlugin()
+    def accept(self, state):
+        return state.counters[0] == self.n
 
 
 class HamiltonianTimPlugin(TimProblemPlugin):
     """Component states carry the count of current locations per snapshot."""
 
     labels = (VISITED, UNVISITED, CURRENT)
+    counter_bound = 1
 
-    def counter_bound(self, instance):
-        return 1
-
-    def v_upper(self, instance):
+    def __init__(self, instance: HamiltonianInstance):
         # one current location per timestep 0..Lambda
-        return (instance.graph.lifetime + 1,)
-
-    def total_cap(self, instance):
+        self.v_upper = (instance.graph.lifetime + 1,)
         # every entry counts current locations, never negative, and v_upper
         # names no target
-        return self.v_upper(instance)
+        self.total_cap = self.v_upper
 
-    def check(self, labelling, comp, role, instance):
+    def check(self, labelling, comp, role):
         cur = labelling.count(CURRENT)
         if cur > 1:
             return None
@@ -107,7 +98,7 @@ class HamiltonianTimPlugin(TimProblemPlugin):
             return None
         return (cur,)
 
-    def assignments(self, comp, role, instance):
+    def assignments(self, comp, role):
         # at most one C; the other vertices avoid V at start and U at fin
         rest = {"start": (UNVISITED,), "fin": (VISITED,)}.get(role, (VISITED, UNVISITED))
         k = len(comp.vertices)
@@ -117,7 +108,7 @@ class HamiltonianTimPlugin(TimProblemPlugin):
                 out.append((others[:i] + (CURRENT,) + others[i:], (1,)))
         return out
 
-    def successors(self, prev_labelling, comp, instance):
+    def successors(self, prev_labelling, comp):
         out = [prev_labelling]
         verts = comp.vertices
         idx = comp.index
@@ -135,10 +126,6 @@ class HamiltonianTimPlugin(TimProblemPlugin):
         return out
 
 
-def ham_tim_plugin() -> HamiltonianTimPlugin:
-    return HamiltonianTimPlugin()
-
-
 def solve_hamiltonian(g, engine="vim", **kwargs):
     """Decide Temporal Hamiltonian Path; returns (answer, engine runs)."""
     if engine not in ("vim", "tim"):
@@ -148,10 +135,9 @@ def solve_hamiltonian(g, engine="vim", **kwargs):
     # a strict temporal path through n vertices takes n - 1 time-edges
     if len(g.time_edges) < g.n - 1:
         return False, []
+    inst = HamiltonianInstance(g)
     if engine == "tim":
-        res = solve_component_exchangeable(
-            ham_tim_plugin(), HamiltonianInstance(g), **kwargs
-        )
-        return res.answer, [res]
-    res = solve_locally_uniform(ham_vim_plugin(), HamiltonianInstance(g), **kwargs)
+        res = solve_component_exchangeable(HamiltonianTimPlugin(inst), g, **kwargs)
+    else:
+        res = solve_locally_uniform(HamiltonianVimPlugin(inst), g, **kwargs)
     return res.answer, [res]

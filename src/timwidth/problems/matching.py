@@ -82,6 +82,20 @@ def matched_sets(comp):
     return out
 
 
+def _next_options(label, delta):
+    """The labels that may follow label one timestep later."""
+    if label == matched_label(delta):
+        options = [(0, 1, max(1, delta - 1))]
+        if delta == 1:
+            options.append(matched_label(delta))
+        return options
+    _, a, b = label
+    options = [(0, min(delta, a + 1), max(1, b - 1))]
+    if b == 1 and a >= delta - 1:
+        options.append(matched_label(delta))
+    return options
+
+
 class MatchingTimPlugin(TimProblemPlugin):
     """Labels (1,D,D) for currently matched vertices and (0,a,b) windows
     tracking how far a vertex is from its previous and next allowed match.
@@ -89,25 +103,21 @@ class MatchingTimPlugin(TimProblemPlugin):
     The counter m is the negated count of matched time-edges per component.
     """
 
-    def label_set(self, instance):
+    def __init__(self, instance: MatchingInstance):
+        self.delta = d = instance.delta
         # only labels reachable from a starting label through the transition
         # map; other (0, a, b) combinations cannot occur in a valid sequence
-        d = instance.delta
         out = [matched_label(d)]
         for b in range(1, d + 1):
             out.append((0, d, b))
         for a in range(1, d):
             out.append((0, a, max(1, d - a)))
-        return tuple(dict.fromkeys(out))
+        self.labels = tuple(dict.fromkeys(out))
+        self.counter_bound = max(1, instance.graph.n // 2)
+        self.v_upper = (-instance.size_target,)
 
-    def counter_bound(self, instance):
-        return max(1, instance.graph.n // 2)
-
-    def v_upper(self, instance):
-        return (-instance.size_target,)
-
-    def check(self, labelling, comp, role, instance):
-        d = instance.delta
+    def check(self, labelling, comp, role):
+        d = self.delta
         if role == "start":
             return (0,) if all(l[0] == 0 and l[1] == d for l in labelling) else None
         m = matched_label(d)
@@ -116,9 +126,9 @@ class MatchingTimPlugin(TimProblemPlugin):
             return None
         return (-(len(matched) // 2),)
 
-    def assignments(self, comp, role, instance):
-        d = instance.delta
-        labels = self.label_set(instance)
+    def assignments(self, comp, role):
+        d = self.delta
+        labels = self.labels
         k = len(comp.vertices)
         if role == "start":
             starts = [l for l in labels if l[0] == 0 and l[1] == d]
@@ -138,29 +148,9 @@ class MatchingTimPlugin(TimProblemPlugin):
                 out.append((tuple(labelling), vec))
         return out
 
-    def _next_options(self, label, delta):
-        if label == matched_label(delta):
-            options = [(0, 1, max(1, delta - 1))]
-            if delta == 1:
-                options.append(matched_label(delta))
-            return options
-        _, a, b = label
-        options = [(0, min(delta, a + 1), max(1, b - 1))]
-        if b == 1 and a >= delta - 1:
-            options.append(matched_label(delta))
-        return options
-
-    def successors(self, prev_labelling, comp, instance):
-        d = instance.delta
-        per_vertex = [self._next_options(l, d) for l in prev_labelling]
-        out = [[]]
-        for options in per_vertex:
-            out = [prefix + [o] for prefix in out for o in options]
-        return [tuple(lab) for lab in out]
-
-
-def matching_tim_plugin() -> MatchingTimPlugin:
-    return MatchingTimPlugin()
+    def successors(self, prev_labelling, comp):
+        d = self.delta
+        return list(product(*(_next_options(l, d) for l in prev_labelling)))
 
 
 def solve_matching(inst: MatchingInstance, **kwargs):
@@ -170,5 +160,5 @@ def solve_matching(inst: MatchingInstance, **kwargs):
         return True, []
     if not inst.graph.time_edges:
         return False, []
-    res = solve_component_exchangeable(matching_tim_plugin(), inst, **kwargs)
+    res = solve_component_exchangeable(MatchingTimPlugin(inst), inst.graph, **kwargs)
     return res.answer, [res]

@@ -29,29 +29,27 @@ class TredTimPlugin(TimProblemPlugin):
 
     labels = (REACHED, CURRENT, UNREACHED)
 
-    def counter_bound(self, instance):
-        n = max(instance.graph.n, 1)
-        return max(1, n * n)
+    def __init__(self, instance: TredInstance):
+        self.source = instance.source
+        self.counter_bound = max(1, instance.graph.n) ** 2
+        self.v_upper = (instance.max_deletions, instance.max_reached)
 
-    def v_upper(self, instance):
-        return (instance.max_deletions, instance.max_reached)
-
-    def check(self, labelling, comp, role, instance):
+    def check(self, labelling, comp, role):
         if role == "start":
             for v, l in zip(comp.vertices, labelling):
-                if l != (CURRENT if v == instance.source else UNREACHED):
+                if l != (CURRENT if v == self.source else UNREACHED):
                     return None
-            return (0, 1) if instance.source in comp.vertices else (0, 0)
+            return (0, 1) if self.source in comp.vertices else (0, 0)
         return (label_validity_deletions(labelling, comp), labelling.count(CURRENT))
 
-    def assignments(self, comp, role, instance):
+    def assignments(self, comp, role):
         if role == "start":
-            labelling = tuple(CURRENT if v == instance.source else UNREACHED for v in comp.vertices)
-            return [(labelling, (0, 1) if instance.source in comp.vertices else (0, 0))]
+            labelling = tuple(CURRENT if v == self.source else UNREACHED for v in comp.vertices)
+            return [(labelling, (0, 1) if self.source in comp.vertices else (0, 0))]
         # val and fin admit every labelling
-        return super().assignments(comp, role, instance)
+        return super().assignments(comp, role)
 
-    def successors(self, prev_labelling, comp, instance):
+    def successors(self, prev_labelling, comp):
         verts = comp.vertices
         r2 = {
             v
@@ -75,10 +73,6 @@ class TredTimPlugin(TimProblemPlugin):
         return out
 
 
-def tred_tim_plugin() -> TredTimPlugin:
-    return TredTimPlugin()
-
-
 def solve_tred(inst: TredInstance, **kwargs):
     g = inst.graph
     if inst.source < 0 or inst.source >= g.n:
@@ -87,5 +81,5 @@ def solve_tred(inst: TredInstance, **kwargs):
         raise ValueError("bounds must be nonnegative")
     if not g.time_edges:
         return 1 <= inst.max_reached, []
-    res = solve_component_exchangeable(tred_tim_plugin(), inst, **kwargs)
+    res = solve_component_exchangeable(TredTimPlugin(inst), g, **kwargs)
     return res.answer, [res]

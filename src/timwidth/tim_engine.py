@@ -28,14 +28,31 @@ from .vim_engine import ResourceLimitError
 
 
 class TimProblemPlugin:
-    """Problem bundle for the component-exchangeable engine.
+    """Problem bundle for the component-exchangeable engine, built for one
+    instance: a subclass's constructor takes the instance and sets the
+    attributes below, so the hooks take only what changes per call.
 
-    Labellings are tuples aligned with a component's sorted vertex tuple,
-    and each hook reads the component's time as comp.t. check is St, Val or
-    Fin by role and returns the counter vector a labelling fixes, with
-    len(v_upper) entries, or None when the role rejects it. assignments returns
-    the (labelling, vector) pairs check admits, each once; its default tries
-    every labelling through check, so check stays the specification that a
+    Attributes: labels, the labels a vertex may carry; v_upper, the vector
+    the summed counters must stay at or below for a yes, whose length is the
+    length of every counter vector; counter_bound, the largest absolute
+    value of any entry of one component's vector; total_cap, a
+    componentwise cap that no subtree total of a yes-instance exceeds, as a
+    tuple as long as v_upper (math.inf leaves an entry uncapped), or None
+    for no cap. The engine drops every stored total past total_cap. A
+    coordinate may be capped only where every per-component entry is
+    non-negative, so totals only grow towards the root, and where the cap
+    names no target, so the kept totals answer every target alike.
+    Hamiltonian path caps its count of current locations at v_upper, one
+    per timestep. Firefighter and tred keep None: firefighter's saved entry
+    is negative and a cap on its budget entries kept tables no smaller, and
+    tred's v_upper is its target.
+
+    Hooks: labellings are tuples aligned with a component's sorted vertex
+    tuple, and each hook reads the component's time as comp.t. check is St,
+    Val or Fin by role and returns the counter vector a labelling fixes, or
+    None when the role rejects it. assignments returns the (labelling,
+    vector) pairs check admits, each once; its default tries every
+    labelling through check, so check stays the specification that a
     generating override must match. successors is Tr: it returns exactly
     the labellings that may follow a labelling, each once.
     check, successors and assignments must be deterministic and free of
@@ -48,47 +65,26 @@ class TimProblemPlugin:
     """
 
     labels: tuple = ()
+    # None until a plugin sets them, so a plugin that forgets fails loudly
+    v_upper: tuple = None
+    counter_bound: int = None
+    total_cap: tuple | None = None
 
-    def label_set(self, instance):
-        return self.labels
-
-    def counter_bound(self, instance) -> int:
-        """Max absolute value of any per-component vector entry."""
-        raise NotImplementedError
-
-    def v_upper(self, instance) -> tuple:
-        """The vector the summed counters must stay at or below for a yes;
-        its length is the length of every counter vector."""
-        raise NotImplementedError
-
-    def total_cap(self, instance):
-        """A componentwise cap that no subtree total of a yes-instance
-        exceeds, as a tuple as long as v_upper (math.inf leaves an entry
-        uncapped), or None for no cap. The engine drops every stored total
-        past it. A coordinate may be capped only where every per-component
-        entry is non-negative, so totals only grow towards the root, and
-        where the cap names no target, so the kept totals answer every
-        target alike. Hamiltonian path caps its count of current locations
-        at v_upper, one per timestep. Firefighter and tred keep None:
-        firefighter's saved entry is negative and a cap on its budget
-        entries kept tables no smaller, and tred's v_upper is its target."""
-        return None
-
-    def check(self, labelling, comp: ComponentGraph, role, instance):
+    def check(self, labelling, comp: ComponentGraph, role):
         """St ("start"), Val ("val") or Fin ("fin"): the labelling's vector
         as a tuple, or None when the role does not admit the labelling."""
         raise NotImplementedError
 
-    def successors(self, prev_labelling, comp: ComponentGraph, instance):
+    def successors(self, prev_labelling, comp: ComponentGraph):
         """Tr: every labelling that may follow prev_labelling, each once."""
         raise NotImplementedError
 
-    def assignments(self, comp, role, instance):
+    def assignments(self, comp, role):
         """Every (labelling, vector) pair check admits on one timed
         component, each once, as a list; this default generates and tests."""
         out = []
-        for labelling in product(self.label_set(instance), repeat=len(comp.vertices)):
-            vec = self.check(labelling, comp, role, instance)
+        for labelling in product(self.labels, repeat=len(comp.vertices)):
+            vec = self.check(labelling, comp, role)
             if vec is not None:
                 out.append((labelling, vec))
         return out
@@ -210,7 +206,7 @@ class TimSolveResult:
 DEFAULT_PROFILE_CAP = 2_000_000
 
 
-def realisable_profiles(structure, plugin, instance, node, child_results, cap=DEFAULT_PROFILE_CAP):
+def realisable_profiles(structure, plugin, node, child_results, cap=DEFAULT_PROFILE_CAP):
     """Realisable partial profiles of one bag, with their minimal totals.
 
     Returns a dict keyed by (rho, extra) where rho assigns (labelling, vector)
@@ -250,7 +246,7 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
 
     # guard before materialising anything: the label product alone ought to
     # stay below the cap
-    n_labels = len(plugin.label_set(instance))
+    n_labels = len(plugin.labels)
     estimate = 1
     for c in down:
         estimate *= max(len(child_results[c]), 1)
@@ -265,11 +261,11 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     def options_of(key, prev):
         comp = comps[key]
         if prev is None:
-            opts = plugin.assignments(comp, role, instance)
+            opts = plugin.assignments(comp, role)
         else:
             opts = []
-            for l in plugin.successors(prev, comp, instance):
-                vec = plugin.check(l, comp, role, instance)
+            for l in plugin.successors(prev, comp):
+                vec = plugin.check(l, comp, role)
                 if vec is not None:
                     opts.append((l, vec))
         option_cache[key, prev] = opts
@@ -299,7 +295,7 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     def successor_set(key, prev):
         succ = succ_cache.get((key, prev))
         if succ is None:
-            succ = succ_cache[key, prev] = frozenset(plugin.successors(prev, comps[key], instance))
+            succ = succ_cache[key, prev] = frozenset(plugin.successors(prev, comps[key]))
         return succ
 
     def joined_up(groups, need, checks, restriction):
@@ -343,7 +339,7 @@ def realisable_profiles(structure, plugin, instance, node, child_results, cap=DE
     elif len(down) == 1:
         combos = (((rho_c,), totals_c) for (rho_c, _extra), totals_c in child_results[down[0]].items())
     else:
-        zero = (0,) * len(plugin.v_upper(instance))
+        zero = (0,) * len(plugin.v_upper)
         combos = (
             (tuple(rho_c for (rho_c, _extra), _totals in combo),
              _add_sums(set(), zero, [totals for _, totals in combo]))
@@ -406,7 +402,7 @@ def _compose(row, power):
     return tuple(out)
 
 
-def fold_idle_run(structure, plugin, instance, node, base_results, seen):
+def fold_idle_run(structure, plugin, node, base_results, seen):
     """Realisable profiles of interval node `node`, folded one stretch at a time.
 
     The node holds {v} from the timestep next to its only child, itself a
@@ -432,7 +428,7 @@ def fold_idle_run(structure, plugin, instance, node, base_results, seen):
     """
     rd = structure.rooted
     lam = structure.graph.lifetime
-    labels = [(label,) for label in plugin.label_set(instance)]
+    labels = [(label,) for label in plugin.labels]
     v = min(rd.bags[node])
 
     # the plugin's one-vertex answers, asked once per time in a solve: the
@@ -450,12 +446,12 @@ def fold_idle_run(structure, plugin, instance, node, base_results, seen):
             if succ is None:
                 tr_comp = ComponentGraph(u, (v,), ())
                 succ = entering[u] = {
-                    c: frozenset(plugin.successors(c, tr_comp, instance)) for c in labels
+                    c: frozenset(plugin.successors(c, tr_comp)) for c in labels
                 }
             opts = assigned.get(t)
             if opts is None:
                 comp = ComponentGraph(t, (v,), ())
-                opts = assigned[t] = plugin.assignments(comp, _role(t, lam), instance)
+                opts = assigned[t] = plugin.assignments(comp, _role(t, lam))
             row = tuple(
                 (d, vec, ((succ[d] if back else frozenset(c for c in labels if d in succ[c]), vec),))
                 for d, vec in opts
@@ -512,13 +508,14 @@ def fold_idle_run(structure, plugin, instance, node, base_results, seen):
 
 def solve_component_exchangeable(
     plugin: TimProblemPlugin,
-    instance,
+    g: TemporalGraph,
     cap=DEFAULT_PROFILE_CAP,
     structure=None,
 ) -> TimSolveResult:
-    """Decide instance on structure's rooted tree, by default the interval one.
+    """Decide the instance plugin was built for, whose graph is g, on
+    structure's rooted tree, by default the interval one.
 
-    A structure handed in must be built for instance.graph (ValueError).
+    A structure handed in must be built for g (ValueError).
 
     Tables are built children first: fold_idle_run walks each interval node
     whose child is a singleton bag, realisable_profiles joins every other
@@ -528,15 +525,14 @@ def solve_component_exchangeable(
     counts those capped tables, per node. cap bounds each bag's label
     product (ResourceLimitError).
     """
-    g = instance.graph
     if g.lifetime == 0:
         raise ValueError("engine needs lifetime >= 1; handle edgeless instances upstream")
     if structure is None:
         structure = TwoStepStructure(g)
     elif structure.graph is not g and structure.graph != g:
-        raise ValueError("structure was built for another graph than the instance's")
+        raise ValueError("structure was built for another graph than g")
     rd = structure.rooted
-    limit = plugin.total_cap(instance)
+    limit = plugin.total_cap
 
     idle_seen = {}
     results = {}
@@ -550,10 +546,10 @@ def solve_component_exchangeable(
             # a child with no profile leaves none to its parent
             res = {}
         elif run:
-            res = fold_idle_run(structure, plugin, instance, node, results[children[0]], idle_seen)
+            res = fold_idle_run(structure, plugin, node, results[children[0]], idle_seen)
         else:
             child_results = {c: results[c] for c in children}
-            res = realisable_profiles(structure, plugin, instance, node, child_results, cap)
+            res = realisable_profiles(structure, plugin, node, child_results, cap)
         for c in children:
             del results[c]
         if limit is not None and res:
@@ -577,7 +573,7 @@ def solve_component_exchangeable(
             combined |= totals
         per_tree.append(_minimal(combined))
 
-    vu = plugin.v_upper(instance)
+    vu = plugin.v_upper
     if any(not tree for tree in per_tree):
         answer = False
     else:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import snapshot
+from .core import TemporalGraph, snapshot
 from .widths import vim_sequence
 
 
@@ -61,32 +61,32 @@ class KXState:
 
 
 class VimProblemPlugin:
-    """A problem definition the VIM engine can run.
+    """A problem definition the VIM engine can run, built for one instance.
 
-    Subclasses fix the label alphabet (with a distinguished default label),
-    the counter ranges, the Tr / Ac routines, and the initial states, which
-    depend on the instance alone (the engine restricts them to F_0). Tr is
-    one hook: transition maps a state and the next step's labels to the
-    counters of the state that follows, one per counter range, or None when
-    Tr rejects the step. snap is snapshot(g, t): the edges at t over their
-    endpoints, the sorted A_t. The engine asks successors for the steps Tr
-    admits; a plugin that can generate them overrides it, and step_bound
-    with it.
+    Attributes: the label alphabet labels, with a distinguished
+    default_label; counter_ranges, the inclusive (lo, hi) per counter that
+    Tr can return, which the engine does not read but table-size bounds and
+    enumerate_bag_states do; and initial_states, the time-0 states, which
+    the engine restricts to F_0. A subclass's constructor takes the instance
+    and sets what depends on it, so the hooks take only what changes per
+    call. Tr is one hook: transition maps a state and the next step's labels
+    to the counters of the state that follows, one per counter range, or
+    None when Tr rejects the step. snap is snapshot(g, t): the edges at t
+    over their endpoints, the sorted A_t. The engine asks successors for the
+    steps Tr admits; a plugin that can generate them overrides it, and
+    step_bound with it. accept is Ac.
     """
 
     labels: tuple = ()
     default_label: str = "U"
+    counter_ranges: tuple = ()
+    # None until a plugin sets it, so a plugin that forgets fails loudly
+    initial_states: tuple = None
 
-    def counter_ranges(self, instance):
-        """Inclusive (lo, hi) per counter that Tr can return; the engine does
-        not read it, table-size bounds and enumerate_bag_states do."""
-        raise NotImplementedError
-
-    def counter_bound(self, instance):
-        return max(
-            (max(abs(lo), abs(hi)) for lo, hi in self.counter_ranges(instance)),
-            default=0,
-        )
+    @property
+    def counter_bound(self):
+        """The largest absolute value counter_ranges allows."""
+        return max((max(abs(lo), abs(hi)) for lo, hi in self.counter_ranges), default=0)
 
     def transition(self, prev: KXState, labels, snap):
         """Counters after prev with labels (its non-default labels), or None."""
@@ -118,20 +118,17 @@ class VimProblemPlugin:
         """An upper bound on what successors yields from one state."""
         return len(self.labels) ** len(snap.vertices)
 
-    def accept(self, state: KXState, instance) -> bool:
-        raise NotImplementedError
-
-    def initial_states(self, instance):
+    def accept(self, state: KXState) -> bool:
         raise NotImplementedError
 
 
-def enumerate_bag_states(bag, plugin, instance):
+def enumerate_bag_states(bag, plugin):
     """Every state on the given bag: all labellings times all counter vectors.
 
     Deterministic order, no duplicates.
     """
     verts = sorted(bag)
-    ranges = [range(lo, hi + 1) for lo, hi in plugin.counter_ranges(instance)]
+    ranges = [range(lo, hi + 1) for lo, hi in plugin.counter_ranges]
     out = []
     for labelling in product(plugin.labels, repeat=len(verts)):
         label_map = dict(zip(verts, labelling))
@@ -154,21 +151,21 @@ DEFAULT_STATE_CAP = 2_000_000
 
 
 def solve_locally_uniform(
-    plugin: VimProblemPlugin, instance, state_cap=DEFAULT_STATE_CAP, record=False
+    plugin: VimProblemPlugin, g: TemporalGraph, state_cap=DEFAULT_STATE_CAP, record=False
 ) -> VimSolveResult:
-    """Run the chronological DP of the locally-temporally-uniform meta-algorithm.
+    """Run the chronological DP of the locally-temporally-uniform
+    meta-algorithm on g, the graph of the instance plugin was built for.
 
     Each kept state's successors come from the plugin, which yields exactly
     the steps Tr admits. The guard bounds a timestep's work by the plugin's
     step_bound per kept state before the timestep runs.
     """
-    g = instance.graph
     vs = vim_sequence(g)
     lam = g.lifetime
     default = plugin.default_label
 
     states = set()
-    for s in plugin.initial_states(instance):
+    for s in plugin.initial_states:
         states.add(s.restrict(vs.bags[0]))
     table_sizes = [len(states)]
     tables = [frozenset(states)] if record else None
@@ -190,5 +187,5 @@ def solve_locally_uniform(
         if not states:
             break
 
-    answer = any(plugin.accept(s, instance) for s in states)
+    answer = any(plugin.accept(s) for s in states)
     return VimSolveResult(answer, table_sizes, vs.width, lam, g.n, tables)

@@ -40,10 +40,10 @@ from timwidth.problems import (
     solve_matching,
     solve_tred,
 )
-from timwidth.problems.firefighter import ff_tim_plugin, ff_vim_plugin
-from timwidth.problems.hamiltonian import ham_tim_plugin, ham_vim_plugin
-from timwidth.problems.matching import matching_tim_plugin
-from timwidth.problems.reachability import tred_tim_plugin
+from timwidth.problems.firefighter import FirefighterTimPlugin, FirefighterVimPlugin
+from timwidth.problems.hamiltonian import HamiltonianVimPlugin
+from timwidth.problems.matching import MatchingTimPlugin
+from timwidth.problems.reachability import TredTimPlugin
 from timwidth.widths import connected_vim_width, vim_sequence, bidirectional_cvim_width
 
 
@@ -272,46 +272,41 @@ def _tim_bound_ok(result, labels, k, b):
 def test_criterion_6_table_size_bounds(engine_suites):
     violations = 0
 
-    ham_v = ham_vim_plugin()
-    ham_t = ham_tim_plugin()
     for entry in engine_suites["ham"]:
         for run in entry["vim_runs"]:
-            if not _vim_bound_ok(run, len(ham_v.labels), 1, run.n):
+            if not _vim_bound_ok(run, len(HamiltonianVimPlugin.labels), 1, run.n):
                 violations += 1
         inst = None
         for run in entry["tim_runs"]:
             if not _tim_bound_ok(run, 3, 1, 1):
                 violations += 1
 
-    ff_v = ff_vim_plugin()
-    ff_t = ff_tim_plugin()
     for entry in engine_suites["ff"]:
         norm = None
         if entry["vim_runs"] or entry["tim_runs"]:
             norm = normalize_firefighter(entry["instance"])
         for run in entry["vim_runs"]:
-            b = ff_v.counter_bound(norm)
+            b = FirefighterVimPlugin(norm).counter_bound
             if not _vim_bound_ok(run, 3, 2, b):
                 violations += 1
         for run in entry["tim_runs"]:
-            k = len(ff_t.v_upper(norm))
-            b = ff_t.counter_bound(norm)
+            ff_t = FirefighterTimPlugin(norm)
+            k = len(ff_t.v_upper)
+            b = ff_t.counter_bound
             if not _tim_bound_ok(run, 4, k, b):
                 violations += 1
 
-    match_t = matching_tim_plugin()
     for entry in engine_suites["matching"]:
-        inst = entry["instance"]
+        match_t = MatchingTimPlugin(entry["instance"])
         for run in entry["tim_runs"]:
-            labels = len(match_t.label_set(inst))
-            if not _tim_bound_ok(run, labels, 1, match_t.counter_bound(inst)):
+            labels = len(match_t.labels)
+            if not _tim_bound_ok(run, labels, 1, match_t.counter_bound):
                 violations += 1
 
-    tred_t = tred_tim_plugin()
     for entry in engine_suites["tred"]:
-        inst = entry["instance"]
+        tred_t = TredTimPlugin(entry["instance"])
         for run in entry["tim_runs"]:
-            if not _tim_bound_ok(run, 3, 2, tred_t.counter_bound(inst)):
+            if not _tim_bound_ok(run, 3, 2, tred_t.counter_bound):
                 violations += 1
 
     _report(

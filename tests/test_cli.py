@@ -157,12 +157,18 @@ def test_verify_prints_each_disagreement(capsys, monkeypatch, tmp_path):
         assert out.splitlines()[0] == re.search(r"oracle=(\w+)", header).group(1)
 
 
-def test_bench_csv(capsys):
-    code, out, _ = run_cli(capsys, "bench", "quick", "--seed", "2")
-    assert code == 0
-    header = out.splitlines()[0]
-    assert header == "instance_id,n,lifetime,vim,tim,problem,engine,answer,micros,peak_table_entries"
-    assert len(out.splitlines()) > 5
+def test_bench_csv(capsys, tmp_path):
+    path = tmp_path / "quick.csv"
+    for to_file in (False, True):
+        out_args = ("--out", str(path)) if to_file else ()
+        code, out, _ = run_cli(capsys, "bench", "quick", "--seed", "2", *out_args)
+        assert code == 0
+        if to_file:
+            assert out == ""
+            out = path.read_text(encoding="utf-8")
+        header = out.splitlines()[0]
+        assert header == "instance_id,n,lifetime,vim,tim,problem,engine,answer,micros,peak_table_entries"
+        assert len(out.splitlines()) > 5
 
 
 def test_parse_error_exit_code(capsys, tmp_path):
@@ -173,14 +179,34 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "line 2" in err
 
 
-def test_usage_errors_exit_2(capsys, single_edge):
+def test_usage_errors_exit_2(capsys, single_edge, tmp_path):
     # exit 1 is verify's code for a disagreement
-    code, out, err = run_cli(capsys, "solve", "ff", single_edge)
-    assert (code, out) == (2, "")
-    assert err == "error: firefighter needs --root or a root directive\n"
-    code, out, err = run_cli(capsys, "solve", "matching", single_edge, "--engine", "vim")
-    assert (code, out) == (2, "")
-    assert err == "error: matching is implemented for the tim engine\n"
+    missing = str(tmp_path / "missing.tg")
+    cases = (
+        (("solve", "ff", single_edge), "firefighter needs --root or a root directive"),
+        (("solve", "matching", single_edge, "--engine", "vim"), "matching is implemented for the tim engine"),
+        (("solve", "tred", single_edge), "tred needs --source or a source directive"),
+        (("solve", "tred", single_edge, "--source", "0", "--engine", "vim"),
+         "tred is implemented for the tim engine"),
+        (("solve", "nosuch", single_edge), "unknown problem 'nosuch'"),
+        (("gen", "hardness"), "hardness generation needs --cnf <file>"),
+        (("bench", "nosuch"), "unknown suite 'nosuch'; choose quick or scaling"),
+        (("widths", missing), f"[Errno 2] No such file or directory: {missing!r}"),
+    )
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
+def test_state_space_refusal_exits_3(capsys, tmp_path):
+    # K14 with all 91 edges at timestep 1: one bag of 14 vertices, whose
+    # label product the guard refuses before building any option
+    path = tmp_path / "k14.tg"
+    edges = [f"e {u} {v} 1" for u in range(14) for v in range(u + 1, 14)]
+    path.write_text("tgraph 14 1\n" + "\n".join(edges) + "\n")
+    code, out, err = run_cli(capsys, "solve", "matching", str(path), "--delta", "3", "--size", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: state space at ")
 
 
 def test_gen_hardness(capsys, tmp_path):

@@ -91,6 +91,26 @@ def test_validator_rejects_decomposition_of_other_shape():
     assert "n=2, Lambda=1" in report.violation.message
 
 
+@pytest.mark.parametrize(
+    "decomp, condition, message",
+    [
+        ("node 0 time=1 bag=\n", "bags", "bag 0 is empty"),
+        ("node 0 time=0 bag=0,1\n", "bags", "bag 0 has time 0 outside [1, 1]"),
+        ("node 0 time=1 bag=0,1\nnode 1 time=1 bag=1\n", "condition1", "vertex 1 in bags 0 and 1 at time 1"),
+        (TimDecomposition(2, 1, (frozenset({0, 1}),), (1,), (), ends=(1, 1)), "bags", "2 ends for 1 nodes"),
+        ("node 0 time=1 bag=0\nnode 1 time=1 bag=1\nnode 2 time=1 bag=0\n", "bags",
+         "3 bags exceed n*Lambda = 2"),
+    ],
+    ids=["empty-bag", "time-0", "vertex-twice", "ends", "too-many-bags"],
+)
+def test_validator_refusals(decomp, condition, message):
+    if isinstance(decomp, str):
+        decomp = parse_decomposition(decomp, 2, 1)
+    report = validate_decomposition(TemporalGraph(2, [(0, 1, 1)]), decomp)
+    assert not report.ok
+    assert (report.violation.condition, report.violation.message) == (condition, message)
+
+
 def test_validator_catches_wrong_arcs():
     two = TemporalGraph(2, [(0, 1, 1), (0, 1, 2)])
     # nodes 0 {0, 1} and 1 {2} at time 1, 2 {0} and 3 {1, 2} at time 2

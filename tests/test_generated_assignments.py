@@ -8,14 +8,14 @@ from timwidth.core import ComponentGraph, _components
 from timwidth.generators import gen_random
 from timwidth.problems import (
     FirefighterInstance,
+    FirefighterTimPlugin,
     HamiltonianInstance,
+    HamiltonianTimPlugin,
     MatchingInstance,
+    MatchingTimPlugin,
     TredInstance,
-    ff_tim_plugin,
-    ham_tim_plugin,
-    matching_tim_plugin,
+    TredTimPlugin,
     normalize_firefighter,
-    tred_tim_plugin,
 )
 from timwidth.tim_engine import TimProblemPlugin, solve_component_exchangeable
 
@@ -35,13 +35,13 @@ def snapshot_components(g):
 
 def plugin_cases(g, comp):
     """Each plugin on g; ff's root and tred's source inside and outside comp."""
-    yield ham_tim_plugin(), HamiltonianInstance(g)
+    yield HamiltonianTimPlugin(HamiltonianInstance(g))
     for delta in (1, 2, 3):
-        yield matching_tim_plugin(), MatchingInstance(g, delta, 1)
+        yield MatchingTimPlugin(MatchingInstance(g, delta, 1))
     outside = [v for v in range(g.n) if v not in comp.vertices]
     for v in (comp.vertices[-1], *outside[:1]):
-        yield ff_tim_plugin(), FirefighterInstance(g, v, 1)
-        yield tred_tim_plugin(), TredInstance(g, v, 1, 1)
+        yield FirefighterTimPlugin(FirefighterInstance(g, v, 1))
+        yield TredTimPlugin(TredInstance(g, v, 1, 1))
 
 
 def test_generated_assignments_equal_product():
@@ -53,12 +53,12 @@ def test_generated_assignments_equal_product():
         n = rng.randint(1, 7)
         g = gen_random(n, rng.randint(1, 3), 0.45, max_times_per_edge=2, seed=rng.randrange(1 << 30))
         for comp in snapshot_components(g):
-            for plugin, inst in plugin_cases(g, comp):
-                if len(plugin.label_set(inst)) ** len(comp.vertices) > max_product:
+            for plugin in plugin_cases(g, comp):
+                if len(plugin.labels) ** len(comp.vertices) > max_product:
                     continue
                 for role in ROLES:
-                    got = plugin.assignments(comp, role, inst)
-                    want = TimProblemPlugin.assignments(plugin, comp, role, inst)
+                    got = plugin.assignments(comp, role)
+                    want = TimProblemPlugin.assignments(plugin, comp, role)
                     assert len(got) == len(set(got)), (type(plugin).__name__, role, comp)
                     assert set(got) == set(want), (type(plugin).__name__, role, comp)
                     seen[type(plugin).__name__, role, len(comp.vertices) >= 5] += 1
@@ -67,13 +67,13 @@ def test_generated_assignments_equal_product():
     assert all(seen[name, role, True] for name in names for role in ROLES)
 
 
-def product_plugin(plugin):
+def product_plugin(plugin, inst):
     """The same plugin with the base class's generate-and-test assignments."""
 
     class Product(type(plugin)):
         assignments = TimProblemPlugin.assignments
 
-    return Product()
+    return Product(inst)
 
 
 def engine_cases():
@@ -83,7 +83,8 @@ def engine_cases():
     rng = random.Random(404)
     for _ in range(10):
         g = _random_instance_graph(rng, 3, 7, 5)
-        cases.append((ham_tim_plugin(), HamiltonianInstance(g)))
+        inst = HamiltonianInstance(g)
+        cases.append((HamiltonianTimPlugin(inst), inst))
     rng = random.Random(505)
     for n_lo, n_hi, count in ((3, 6, 10), (6, 6, 3)):
         for _ in range(count):
@@ -91,17 +92,19 @@ def engine_cases():
             roots = sorted({v for u, w, _ in g.time_edges for v in (u, w)})
             if roots:
                 inst = FirefighterInstance(g, rng.choice(roots), rng.randint(0, g.n))
-                cases.append((ff_tim_plugin(), normalize_firefighter(inst)))
+                inst = normalize_firefighter(inst)
+                cases.append((FirefighterTimPlugin(inst), inst))
     rng = random.Random(606)
     for n_lo, n_hi, deltas, count in ((3, 7, (1, 2, 3), 10), (6, 6, (3,), 2), (7, 7, (3,), 1)):
         for _ in range(count):
             g = _random_instance_graph(rng, n_lo, n_hi, 5)
             inst = MatchingInstance(g, rng.choice(deltas), rng.randint(1, 3))
-            cases.append((matching_tim_plugin(), inst))
+            cases.append((MatchingTimPlugin(inst), inst))
     rng = random.Random(707)
     for _ in range(10):
         g = _random_instance_graph(rng, 3, 7, 5)
-        cases.append((tred_tim_plugin(), TredInstance(g, rng.randrange(g.n), rng.randint(1, g.n), rng.randint(0, 3))))
+        inst = TredInstance(g, rng.randrange(g.n), rng.randint(1, g.n), rng.randint(0, 3))
+        cases.append((TredTimPlugin(inst), inst))
     return [(plugin, inst) for plugin, inst in cases if inst.graph.lifetime >= 1]
 
 
@@ -109,8 +112,8 @@ def test_engine_answers_equal_with_product_assignments():
     cases = engine_cases()
     assert len(cases) > 40
     for plugin, inst in cases:
-        got = solve_component_exchangeable(plugin, inst)
-        want = solve_component_exchangeable(product_plugin(plugin), inst)
+        got = solve_component_exchangeable(plugin, inst.graph)
+        want = solve_component_exchangeable(product_plugin(plugin, inst), inst.graph)
         assert got.answer == want.answer, (type(plugin).__name__, inst)
         assert got.profile_counts == want.profile_counts, (type(plugin).__name__, inst)
         assert got.bag_count == want.bag_count

@@ -1,5 +1,6 @@
 """What the plugin contracts state once: vector lengths come from v_upper and
-counter_ranges, and README's hook lists match the base classes."""
+counter_ranges, a plugin is built for its instance and no hook takes it, and
+README's hook lists match the base classes."""
 
 import inspect
 import random
@@ -8,11 +9,14 @@ from collections import Counter
 from itertools import product
 from pathlib import Path
 
+from timwidth import tim_engine, vim_engine
 from timwidth.core import TemporalGraph, snapshot
 from timwidth.generators import gen_random
 from timwidth.problems import FirefighterInstance, HamiltonianInstance, normalize_firefighter
-from timwidth.problems.firefighter import ff_vim_plugin
-from timwidth.problems.hamiltonian import ham_vim_plugin
+from timwidth.problems.firefighter import FirefighterTimPlugin, FirefighterVimPlugin
+from timwidth.problems.hamiltonian import HamiltonianTimPlugin, HamiltonianVimPlugin
+from timwidth.problems.matching import MatchingTimPlugin
+from timwidth.problems.reachability import TredTimPlugin
 from timwidth.tim_engine import TimProblemPlugin
 from timwidth.vim_engine import VimProblemPlugin, solve_locally_uniform
 from timwidth.widths import vim_sequence
@@ -36,18 +40,18 @@ def test_tim_vectors_have_v_upper_length():
     graphs.append(TemporalGraph(3, []))
     for g in graphs:
         for comp in snapshot_components(g):
-            for plugin, inst in plugin_cases(g, comp):
+            for plugin in plugin_cases(g, comp):
                 name = type(plugin).__name__
-                k = len(plugin.v_upper(inst))
-                cap = plugin.total_cap(inst)
+                k = len(plugin.v_upper)
+                cap = plugin.total_cap
                 assert cap is None or len(cap) == k, name
-                labels = plugin.label_set(inst)
+                labels = plugin.labels
                 small = len(labels) ** len(comp.vertices) <= max_product
                 for role in ROLES:
-                    vectors = [vec for _, vec in plugin.assignments(comp, role, inst)]
+                    vectors = [vec for _, vec in plugin.assignments(comp, role)]
                     if small:
                         for labelling in product(labels, repeat=len(comp.vertices)):
-                            vec = plugin.check(labelling, comp, role, inst)
+                            vec = plugin.check(labelling, comp, role)
                             if vec is not None:
                                 vectors.append(vec)
                     assert all(len(vec) == k for vec in vectors), (name, role, comp)
@@ -65,13 +69,14 @@ def test_vim_counters_have_counter_ranges_length():
             continue
         root = rng.choice(sorted({v for u, w, _ in g.time_edges for v in (u, w)}))
         ff_inst = normalize_firefighter(FirefighterInstance(g, root, rng.randint(0, g.n)))
-        for plugin, inst in ((ham_vim_plugin(), HamiltonianInstance(g)), (ff_vim_plugin(), ff_inst)):
-            name = type(plugin).__name__
-            k = len(plugin.counter_ranges(inst))
-            assert all(len(s.counters) == k for s in plugin.initial_states(inst)), name
+        for cls, inst in ((HamiltonianVimPlugin, HamiltonianInstance(g)), (FirefighterVimPlugin, ff_inst)):
+            plugin = cls(inst)
+            name = cls.__name__
+            k = len(plugin.counter_ranges)
+            assert all(len(s.counters) == k for s in plugin.initial_states), name
             h = inst.graph
             vs = vim_sequence(h)
-            tables = solve_locally_uniform(plugin, inst, record=True).tables
+            tables = solve_locally_uniform(plugin, h, record=True).tables
             for t, table in enumerate(tables[: h.lifetime], start=1):
                 snap = snapshot(h, t)
                 for kept in table:
@@ -81,6 +86,46 @@ def test_vim_counters_have_counter_ranges_length():
                         assert len(plugin.transition(prev, labels, snap)) == k, (name, t, prev)
                         steps[name] += 1
     assert len(steps) == 2 and min(steps.values()) > 200
+
+
+PLUGINS = (
+    (TimProblemPlugin, (HamiltonianTimPlugin, FirefighterTimPlugin, MatchingTimPlugin, TredTimPlugin)),
+    (VimProblemPlugin, (HamiltonianVimPlugin, FirefighterVimPlugin)),
+)
+
+
+def public_methods(cls):
+    """Name -> function of each public method cls defines itself."""
+    return {name: value for name, value in vars(cls).items() if callable(value) and not name.startswith("_")}
+
+
+def parameters(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_plugins_are_built_for_their_instance():
+    # the constructor takes the instance; every public method is a base
+    # hook, takes no instance and keeps its base hook's parameters
+    for base, plugins in PLUGINS:
+        hooks = public_methods(base)
+        assert hooks and all("instance" not in parameters(fn) for fn in hooks.values()), base.__name__
+        for cls in plugins:
+            assert issubclass(cls, base)
+            assert parameters(cls.__init__) == ["self", "instance"], cls.__name__
+            for name, fn in public_methods(cls).items():
+                assert name in hooks, (cls.__name__, name)
+                assert parameters(fn) == parameters(hooks[name]), (cls.__name__, name)
+    # the engines take the graph, and what they pass on takes no instance either
+    for fn in (
+        tim_engine.solve_component_exchangeable,
+        tim_engine.realisable_profiles,
+        tim_engine.fold_idle_run,
+        vim_engine.solve_locally_uniform,
+        vim_engine.enumerate_bag_states,
+    ):
+        assert "instance" not in parameters(fn), fn.__name__
+    assert parameters(tim_engine.solve_component_exchangeable)[:2] == ["plugin", "g"]
+    assert parameters(vim_engine.solve_locally_uniform)[:2] == ["plugin", "g"]
 
 
 HOOK = re.compile(r"- `(\w+)(?:\(([^)]*)\))?`")

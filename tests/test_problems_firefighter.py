@@ -7,8 +7,7 @@ from timwidth.generators import gen_ordered_tree, gen_random
 from timwidth.oracles import oracle_firefighter_max
 from timwidth.problems import (
     FirefighterInstance,
-    ff_tim_plugin,
-    ff_vim_plugin,
+    FirefighterVimPlugin,
     normalize_firefighter,
     solve_firefighter,
 )
@@ -28,15 +27,17 @@ def vim_instance(g, root, h):
 
 
 def test_vim_transition_defend():
-    plugin = ff_vim_plugin()
-    snap = snapshot(TemporalGraph(2, [(0, 1, 1)]), 1)
+    g = TemporalGraph(2, [(0, 1, 1)])
+    plugin = FirefighterVimPlugin(FirefighterInstance(g, 0, 1))
+    snap = snapshot(g, 1)
     s1 = state({0: "B"}, 1, 1)
     assert plugin.transition(s1, {0: "B", 1: "D"}, snap) == (1, 1)
 
 
 def test_vim_transition_spread():
-    plugin = ff_vim_plugin()
-    snap = snapshot(TemporalGraph(2, [(0, 1, 1)]), 1)
+    g = TemporalGraph(2, [(0, 1, 1)])
+    plugin = FirefighterVimPlugin(FirefighterInstance(g, 0, 1))
+    snap = snapshot(g, 1)
     s1 = state({0: "B"}, 1, 1)
     assert plugin.transition(s1, {0: "B", 1: "B"}, snap) == (2, 2)
     # an undefended neighbour must burn
@@ -44,8 +45,9 @@ def test_vim_transition_spread():
 
 
 def test_vim_transition_budget_stays_positive():
-    plugin = ff_vim_plugin()
-    snap = snapshot(TemporalGraph(3, [(0, 1, 1), (0, 2, 1)]), 1)
+    g = TemporalGraph(3, [(0, 1, 1), (0, 2, 1)])
+    plugin = FirefighterVimPlugin(FirefighterInstance(g, 0, 1))
+    snap = snapshot(g, 1)
     s1 = state({0: "B"}, 1, 1)
     assert plugin.transition(s1, {0: "B", 1: "D", 2: "B"}, snap) == (2, 1)
     # two defences from budget 1 would leave budget 0
@@ -53,16 +55,15 @@ def test_vim_transition_budget_stays_positive():
 
 
 def test_tim_transition_examples():
-    plugin = ff_tim_plugin()
-    inst = normalize_firefighter(
+    plugin = FirefighterTimPlugin(normalize_firefighter(
         FirefighterInstance(TemporalGraph(3, [(0, 1, 1), (1, 2, 1)]), 0, 1)
-    )
+    ))
     comp = ComponentGraph(1, (0, 1, 2), ((0, 1), (1, 2)))
-    assert ("B", "N", "U") in plugin.successors(("B", "U", "U"), comp, inst)
-    assert ("B", "U", "U") not in plugin.successors(("B", "B", "U"), comp, inst)
+    assert ("B", "N", "U") in plugin.successors(("B", "U", "U"), comp)
+    assert ("B", "U", "U") not in plugin.successors(("B", "B", "U"), comp)
     # undefended neighbour must burn
-    assert ("B", "U", "U") not in plugin.successors(("B", "U", "U"), comp, inst)
-    assert ("B", "B", "U") in plugin.successors(("B", "U", "U"), comp, inst)
+    assert ("B", "U", "U") not in plugin.successors(("B", "U", "U"), comp)
+    assert ("B", "B", "U") in plugin.successors(("B", "U", "U"), comp)
 
 
 def test_normalization_shifts_and_credits_budget():
@@ -119,15 +120,16 @@ class RepeatedDefenceCount(FirefighterTimPlugin):
     """The vectors with a last entry d', the defences the labelling makes,
     capped in v_upper like d_Lambda; assignments generate and test."""
 
-    def v_upper(self, instance):
-        return super().v_upper(instance) + (instance.start_budget + instance.graph.lifetime - 1,)
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.v_upper += (instance.start_budget + instance.graph.lifetime - 1,)
 
-    def check(self, labelling, comp, role, instance):
-        vec = super().check(labelling, comp, role, instance)
+    def check(self, labelling, comp, role):
+        vec = super().check(labelling, comp, role)
         return None if vec is None else vec + (labelling.count(NEWDEF),)
 
-    def assignments(self, comp, role, instance):
-        return TimProblemPlugin.assignments(self, comp, role, instance)
+    def assignments(self, comp, role):
+        return TimProblemPlugin.assignments(self, comp, role)
 
 
 def test_tim_vectors_equal_with_repeated_defence_count():
@@ -147,8 +149,8 @@ def test_tim_vectors_equal_with_repeated_defence_count():
         if not roots:
             continue
         inst = normalize_firefighter(FirefighterInstance(g, rng.choice(roots), rng.randint(g.n // 2, g.n)))
-        got = solve_component_exchangeable(ff_tim_plugin(), inst)
-        want = solve_component_exchangeable(RepeatedDefenceCount(), inst)
+        got = solve_component_exchangeable(FirefighterTimPlugin(inst), inst.graph)
+        want = solve_component_exchangeable(RepeatedDefenceCount(inst), inst.graph)
         assert got.answer == want.answer, inst
         assert got.profile_counts == want.profile_counts, inst
         assert got.bag_count == want.bag_count, inst

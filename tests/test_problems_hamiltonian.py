@@ -6,7 +6,7 @@ import pytest
 from timwidth.core import TemporalGraph, shift_graph, snapshot
 from timwidth.generators import gen_hard_ham_path, gen_ordered_tree, gen_random
 from timwidth.oracles import oracle_ham
-from timwidth.problems import HamiltonianInstance, ham_tim_plugin, ham_vim_plugin, solve_hamiltonian
+from timwidth.problems import HamiltonianInstance, solve_hamiltonian
 from timwidth.problems.hamiltonian import HamiltonianTimPlugin, HamiltonianVimPlugin
 from timwidth.tim_engine import ComponentGraph, TwoStepStructure, solve_component_exchangeable
 from timwidth.vim_engine import KXState, ResourceLimitError, VimProblemPlugin, solve_locally_uniform
@@ -20,8 +20,9 @@ def state(labels, h):
 
 
 def test_vim_transition_move():
-    plugin = ham_vim_plugin()
-    snap = snapshot(TemporalGraph(2, [(0, 1, 1)]), 1)
+    g = TemporalGraph(2, [(0, 1, 1)])
+    plugin = HamiltonianVimPlugin(HamiltonianInstance(g))
+    snap = snapshot(g, 1)
     s1 = state({0: "C"}, 1)
     assert plugin.transition(s1, {0: "V", 1: "C"}, snap) == (2,)
     # the current vertex may not move onto a visited vertex
@@ -29,8 +30,9 @@ def test_vim_transition_move():
 
 
 def test_vim_transition_identity():
-    plugin = ham_vim_plugin()
-    snap = snapshot(TemporalGraph(2, [(0, 1, 2)]), 1)
+    g = TemporalGraph(2, [(0, 1, 2)])
+    plugin = HamiltonianVimPlugin(HamiltonianInstance(g))
+    snap = snapshot(g, 1)
     s1 = state({0: "C"}, 1)
     assert plugin.transition(s1, {0: "C"}, snap) == (1,)
     # a move needs a snapshot edge
@@ -38,8 +40,9 @@ def test_vim_transition_identity():
 
 
 def test_vim_start_over_snapshot_edge():
-    plugin = ham_vim_plugin()
-    snap = snapshot(TemporalGraph(3, [(0, 1, 1)]), 1)
+    g = TemporalGraph(3, [(0, 1, 1)])
+    plugin = HamiltonianVimPlugin(HamiltonianInstance(g))
+    snap = snapshot(g, 1)
     start = state({}, 0)
     assert plugin.transition(start, {0: "V", 1: "C"}, snap) == (2,)
     assert plugin.transition(start, {1: "V", 0: "C"}, snap) == (2,)
@@ -52,29 +55,27 @@ def test_vim_start_over_snapshot_edge():
 
 
 def test_vim_start_counters():
-    plugin = ham_vim_plugin()
     inst = HamiltonianInstance(TemporalGraph(3, [(0, 1, 1)]))
-    assert plugin.initial_states(inst) == [state({}, 0)]
-    assert plugin.counter_ranges(inst) == ((0, 3),)
+    plugin = HamiltonianVimPlugin(inst)
+    assert plugin.initial_states == (state({}, 0),)
+    assert plugin.counter_ranges == ((0, 3),)
     assert plugin.transition(state({}, 0), {0: "V", 1: "C"}, snapshot(inst.graph, 1)) == (2,)
 
 
 def test_tim_st_examples():
-    plugin = ham_tim_plugin()
+    plugin = HamiltonianTimPlugin(HamiltonianInstance(TemporalGraph(2, [(0, 1, 1)])))
     comp = ComponentGraph(1, (0, 1), ((0, 1),))
-    inst = HamiltonianInstance(TemporalGraph(2, [(0, 1, 1)]))
-    assert plugin.check(("C", "U"), comp, "start", inst) == (1,)
-    assert plugin.check(("C", "C"), comp, "start", inst) is None
-    assert plugin.check(("V", "U"), comp, "start", inst) is None
+    assert plugin.check(("C", "U"), comp, "start") == (1,)
+    assert plugin.check(("C", "C"), comp, "start") is None
+    assert plugin.check(("V", "U"), comp, "start") is None
 
 
 def test_tim_transition_example():
-    plugin = ham_tim_plugin()
+    plugin = HamiltonianTimPlugin(HamiltonianInstance(TemporalGraph(2, [(0, 1, 1)])))
     comp = ComponentGraph(1, (0, 1), ((0, 1),))
-    inst = HamiltonianInstance(TemporalGraph(2, [(0, 1, 1)]))
-    assert ("V", "C") in plugin.successors(("C", "U"), comp, inst)
-    assert ("C", "C") not in plugin.successors(("C", "U"), comp, inst)
-    assert ("V", "C") in plugin.successors(("V", "C"), comp, inst)
+    assert ("V", "C") in plugin.successors(("C", "U"), comp)
+    assert ("C", "C") not in plugin.successors(("C", "U"), comp)
+    assert ("V", "C") in plugin.successors(("V", "C"), comp)
 
 
 def test_single_vertex_and_edgeless():
@@ -122,9 +123,10 @@ def test_engines_match_oracle(rng):
 class StartOnF0Plugin(HamiltonianVimPlugin):
     """The per-start-time formulation: the path starts as C on F_0 with h = 1."""
 
-    def initial_states(self, instance):
+    def __init__(self, instance):
+        super().__init__(instance)
         f0 = vim_sequence(instance.graph).bags[0]
-        return [state({v: "C"}, 1) for v in sorted(f0)]
+        self.initial_states = [state({v: "C"}, 1) for v in sorted(f0)]
 
 
 def solve_per_shift(g):
@@ -133,7 +135,7 @@ def solve_per_shift(g):
     for shift in range(g.lifetime):
         shifted = shift_graph(g, shift + 1)
         if len(shifted.time_edges) >= g.n - 1:
-            if solve_locally_uniform(StartOnF0Plugin(), HamiltonianInstance(shifted)).answer:
+            if solve_locally_uniform(StartOnF0Plugin(HamiltonianInstance(shifted)), shifted).answer:
                 return True
     return False
 
@@ -160,11 +162,12 @@ def test_generated_steps_are_exactly_tr():
     # no more than step_bound of them
     rng = random.Random(2121)
     checked = 0
-    for plugin in (HamiltonianVimPlugin(), StartOnF0Plugin()):
+    for cls in (HamiltonianVimPlugin, StartOnF0Plugin):
         for _ in range(60):
             g = random_graph(rng, n_max=6, lam_max=5, n_min=2)
             vs = vim_sequence(g)
-            tables = solve_locally_uniform(plugin, HamiltonianInstance(g), record=True).tables
+            plugin = cls(HamiltonianInstance(g))
+            tables = solve_locally_uniform(plugin, g, record=True).tables
             for t, table in enumerate(tables[: g.lifetime], start=1):
                 snap = snapshot(g, t)
                 for kept in table:
@@ -226,19 +229,18 @@ def test_vim_matches_tim_beyond_oracle_reach():
 def test_tim_vectors_are_never_negative():
     # what makes total_cap sound: subtree totals only grow towards the root,
     # so a total past v_upper stays past it
-    plugin = ham_tim_plugin()
     rng = random.Random(240)
     seen = 0
     for _ in range(30):
         g = random_graph(rng, n_max=6, lam_max=4, p=0.5, n_min=2)
         if not g.time_edges:
             continue
-        inst = HamiltonianInstance(g)
+        plugin = HamiltonianTimPlugin(HamiltonianInstance(g))
         for comp in TwoStepStructure(g).comps.values():
             for role in ("start", "val", "fin"):
-                vectors = [vec for _, vec in plugin.assignments(comp, role, inst)]
+                vectors = [vec for _, vec in plugin.assignments(comp, role)]
                 for labelling in product(plugin.labels, repeat=len(comp.vertices)):
-                    vec = plugin.check(labelling, comp, role, inst)
+                    vec = plugin.check(labelling, comp, role)
                     if vec is not None:
                         vectors.append(vec)
                 assert all(x >= 0 for vec in vectors for x in vec), (comp, role)
@@ -247,8 +249,9 @@ def test_tim_vectors_are_never_negative():
 
 
 class UncappedHamiltonianTimPlugin(HamiltonianTimPlugin):
-    def total_cap(self, instance):
-        return None
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.total_cap = None
 
 
 def test_total_cap_keeps_answers_and_shrinks_tables():
@@ -267,8 +270,8 @@ def test_total_cap_keeps_answers_and_shrinks_tables():
             continue
         inst = HamiltonianInstance(g)
         structure = TwoStepStructure(g)
-        capped = solve_component_exchangeable(ham_tim_plugin(), inst, structure=structure)
-        full = solve_component_exchangeable(UncappedHamiltonianTimPlugin(), inst, structure=structure)
+        capped = solve_component_exchangeable(HamiltonianTimPlugin(inst), g, structure=structure)
+        full = solve_component_exchangeable(UncappedHamiltonianTimPlugin(inst), g, structure=structure)
         assert capped.answer == full.answer, g
         assert capped.profile_counts.keys() == full.profile_counts.keys()
         assert all(capped.profile_counts[x] <= c for x, c in full.profile_counts.items()), g

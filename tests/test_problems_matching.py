@@ -1,56 +1,50 @@
 from timwidth.core import TemporalGraph
 from timwidth.oracles import oracle_matching
-from timwidth.problems import MatchingInstance, matching_tim_plugin, solve_matching
-from timwidth.problems.matching import has_perfect_matching, matched_label
+from timwidth.problems import MatchingInstance, MatchingTimPlugin, solve_matching
+from timwidth.problems.matching import _next_options, has_perfect_matching, matched_label
 from timwidth.tim_engine import ComponentGraph
 
 from .conftest import random_graph
 
 
 def test_transition_arithmetic_delta2():
-    plugin = matching_tim_plugin()
-    inst = MatchingInstance(TemporalGraph(2, [(0, 1, 1)]), 2, 1)
+    plugin = MatchingTimPlugin(MatchingInstance(TemporalGraph(2, [(0, 1, 1)]), 2, 1))
     comp = ComponentGraph(1, (0,), ())
-    assert ((0, 2, 1),) in plugin.successors(((0, 1, 2),), comp, inst)
-    assert ((1, 2, 2),) not in plugin.successors(((0, 1, 2),), comp, inst)
+    assert ((0, 2, 1),) in plugin.successors(((0, 1, 2),), comp)
+    assert ((1, 2, 2),) not in plugin.successors(((0, 1, 2),), comp)
     # (0,1,1) may become matched when delta == 2
-    assert ((1, 2, 2),) in plugin.successors(((0, 1, 1),), comp, inst)
+    assert ((1, 2, 2),) in plugin.successors(((0, 1, 1),), comp)
     # after a match the window restarts
-    assert ((0, 1, 1),) in plugin.successors(((1, 2, 2),), comp, inst)
-    assert ((1, 2, 2),) not in plugin.successors(((1, 2, 2),), comp, inst)
+    assert ((0, 1, 1),) in plugin.successors(((1, 2, 2),), comp)
+    assert ((1, 2, 2),) not in plugin.successors(((1, 2, 2),), comp)
 
 
 def test_transition_delta1_allows_consecutive_matches():
-    plugin = matching_tim_plugin()
-    inst = MatchingInstance(TemporalGraph(2, [(0, 1, 1), (0, 1, 2)]), 1, 2)
+    plugin = MatchingTimPlugin(MatchingInstance(TemporalGraph(2, [(0, 1, 1), (0, 1, 2)]), 1, 2))
     comp = ComponentGraph(1, (0,), ())
-    assert ((1, 1, 1),) in plugin.successors(((1, 1, 1),), comp, inst)
-    assert ((1, 1, 1),) in plugin.successors(((0, 1, 1),), comp, inst)
+    assert ((1, 1, 1),) in plugin.successors(((1, 1, 1),), comp)
+    assert ((1, 1, 1),) in plugin.successors(((0, 1, 1),), comp)
 
 
 def test_validity_perfect_matching():
-    plugin = matching_tim_plugin()
-    inst = MatchingInstance(TemporalGraph(3, [(0, 1, 1), (1, 2, 1)]), 2, 1)
+    plugin = MatchingTimPlugin(MatchingInstance(TemporalGraph(3, [(0, 1, 1), (1, 2, 1)]), 2, 1))
     m = matched_label(2)
     free = (0, 2, 1)
     comp = ComponentGraph(1, (0, 1, 2), ((0, 1), (1, 2)))
-    assert plugin.check((m, m, free), comp, "val", inst) == (-1,)
+    assert plugin.check((m, m, free), comp, "val") == (-1,)
     # both endpoints matched but no edge between them inside the component
-    assert plugin.check((m, free, m), comp, "val", inst) is None
+    assert plugin.check((m, free, m), comp, "val") is None
 
 
 def test_label_dynamics_reach_fixpoint():
-    plugin = matching_tim_plugin()
     for delta in (1, 2, 3):
-        inst = MatchingInstance(TemporalGraph(2, [(0, 1, 1)]), delta, 0)
-        comp = ComponentGraph(1, (0,), ())
         for a in range(1, delta + 1):
             for b in range(1, delta + 1):
                 label = (0, a, b)
                 for _ in range(delta):
                     nxt = [
                         o
-                        for o in plugin._next_options(label, delta)
+                        for o in _next_options(label, delta)
                         if o[0] == 0
                     ]
                     label = nxt[0]

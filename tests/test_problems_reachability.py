@@ -1,6 +1,6 @@
 from timwidth.core import TemporalGraph
 from timwidth.oracles import oracle_tred
-from timwidth.problems import TredInstance, solve_tred, tred_tim_plugin
+from timwidth.problems import TredInstance, TredTimPlugin, solve_tred
 from timwidth.problems.reachability import label_validity_deletions
 from timwidth.tim_engine import ComponentGraph
 
@@ -15,16 +15,15 @@ def test_label_validity_on_triangle():
 
 
 def test_transition_example():
-    plugin = tred_tim_plugin()
-    inst = TredInstance(TemporalGraph(3, [(0, 1, 1), (1, 2, 1)]), 0, 1, 1)
+    plugin = TredTimPlugin(TredInstance(TemporalGraph(3, [(0, 1, 1), (1, 2, 1)]), 0, 1, 1))
     comp = ComponentGraph(1, (0, 1, 2), ((0, 1), (1, 2)))
-    assert ("R", "N", "U") in plugin.successors(("N", "U", "U"), comp, inst)
+    assert ("R", "N", "U") in plugin.successors(("N", "U", "U"), comp)
     # deleting the connecting edge keeps the neighbour unreached
-    assert ("R", "U", "U") in plugin.successors(("N", "U", "U"), comp, inst)
+    assert ("R", "U", "U") in plugin.successors(("N", "U", "U"), comp)
     # reached vertices never revert
-    assert ("U", "U", "U") not in plugin.successors(("R", "U", "U"), comp, inst)
+    assert ("U", "U", "U") not in plugin.successors(("R", "U", "U"), comp)
     # a vertex cannot become current without a reached neighbour
-    assert ("R", "U", "N") not in plugin.successors(("N", "U", "U"), comp, inst)
+    assert ("R", "U", "N") not in plugin.successors(("N", "U", "U"), comp)
 
 
 def test_trivial_cases():
@@ -48,11 +47,10 @@ def test_engine_matches_oracle(rng):
 
 
 def test_plugin_routines_are_pure(rng):
-    plugin = tred_tim_plugin()
-    inst = TredInstance(TemporalGraph(3, [(0, 1, 1)]), 0, 1, 1)
+    plugin = TredTimPlugin(TredInstance(TemporalGraph(3, [(0, 1, 1)]), 0, 1, 1))
     comp = ComponentGraph(1, (0, 1), ((0, 1),))
     for _ in range(20):
         lab1 = tuple(rng.choice("RNU") for _ in range(2))
         lab2 = tuple(rng.choice("RNU") for _ in range(2))
-        first = lab2 in plugin.successors(lab1, comp, inst)
-        assert (lab2 in plugin.successors(lab1, comp, inst)) == first
+        first = lab2 in plugin.successors(lab1, comp)
+        assert (lab2 in plugin.successors(lab1, comp)) == first

@@ -22,15 +22,11 @@ from timwidth.problems import (
     HamiltonianInstance,
     MatchingInstance,
     TredInstance,
-    ff_tim_plugin,
-    ham_tim_plugin,
-    matching_tim_plugin,
     normalize_firefighter,
     solve_firefighter,
     solve_hamiltonian,
     solve_matching,
     solve_tred,
-    tred_tim_plugin,
 )
 from timwidth.problems.firefighter import FirefighterTimPlugin
 from timwidth.problems.hamiltonian import HamiltonianTimPlugin
@@ -147,18 +143,19 @@ def components_up_to(k_max):
 def test_successors_are_exactly_tr():
     g = TemporalGraph(4, [(0, 1, 1)])
     cases = [
-        (ham_tim_plugin(), HamiltonianInstance(g), 4),
-        (tred_tim_plugin(), TredInstance(g, 0, 1, 1), 4),
-        (ff_tim_plugin(), FirefighterInstance(g, 0, 1), 3),
+        (HamiltonianTimPlugin, HamiltonianInstance(g), 4),
+        (TredTimPlugin, TredInstance(g, 0, 1, 1), 4),
+        (FirefighterTimPlugin, FirefighterInstance(g, 0, 1), 3),
     ]
-    cases += [(matching_tim_plugin(), MatchingInstance(g, d, 1), 3) for d in (1, 2, 3)]
-    for plugin, inst, k_max in cases:
-        ref_tr = REFERENCE_TR[type(plugin)]
-        labels = plugin.label_set(inst)
+    cases += [(MatchingTimPlugin, MatchingInstance(g, d, 1), 3) for d in (1, 2, 3)]
+    for cls, inst, k_max in cases:
+        plugin = cls(inst)
+        ref_tr = REFERENCE_TR[cls]
+        labels = plugin.labels
         for comp in components_up_to(k_max):
             everything = list(product(labels, repeat=len(comp.vertices)))
             for prev in everything:
-                out = plugin.successors(prev, comp, inst)
+                out = plugin.successors(prev, comp)
                 assert len(out) == len(set(out)), (type(plugin).__name__, prev, comp)
                 expected = {nxt for nxt in everything if ref_tr(prev, nxt, comp, inst)}
                 assert set(out) == expected, (type(plugin).__name__, prev, comp)
@@ -186,11 +183,11 @@ def configuration_oracle(plugin, instance):
     for t in range(0, lam + 1):
         role = "start" if t == 0 else ("fin" if t == lam else "val")
         for view in per_time_components[t]:
-            options = plugin.assignments(view, role, instance)
+            options = plugin.assignments(view, role)
             slots.append(((t, view), options))
 
     ref_tr = REFERENCE_TR[type(plugin)]
-    vu = plugin.v_upper(instance)
+    vu = plugin.v_upper
     k = len(vu)
     keys = [key for key, _ in slots]
     for combo in product(*[opts for _, opts in slots]):
@@ -228,21 +225,21 @@ def small_graphs(rng, count, n_max=3, lam_max=2):
 
 
 def test_engine_matches_configuration_oracle_ham(rng):
-    plugin = ham_tim_plugin()
     for g in small_graphs(rng, 40):
         inst = HamiltonianInstance(g)
+        plugin = HamiltonianTimPlugin(inst)
         assert (
-            solve_component_exchangeable(plugin, inst).answer
+            solve_component_exchangeable(plugin, g).answer
             == configuration_oracle(plugin, inst)
         ), g
 
 
 def test_engine_matches_configuration_oracle_tred(rng):
-    plugin = tred_tim_plugin()
     for g in small_graphs(rng, 25):
         inst = TredInstance(g, 0, rng.randint(1, g.n), rng.randint(0, 2))
+        plugin = TredTimPlugin(inst)
         assert (
-            solve_component_exchangeable(plugin, inst).answer
+            solve_component_exchangeable(plugin, g).answer
             == configuration_oracle(plugin, inst)
         ), (g, inst)
 
@@ -251,19 +248,18 @@ def test_realisable_profiles_at_time0_leaf():
     from timwidth.tim_engine import realisable_profiles
 
     g = TemporalGraph(2, [(0, 1, 1)])
-    plugin = ham_tim_plugin()
-    inst = HamiltonianInstance(g)
+    plugin = HamiltonianTimPlugin(HamiltonianInstance(g))
     structure = TwoStepStructure(g)
     leaf = next(
         s for s, t in enumerate(structure.rooted.times) if t == 0
     )
-    profiles = realisable_profiles(structure, plugin, inst, leaf, {})
+    profiles = realisable_profiles(structure, plugin, leaf, {})
     # St-accepting labellings only, each with total equal to its own vector
     assert profiles
     for (rho, extra), totals in profiles.items():
         assert extra == ()
         ((labelling, vector),) = rho
-        assert plugin.check(labelling, structure.comps[(0, 0)], "start", inst) == vector
+        assert plugin.check(labelling, structure.comps[(0, 0)], "start") == vector
         assert totals == {vector}
 
 
@@ -271,14 +267,13 @@ def test_realisable_profiles_empty_when_children_incompatible():
     from timwidth.tim_engine import realisable_profiles
 
     g = TemporalGraph(2, [(0, 1, 1), (0, 1, 2)])
-    plugin = ham_tim_plugin()
-    inst = HamiltonianInstance(g)
+    plugin = HamiltonianTimPlugin(HamiltonianInstance(g))
     structure = TwoStepStructure(g)
     rd = structure.rooted
     node = next(s for s, t in enumerate(rd.times) if t == 2)
     # feed the internal node a child table with no usable profiles
     child_results = {c: {} for c in rd.children[node]}
-    assert realisable_profiles(structure, plugin, inst, node, child_results) == {}
+    assert realisable_profiles(structure, plugin, node, child_results) == {}
 
 
 def _is_interval(rd, s):
@@ -380,33 +375,31 @@ def check_tr_sites(g, structure):
 
 
 def test_root_choice_invariance(rng):
-    plugin = ham_tim_plugin()
     for _ in range(12):
         g = random_graph(rng, n_max=5, lam_max=4)
         if not g.time_edges:
             continue
-        inst = HamiltonianInstance(g)
-        base = solve_component_exchangeable(plugin, inst)
+        plugin = HamiltonianTimPlugin(HamiltonianInstance(g))
+        base = solve_component_exchangeable(plugin, g)
         expanded = compute_tim_decomposition(g)
         for alt in range(min(len(expanded.bags), 4)):
             structure = TwoStepStructure(g, root_and_augment(expanded, alt))
-            res = solve_component_exchangeable(plugin, inst, structure=structure)
+            res = solve_component_exchangeable(plugin, g, structure=structure)
             assert res.answer == base.answer
 
 
 def test_profile_counts_respect_bound(rng):
-    plugin = ham_tim_plugin()
     for _ in range(10):
         g = random_graph(rng, n_max=5, lam_max=3)
         if not g.time_edges:
             continue
-        inst = HamiltonianInstance(g)
-        res = solve_component_exchangeable(plugin, inst)
+        plugin = HamiltonianTimPlugin(HamiltonianInstance(g))
+        res = solve_component_exchangeable(plugin, g)
         phi = res.phi
-        b = plugin.counter_bound(inst)
-        k = len(plugin.v_upper(inst))
+        b = plugin.counter_bound
+        k = len(plugin.v_upper)
         bound = (
-            len(plugin.label_set(inst)) ** (3 * phi * phi)
+            len(plugin.labels) ** (3 * phi * phi)
             * (2 * b + 1) ** (3 * k * phi * phi)
             * (2 * g.lifetime * g.n * b + 1) ** k
         )
@@ -417,15 +410,16 @@ def test_profile_cap_names_bag():
     g = TemporalGraph(6, [(u, v, 1) for u in range(6) for v in range(u + 1, 6)])
     with pytest.raises(ResourceLimitError) as err:
         solve_component_exchangeable(
-            ham_tim_plugin(), HamiltonianInstance(g), cap=2
+            HamiltonianTimPlugin(HamiltonianInstance(g)), g, cap=2
         )
     assert "bag" in str(err.value)
 
 
 def test_engine_requires_lifetime():
+    g = TemporalGraph(2, [])
     with pytest.raises(ValueError):
         solve_component_exchangeable(
-            ham_tim_plugin(), HamiltonianInstance(TemporalGraph(2, []))
+            HamiltonianTimPlugin(HamiltonianInstance(g)), g
         )
 
 
@@ -435,15 +429,16 @@ def test_structure_must_be_built_for_the_instance_graph():
     built_for = TemporalGraph(3, [(0, 1, 1), (1, 2, 2)])
     g = TemporalGraph(3, [(0, 1, 2), (0, 2, 2)])
     assert not oracle_ham(g)
-    assert not solve_component_exchangeable(ham_tim_plugin(), HamiltonianInstance(g)).answer
+    plugin = HamiltonianTimPlugin(HamiltonianInstance(g))
+    assert not solve_component_exchangeable(plugin, g).answer
     with pytest.raises(ValueError, match="another graph"):
         solve_component_exchangeable(
-            ham_tim_plugin(), HamiltonianInstance(g), structure=TwoStepStructure(built_for)
+            plugin, g, structure=TwoStepStructure(built_for)
         )
     # an equal graph built apart is the same graph
     twin = TemporalGraph(3, [(1, 2, 2), (0, 1, 1)])
     res = solve_component_exchangeable(
-        ham_tim_plugin(), HamiltonianInstance(twin), structure=TwoStepStructure(built_for)
+        HamiltonianTimPlugin(HamiltonianInstance(twin)), twin, structure=TwoStepStructure(built_for)
     )
     assert res.answer == oracle_ham(twin)
 
@@ -501,24 +496,24 @@ def expanded_structure(g):
     return TwoStepStructure(g, root_and_augment(compute_tim_decomposition(g)))
 
 
-def bag_by_bag_tables(structure, plugin, inst):
+def bag_by_bag_tables(structure, plugin):
     """realisable_profiles applied to every node, children first."""
     rd = structure.rooted
     tables = {}
     for node in structure.postorder():
         children = {c: tables[c] for c in rd.children[node]}
-        tables[node] = realisable_profiles(structure, plugin, inst, node, children)
+        tables[node] = realisable_profiles(structure, plugin, node, children)
     return tables
 
 
 def four_plugin_cases(g, rng):
     root = rng.choice([v for e in g.time_edges for v in e[:2]])
-    return (
-        (ham_tim_plugin(), HamiltonianInstance(g)),
-        (ff_tim_plugin(), normalize_firefighter(FirefighterInstance(g, root, 1))),
-        (matching_tim_plugin(), MatchingInstance(g, rng.randint(1, 3), 1)),
-        (tred_tim_plugin(), TredInstance(g, root, g.n, 1)),
-    )
+    return tuple((cls(inst), inst) for cls, inst in (
+        (HamiltonianTimPlugin, HamiltonianInstance(g)),
+        (FirefighterTimPlugin, normalize_firefighter(FirefighterInstance(g, root, 1))),
+        (MatchingTimPlugin, MatchingInstance(g, rng.randint(1, 3), 1)),
+        (TredTimPlugin, TredInstance(g, root, g.n, 1)),
+    ))
 
 
 def test_folded_runs_match_bag_by_bag_tables():
@@ -532,12 +527,12 @@ def test_folded_runs_match_bag_by_bag_tables():
             expanded = expanded_structure(inst.graph)
             ed = expanded.rooted
             node_of = {(t, min(bag)): x for x, (bag, t) in enumerate(zip(ed.bags, ed.times))}
-            tables = bag_by_bag_tables(expanded, plugin, inst)
+            tables = bag_by_bag_tables(expanded, plugin)
             rd = structure.rooted
             for top, below in _interval_nodes(structure):
                 base = tables[node_of[rd.times[below], min(rd.bags[below])]]
                 reference = tables[node_of[rd.times[top], min(rd.bags[top])]]
-                folded = fold_idle_run(structure, plugin, inst, top, base, {})
+                folded = fold_idle_run(structure, plugin, top, base, {})
                 assert folded.keys() == reference.keys()
                 for key, totals in folded.items():
                     # a subset that keeps a total at or below every dropped one
@@ -569,7 +564,7 @@ def reference_bag_step(structure, plugin, inst, node, child_results):
 
     def tr_holds(key, label_at, nxt):
         prev = tuple(label_at[v] for v in comps[key].vertices)
-        return nxt in plugin.successors(prev, comps[key], inst)
+        return nxt in plugin.successors(prev, comps[key])
 
     results = {}
     for down_combo in product(*(child_results[c].items() for c in down)):
@@ -578,7 +573,7 @@ def reference_bag_step(structure, plugin, inst, node, child_results):
             prev_at.update(labels_of(structure.own_comps[c], rho_c))
         options = []
         for key in own:
-            opts = plugin.assignments(comps[key], role, inst)
+            opts = plugin.assignments(comps[key], role)
             if t >= 1 and tr_site(structure, key) == node:
                 opts = [(lab, vec) for lab, vec in opts if tr_holds(key, prev_at, lab)]
             options.append(opts)
@@ -614,7 +609,7 @@ def test_join_matches_nested_loop_reference():
     for plugin, inst in cases:
         expanded = expanded_structure(inst.graph)
         rd = expanded.rooted
-        tables = bag_by_bag_tables(expanded, plugin, inst)
+        tables = bag_by_bag_tables(expanded, plugin)
         for node in expanded.postorder():
             children = {c: tables[c] for c in rd.children[node]}
             reference = reference_bag_step(expanded, plugin, inst, node, children)
@@ -634,21 +629,22 @@ def test_interval_solve_matches_bag_by_bag_solve():
     rng = random.Random(14)
     cases = [case for _ in range(6) for case in four_plugin_cases(_sparse_long_graph(rng), rng)]
     cases += four_plugin_cases(SEARCH_GRAPH, rng)
-    cases.append((ham_tim_plugin(), HamiltonianInstance(WIDTHS_POOL_GRAPH)))
+    inst = HamiltonianInstance(WIDTHS_POOL_GRAPH)
+    cases.append((HamiltonianTimPlugin(inst), inst))
     nodes = bags = 0
     for plugin, inst in cases:
         structure = TwoStepStructure(inst.graph)
         expanded = expanded_structure(inst.graph)
         nodes += len(structure.rooted.bags)
         bags += len(expanded.rooted.bags)
-        tables = bag_by_bag_tables(expanded, plugin, inst)
+        tables = bag_by_bag_tables(expanded, plugin)
         per_tree = [set().union(*tables[root].values()) for root in expanded.rooted.roots]
-        bound = plugin.v_upper(inst)
+        bound = plugin.v_upper
         expected = any(
             all(sum(column) <= b for column, b in zip(zip(*totals), bound))
             for totals in product(*per_tree)
         )
-        res = solve_component_exchangeable(plugin, inst, structure=structure)
+        res = solve_component_exchangeable(plugin, inst.graph, structure=structure)
         assert res.answer == expected, (type(plugin).__name__, inst)
         assert res.bag_count == len(expanded.rooted.bags)
     assert nodes < bags / 2
@@ -678,7 +674,7 @@ def test_answers_agree_on_interval_expanded_and_vim_trees():
             for d, width in trees:
                 assert validate_decomposition(h, d).ok
                 structure = TwoStepStructure(h, root_and_augment(d))
-                res = solve_component_exchangeable(plugin, inst, structure=structure)
+                res = solve_component_exchangeable(plugin, h, structure=structure)
                 assert res.phi == width
                 answers.add(res.answer)
             assert len(answers) == 1, (type(plugin).__name__, inst)
@@ -719,21 +715,21 @@ def test_one_vertex_answers_do_not_depend_on_the_vertex():
     # the vertex
     g = TemporalGraph(4, [(0, 1, 1), (1, 2, 2), (0, 3, 2), (2, 3, 3)])
     cases = (
-        (ham_tim_plugin(), HamiltonianInstance(g)),
-        (ff_tim_plugin(), FirefighterInstance(g, 0, 1)),
-        (matching_tim_plugin(), MatchingInstance(g, 2, 1)),
-        (tred_tim_plugin(), TredInstance(g, 0, g.n, 1)),
+        HamiltonianTimPlugin(HamiltonianInstance(g)),
+        FirefighterTimPlugin(FirefighterInstance(g, 0, 1)),
+        MatchingTimPlugin(MatchingInstance(g, 2, 1)),
+        TredTimPlugin(TredInstance(g, 0, g.n, 1)),
     )
-    for plugin, inst in cases:
-        labels = plugin.label_set(inst)
+    for plugin in cases:
+        labels = plugin.labels
         for t in range(1, g.lifetime + 1):
             answers = set()
             for v in range(g.n):
                 comp = ComponentGraph(t, (v,), ())
                 checks = tuple(
-                    plugin.check((l,), comp, role, inst) for role in ("val", "fin") for l in labels
+                    plugin.check((l,), comp, role) for role in ("val", "fin") for l in labels
                 )
-                succ = tuple(frozenset(plugin.successors((l,), comp, inst)) for l in labels)
+                succ = tuple(frozenset(plugin.successors((l,), comp)) for l in labels)
                 answers.add((checks, succ))
             assert len(answers) == 1, (type(plugin).__name__, t)
 
@@ -764,9 +760,9 @@ def test_shared_cache_folds_like_a_fresh_one(monkeypatch):
     # direction, the rows or the stretch length would fold differently
     walks = []
 
-    def fold_twice(structure, plugin, instance, node, base_results, seen):
-        shared = fold_idle_run(structure, plugin, instance, node, base_results, seen)
-        assert shared == fold_idle_run(structure, plugin, instance, node, base_results, {})
+    def fold_twice(structure, plugin, node, base_results, seen):
+        shared = fold_idle_run(structure, plugin, node, base_results, seen)
+        assert shared == fold_idle_run(structure, plugin, node, base_results, {})
         rd = structure.rooted
         below, top = rd.times[rd.children[node][0]], rd.times[node]
         walks.append((type(plugin), below > top, abs(top - below)))
@@ -781,13 +777,13 @@ def test_shared_cache_folds_like_a_fresh_one(monkeypatch):
             nodes = one_bag_nodes(d)
             for root in (None, nodes[len(nodes) // 2]):
                 structure = TwoStepStructure(inst.graph, root_and_augment(d, root))
-                solve_component_exchangeable(plugin, inst, structure=structure)
+                solve_component_exchangeable(plugin, inst.graph, structure=structure)
     hard = gen_hard_ham_path(35)
     d = interval_decomposition(hard)
     for root in (None, one_bag_nodes(d)[0]):
         structure = TwoStepStructure(hard, root_and_augment(d, root))
         solve_component_exchangeable(
-            ham_tim_plugin(), HamiltonianInstance(hard), structure=structure
+            HamiltonianTimPlugin(HamiltonianInstance(hard)), hard, structure=structure
         )
     assert {(cls, back) for cls, back, _ in walks} == {
         (cls, back) for cls in REFERENCE_TR for back in (False, True)
@@ -952,10 +948,10 @@ def test_bag_asks_tr_once_per_component_and_earlier_labelling(monkeypatch):
     inside = []
 
     def counting(successors):
-        def wrapped(self, prev_labelling, comp, instance):
+        def wrapped(self, prev_labelling, comp):
             if inside:
                 inside[-1][comp.t, comp.vertices, prev_labelling] += 1
-            return successors(self, prev_labelling, comp, instance)
+            return successors(self, prev_labelling, comp)
         return wrapped
 
     def counted(*args, **kwargs):
@@ -974,14 +970,15 @@ def test_bag_asks_tr_once_per_component_and_earlier_labelling(monkeypatch):
     # the heavy firefighter graph: 34,050 successors calls when each
     # combination of down-children asked Tr again
     g = gen_random(12, 12, 0.2, max_times_per_edge=2, seed=4)
-    cases.append((ff_tim_plugin(), normalize_firefighter(FirefighterInstance(g, 0, 6))))
+    inst = normalize_firefighter(FirefighterInstance(g, 0, 6))
+    cases.append((FirefighterTimPlugin(inst), inst))
     for plugin, inst in cases:
-        solve_component_exchangeable(plugin, inst)
+        solve_component_exchangeable(plugin, inst.graph)
     assert sum(sum(bag.values()) for bag in asked) > 1000
     assert all(count == 1 for bag in asked for count in bag.values())
 
 
-def previous_join(structure, plugin, instance, node, child_results):
+def previous_join(structure, plugin, node, child_results):
     """realisable_profiles as it was before it read labels by position: a
     label map per entry and per rho, the down-children's totals summed
     from a zero vector, each rho's sums built apart and then merged."""
@@ -1007,10 +1004,10 @@ def previous_join(structure, plugin, instance, node, child_results):
         if opts is None:
             comp = comps[key]
             if prev is None:
-                opts = plugin.assignments(comp, role, instance)
+                opts = plugin.assignments(comp, role)
             else:
-                succ = plugin.successors(prev, comp, instance)
-                checked = ((l, plugin.check(l, comp, role, instance)) for l in succ)
+                succ = plugin.successors(prev, comp)
+                checked = ((l, plugin.check(l, comp, role)) for l in succ)
                 opts = [(l, vec) for l, vec in checked if vec is not None]
             option_cache[key, prev] = opts
         return opts
@@ -1028,7 +1025,7 @@ def previous_join(structure, plugin, instance, node, child_results):
     def successor_set(key, prev):
         succ = succ_cache.get((key, prev))
         if succ is None:
-            succ = succ_cache[key, prev] = frozenset(plugin.successors(prev, comps[key], instance))
+            succ = succ_cache[key, prev] = frozenset(plugin.successors(prev, comps[key]))
         return succ
 
     def groups_of(c):
@@ -1098,24 +1095,24 @@ def previous_join(structure, plugin, instance, node, child_results):
     return {key: _minimal(totals) for key, totals in results.items()}
 
 
-def previous_fold(structure, plugin, instance, node, base_results, seen):
+def previous_fold(structure, plugin, node, base_results, seen):
     """fold_idle_run as it was before the one-vertex answers were shared
     between the walk directions: each (time, direction) asks the plugin."""
     rd = structure.rooted
     lam = structure.graph.lifetime
-    labels = [(label,) for label in plugin.label_set(instance)]
+    labels = [(label,) for label in plugin.labels]
     v = min(rd.bags[node])
 
     def rows(t, back):
         powers = seen.get((t, back))
         if powers is None:
             tr_comp = ComponentGraph(t + 1 if back else t, (v,), ())
-            succ = {c: frozenset(plugin.successors(c, tr_comp, instance)) for c in labels}
+            succ = {c: frozenset(plugin.successors(c, tr_comp)) for c in labels}
             comp = ComponentGraph(t, (v,), ())
             role = "start" if t == 0 else ("fin" if t == lam else "val")
             row = tuple(
                 (d, vec, ((succ[d] if back else frozenset(c for c in labels if d in succ[c]), vec),))
-                for d, vec in plugin.assignments(comp, role, instance)
+                for d, vec in plugin.assignments(comp, role)
             )
             powers = seen[t, back] = seen.setdefault(row, [row])
         return powers
@@ -1170,10 +1167,10 @@ def test_join_tables_equal_previous_join(monkeypatch):
     inside_fold = []
 
     def counting(successors):
-        def wrapped(self, prev_labelling, comp, instance):
+        def wrapped(self, prev_labelling, comp):
             if inside_fold and len(comp.vertices) == 1:
                 one_vertex_asks[-1][comp.t, prev_labelling] += 1
-            return successors(self, prev_labelling, comp, instance)
+            return successors(self, prev_labelling, comp)
         return wrapped
 
     for cls in REFERENCE_TR:
@@ -1181,12 +1178,13 @@ def test_join_tables_equal_previous_join(monkeypatch):
     rng = random.Random(27)
     cases = [case for _ in range(6) for case in four_plugin_cases(_sparse_long_graph(rng), rng)]
     cases += four_plugin_cases(SEARCH_GRAPH, rng)
-    cases.append((ham_tim_plugin(), HamiltonianInstance(gen_hard_ham_path(35))))
+    inst = HamiltonianInstance(gen_hard_ham_path(35))
+    cases.append((HamiltonianTimPlugin(inst), inst))
     shapes = set()
     both_ways = 0
     for plugin, inst in cases:
         d = interval_decomposition(inst.graph)
-        limit = plugin.total_cap(inst)
+        limit = plugin.total_cap
         for root in (None, one_bag_nodes(d)[len(one_bag_nodes(d)) // 2]):
             structure = TwoStepStructure(inst.graph, root_and_augment(d, root))
             rd = structure.rooted
@@ -1197,12 +1195,12 @@ def test_join_tables_equal_previous_join(monkeypatch):
                 if _is_interval(rd, node):
                     (base,) = children.values()
                     inside_fold.append(node)
-                    table = fold_idle_run(structure, plugin, inst, node, base, seen)
+                    table = fold_idle_run(structure, plugin, node, base, seen)
                     inside_fold.pop()
-                    expected = previous_fold(structure, plugin, inst, node, base, previous_seen)
+                    expected = previous_fold(structure, plugin, node, base, previous_seen)
                 else:
-                    table = realisable_profiles(structure, plugin, inst, node, children)
-                    expected = previous_join(structure, plugin, inst, node, children)
+                    table = realisable_profiles(structure, plugin, node, children)
+                    expected = previous_join(structure, plugin, node, children)
                     t = rd.times[node]
                     shapes.add((sum(rd.times[c] == t - 1 for c in children),
                                 sum(rd.times[c] == t + 1 for c in children)))

@@ -3,8 +3,8 @@ import pytest
 from timwidth.core import TemporalGraph, snapshot
 from timwidth.oracles import oracle_ham
 from timwidth.problems import FirefighterInstance, HamiltonianInstance, normalize_firefighter
-from timwidth.problems.firefighter import ff_vim_plugin
-from timwidth.problems.hamiltonian import HamiltonianVimPlugin, ham_vim_plugin
+from timwidth.problems.firefighter import FirefighterVimPlugin
+from timwidth.problems.hamiltonian import HamiltonianVimPlugin
 from timwidth.vim_engine import (
     KXState,
     ResourceLimitError,
@@ -24,7 +24,7 @@ def reference_algorithm2(plugin, instance):
     Returns the per-timestep tables, stopping at the first empty one."""
     g = instance.graph
     vs = vim_sequence(g)
-    states = {s.restrict(vs.bags[0]) for s in plugin.initial_states(instance)}
+    states = {s.restrict(vs.bags[0]) for s in plugin.initial_states}
     tables = [frozenset(states)]
     for t in range(1, g.lifetime + 1):
         if not states:
@@ -32,7 +32,7 @@ def reference_algorithm2(plugin, instance):
         snap = snapshot(g, t)
         ft = vs.bags[t]
         kept = set()
-        for cand in enumerate_bag_states(ft, plugin, instance):
+        for cand in enumerate_bag_states(ft, plugin):
             labels = cand.label_dict()
             for prev in states:
                 if plugin.transition(prev.restrict(ft), labels, snap) == cand.counters:
@@ -44,19 +44,15 @@ def reference_algorithm2(plugin, instance):
 
 
 def test_enumerate_counts():
-    class NoCounter(HamiltonianVimPlugin):
-        def counter_ranges(self, instance):
-            return ()
-
     inst = HamiltonianInstance(TemporalGraph(3, [(0, 1, 1)]))
-    assert len(enumerate_bag_states(frozenset(), NoCounter(), inst)) == 1
-    assert len(enumerate_bag_states(frozenset({4}), NoCounter(), inst)) == 3
+    no_counter = HamiltonianVimPlugin(inst)
+    no_counter.counter_ranges = ()
+    assert len(enumerate_bag_states(frozenset(), no_counter)) == 1
+    assert len(enumerate_bag_states(frozenset({4}), no_counter)) == 3
 
-    class OneCounter(HamiltonianVimPlugin):
-        def counter_ranges(self, instance):
-            return ((0, 3),)
-
-    states = enumerate_bag_states(frozenset({1, 2}), OneCounter(), inst)
+    one_counter = HamiltonianVimPlugin(inst)
+    one_counter.counter_ranges = ((0, 3),)
+    states = enumerate_bag_states(frozenset({1, 2}), one_counter)
     assert len(states) == 9 * 4
     assert len(set(states)) == len(states)
 
@@ -66,39 +62,35 @@ def test_counterless_plugin_keeps_its_steps():
     # which is a step Tr admits, not a rejection
     class Counterless(VimProblemPlugin):
         labels = ("U", "X")
-
-        def counter_ranges(self, instance):
-            return ()
-
-        def initial_states(self, instance):
-            return [KXState.make({}, (), self.default_label)]
+        counter_ranges = ()
+        initial_states = (KXState.make({}, (), "U"),)
 
         def transition(self, prev, labels, snap):
             return () if not labels else None
 
-        def accept(self, state, instance):
+        def accept(self, state):
             return True
 
-    inst = HamiltonianInstance(TemporalGraph(3, [(0, 1, 1), (1, 2, 2)]))
-    res = solve_locally_uniform(Counterless(), inst)
+    g = TemporalGraph(3, [(0, 1, 1), (1, 2, 2)])
+    res = solve_locally_uniform(Counterless(), g)
     assert res.answer
     assert res.table_sizes == [1, 1, 1]
 
 
 def test_trivial_ham_solves():
     g = TemporalGraph(2, [(0, 1, 1)])
-    res = solve_locally_uniform(ham_vim_plugin(), HamiltonianInstance(g))
+    res = solve_locally_uniform(HamiltonianVimPlugin(HamiltonianInstance(g)), g)
     assert res.answer
     g2 = TemporalGraph(3, [(0, 1, 1), (1, 2, 1)])
-    assert not solve_locally_uniform(ham_vim_plugin(), HamiltonianInstance(g2)).answer
+    assert not solve_locally_uniform(HamiltonianVimPlugin(HamiltonianInstance(g2)), g2).answer
 
 
 def test_engine_matches_reference_algorithm(rng):
-    ham, ff = ham_vim_plugin(), ff_vim_plugin()
     for _ in range(25):
         g = random_graph(rng, n_max=4, lam_max=3)
         inst = HamiltonianInstance(g)
-        assert solve_locally_uniform(ham, inst, record=True).tables == reference_algorithm2(ham, inst)
+        ham = HamiltonianVimPlugin(inst)
+        assert solve_locally_uniform(ham, g, record=True).tables == reference_algorithm2(ham, inst)
     checked = 0
     while checked < 25:
         g = random_graph(rng, n_max=4, lam_max=3)
@@ -108,26 +100,25 @@ def test_engine_matches_reference_algorithm(rng):
         inst = normalize_firefighter(
             FirefighterInstance(g, rng.choice(roots), rng.randint(0, g.n))
         )
-        assert solve_locally_uniform(ff, inst, record=True).tables == reference_algorithm2(ff, inst)
+        ff = FirefighterVimPlugin(inst)
+        assert solve_locally_uniform(ff, inst.graph, record=True).tables == reference_algorithm2(ff, inst)
         checked += 1
 
 
 def test_table_sizes_respect_bound(rng):
-    plugin = ham_vim_plugin()
     for _ in range(20):
         g = random_graph(rng, n_max=6, lam_max=4)
-        inst = HamiltonianInstance(g)
-        res = solve_locally_uniform(plugin, inst)
-        b = plugin.counter_bound(inst)
-        bound = (2 * b + 1) ** len(plugin.counter_ranges(inst)) * len(plugin.labels) ** res.omega
+        plugin = HamiltonianVimPlugin(HamiltonianInstance(g))
+        res = solve_locally_uniform(plugin, g)
+        b = plugin.counter_bound
+        bound = (2 * b + 1) ** len(plugin.counter_ranges) * len(plugin.labels) ** res.omega
         assert all(size <= bound for size in res.table_sizes)
 
 
 def test_kept_states_live_on_ft(rng):
-    plugin = ham_vim_plugin()
     for _ in range(10):
         g = random_graph(rng, n_max=5, lam_max=4)
-        res = solve_locally_uniform(plugin, HamiltonianInstance(g), record=True)
+        res = solve_locally_uniform(HamiltonianVimPlugin(HamiltonianInstance(g)), g, record=True)
         vs = vim_sequence(g)
         for t, table in enumerate(res.tables):
             for state in table:
@@ -135,21 +126,20 @@ def test_kept_states_live_on_ft(rng):
 
 
 def test_relabelling_invariance(rng):
-    plugin = ham_vim_plugin()
     for _ in range(10):
         g = random_graph(rng, n_max=5, lam_max=3)
         perm = list(range(g.n))
         rng.shuffle(perm)
         g2 = TemporalGraph(g.n, [(perm[u], perm[v], t) for u, v, t in g.time_edges])
-        a = solve_locally_uniform(plugin, HamiltonianInstance(g)).answer
-        b = solve_locally_uniform(plugin, HamiltonianInstance(g2)).answer
+        a = solve_locally_uniform(HamiltonianVimPlugin(HamiltonianInstance(g)), g).answer
+        b = solve_locally_uniform(HamiltonianVimPlugin(HamiltonianInstance(g2)), g2).answer
         assert a == b
 
 
 def test_resource_guard_names_timestep():
     g = TemporalGraph(6, [(u, v, 1) for u in range(6) for v in range(u + 1, 6)])
     with pytest.raises(ResourceLimitError) as err:
-        solve_locally_uniform(ham_vim_plugin(), HamiltonianInstance(g), state_cap=10)
+        solve_locally_uniform(HamiltonianVimPlugin(HamiltonianInstance(g)), g, state_cap=10)
     assert "timestep 1" in str(err.value)
 
 
@@ -163,7 +153,7 @@ def test_guard_counts_candidates_not_bag_labellings():
     vs = vim_sequence(g)
     assert vs.width == 14
     assert max(len(snapshot(g, t).vertices) for t in range(1, g.lifetime + 1)) <= 3
-    res = solve_locally_uniform(ham_vim_plugin(), HamiltonianInstance(g))
+    res = solve_locally_uniform(HamiltonianVimPlugin(HamiltonianInstance(g)), g)
     assert res.answer == oracle_ham(g)
 
 
