@@ -146,21 +146,10 @@ def _edge_components(edges):
 
 def _components_among(root, vertices, edges):
     """The vertices, given in increasing order, grouped by component as
-    sorted tuples ordered by smallest member. root is a union-find (vertex ->
-    parent, each tree rooted at its smallest member) that the edges are
-    merged into first; it may already hold earlier merges, so one root can
-    carry a growing graph across calls."""
-    for u, v in edges:
-        while root[u] != u:
-            root[u] = root[root[u]]
-            u = root[u]
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        if u < v:
-            root[v] = u
-        elif v < u:
-            root[u] = v
+    sorted tuples ordered by smallest member. The edges are merged into the
+    union-find root first (see _merge); it may already hold earlier merges,
+    so one root can carry a growing graph across calls."""
+    _merge(root, edges)
     comps = {}
     for v in vertices:
         r = root[v]
@@ -168,6 +157,41 @@ def _components_among(root, vertices, edges):
             r = root[r]
         comps.setdefault(r, []).append(v)
     return [tuple(comp) for comp in comps.values()]
+
+
+def _find(root, v):
+    """v's root in the union-find root, halving the path on the way."""
+    while root[v] != v:
+        root[v] = root[root[v]]
+        v = root[v]
+    return v
+
+
+def _merge(root, edges, weight=None):
+    """Merge each edge's endpoints in the union-find root (vertex -> parent,
+    each tree rooted at its smallest member). When weight is given, indexed
+    like root, a root merged away adds its weight to the kept root's and is
+    left at 0, and the call returns the largest weight a merge left on a
+    kept root (0 when nothing merged)."""
+    top = 0
+    for u, v in edges:
+        # _find, inlined: this loop runs for every edge of every snapshot
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        if u != v:
+            if v < u:
+                u, v = v, u
+            root[v] = u
+            if weight is not None:
+                weight[u] += weight[v]
+                weight[v] = 0
+                if weight[u] > top:
+                    top = weight[u]
+    return top
 
 
 def snapshot(g: TemporalGraph, t: int) -> ComponentGraph:

@@ -336,17 +336,39 @@ def _tim_forest(g):
     return _minimise(state, g.n + 1, set())
 
 
-def _as_decomposition(g, state):
-    """The state's nodes renumbered by id; ends is set while the state still
-    holds interval nodes."""
-    live = sorted(state.bags)
-    remap = {old: new for new, old in enumerate(live)}
-    times, ends = state.times, state.ends
-    arcs = [(remap[i], remap[j]) for i in live for j in state.adj[i] if times[j] > times[i]]
+def _as_decomposition(g, state, expand=False):
+    """The state's nodes in id order. ends is set while the state still
+    holds interval nodes, unless expand, which writes interval node i as one
+    node per timestep, ids i, i + n, ... up to its last time (they sort by
+    time, then smallest vertex, with the others), whose arcs to later nodes
+    leave from the last."""
+    n, bags, times, ends = g.n, state.bags, state.times, state.ends
+    origin = {i: i for i in bags}  # written id -> the node whose bag it holds
+    last = {}  # interval node -> its last written id
+    if expand:
+        for i, e in ends.items():
+            last[i] = i + (e - times[i]) * n
+            for x in range(i + n, last[i] + 1, n):
+                origin[x] = i
+    ids = sorted(origin)
+    index = {x: k for k, x in enumerate(ids)}
+    arcs = []
+    for i in bags:
+        t, tail = times[i], index[last.get(i, i)]
+        arcs += [(tail, index[j]) for j in state.adj[i] if times[j] > t]
+    for i, end in last.items():
+        arcs += [(index[x], index[x + n]) for x in range(i, end, n)]
     arcs.sort()
-    bags = tuple(frozenset(state.bags[i]) for i in live)
-    runs = tuple(ends.get(i, times[i]) for i in live) if ends else ()
-    return TimDecomposition(g.n, g.lifetime, bags, tuple(times[i] for i in live), tuple(arcs), runs)
+    frozen = {i: frozenset(b) for i, b in bags.items()}
+    runs = tuple(ends.get(i, times[i]) for i in ids) if ends and not expand else ()
+    return TimDecomposition(
+        n,
+        g.lifetime,
+        tuple([frozen[origin[x]] for x in ids]),
+        tuple([x // n for x in ids]),  # an id is its time * n + its smallest vertex
+        tuple(arcs),
+        runs,
+    )
 
 
 def compute_tim_decomposition(g: TemporalGraph) -> TimDecomposition:
@@ -357,12 +379,10 @@ def compute_tim_decomposition(g: TemporalGraph) -> TimDecomposition:
     remaining cycles by exact search over the same-time identifications a
     tree shape still requires. Disconnected underlying graphs yield one tree
     per underlying component. The search keeps each idle run that lies on no
-    cycle as one node (see _tim_forest); the result has one node per bag.
+    cycle as one node (see _tim_forest); the result has one node per bag,
+    written straight from those.
     """
-    state = _tim_forest(g)
-    for i in list(state.ends):
-        state.expand(i, g.n)
-    return _as_decomposition(g, state)
+    return _as_decomposition(g, _tim_forest(g), expand=True)
 
 
 def interval_decomposition(g: TemporalGraph) -> TimDecomposition:

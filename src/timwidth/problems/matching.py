@@ -115,14 +115,21 @@ class MatchingTimPlugin(TimProblemPlugin):
         self.labels = tuple(dict.fromkeys(out))
         self.counter_bound = max(1, instance.graph.n // 2)
         self.v_upper = (-instance.size_target,)
+        self._matchable = {}  # (edges, matched vertices) -> has_perfect_matching
 
     def check(self, labelling, comp, role):
         d = self.delta
         if role == "start":
             return (0,) if all(l[0] == 0 and l[1] == d for l in labelling) else None
         m = matched_label(d)
-        matched = [v for v, l in zip(comp.vertices, labelling) if l == m]
-        if not has_perfect_matching(matched, comp.edges):
+        matched = tuple(v for v, l in zip(comp.vertices, labelling) if l == m)
+        # successors yields many labellings with one matched set; the answer
+        # reads only that set and the edges, so each pair is tested once
+        key = (comp.edges, matched)
+        ok = self._matchable.get(key)
+        if ok is None:
+            ok = self._matchable[key] = has_perfect_matching(matched, comp.edges)
+        if not ok:
             return None
         return (-(len(matched) // 2),)
 

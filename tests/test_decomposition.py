@@ -376,6 +376,32 @@ def test_forced_merges_match_restarting_reference(monkeypatch):
         assert a == b, g
 
 
+def expanded_reference(g):
+    """compute_tim_decomposition through the mutable state: the search's
+    forest with every interval node expanded in place, then renumbered by
+    id."""
+    state = decomposition._tim_forest(g)
+    for i in list(state.ends):
+        state.expand(i, g.n)
+    return decomposition._as_decomposition(g, state)
+
+
+def test_written_decomposition_matches_expanded_state():
+    rng = random.Random(5151)
+    # sparse and long-lived, so most idle runs span many timesteps
+    graphs = [random_graph(rng, n_max=9, lam_max=30, p=0.2, max_times=2) for _ in range(150)]
+    graphs += list(widths_pool_shaped_graphs())
+    core_runs = 0
+    with deadline(30):
+        for g in [*graphs, SEARCH_GRAPH, gen_hard_ham_path(20), WIDTHS_POOL_GRAPH]:
+            assert compute_tim_decomposition(g) == expanded_reference(g), g
+            forest = decomposition._interval_forest(g)
+            if decomposition._two_core(forest.adj) & forest.ends.keys():
+                core_runs += 1
+    # graphs where the search itself expanded interval nodes of the core
+    assert core_runs > 100
+
+
 def golden_graphs():
     rng = random.Random(8080)
     for _ in range(200):

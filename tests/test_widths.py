@@ -1,14 +1,19 @@
+import random
+
+import pytest
 from hypothesis import example, given, settings
 
+from timwidth import widths
 from timwidth.core import TemporalGraph, prefix_graph, snapshot, suffix_graph
 from timwidth.decomposition import tim_width
+from timwidth.generators import gen_ordered_tree, gen_random
 from timwidth.widths import (
     bidirectional_cvim_width,
     connected_vim_width,
     vim_sequence,
 )
 
-from .conftest import temporal_graphs
+from .conftest import random_graph, temporal_graphs
 
 
 def test_vim_single_edge():
@@ -135,6 +140,92 @@ def test_bidirectional_matches_split_oracle(g):
             parts.append(bag_at(prefix_graph, lam))
         values.append(max(parts))
     assert bidirectional_cvim_width(g) == min(values)
+
+
+def derived_bidirectional(g):
+    """The bidirectional width read off vim_sequence and both
+    connected_vim_width results: the largest bag of each direction per
+    timestep, then the three-case formula over every split time."""
+    lam = g.lifetime
+    if lam == 0:
+        return 1
+    vs = vim_sequence(g)
+    le, ge = (
+        [max(map(len, bags_t), default=0) for bags_t in connected_vim_width(g, d, vs).bags]
+        for d in ("le", "ge")
+    )
+    prefix_le = [0] * (lam + 2)
+    for t in range(1, lam + 1):
+        prefix_le[t] = max(prefix_le[t - 1], le[t])
+    suffix_ge = [0] * (lam + 2)
+    for t in range(lam, 0, -1):
+        suffix_ge[t] = max(suffix_ge[t + 1], ge[t])
+    values = []
+    for t in range(1, lam + 1):
+        if t == 1:
+            values.append(max(suffix_ge[1], 1))
+        elif t == lam:
+            values.append(max(prefix_le[lam], 1))
+        else:
+            values.append(max(prefix_le[t - 1], suffix_ge[t + 1], len(vs.bags[t]), 1))
+    return min(values)
+
+
+def sweep_graphs():
+    """Graphs shaped like the widths benchmark's pool, ordered trees, and
+    sparse long-lived graphs whose vertices leave F_t mid-sweep."""
+    rng = random.Random(4242)
+    for _ in range(4):
+        for n in range(1, 13):
+            for _ in range(4):
+                lam = rng.randint(1, 10)
+                p = rng.choice((0.1, 0.25, 0.4, 0.6))
+                yield gen_random(n, lam, p, max_times_per_edge=2, seed=rng.randrange(1 << 30))
+        for n in range(2, 13):
+            yield gen_ordered_tree(n, seed=rng.randrange(1 << 30), max_times_per_edge=rng.randint(1, 3))
+    for _ in range(150):
+        yield random_graph(rng, n_max=10, lam_max=40, p=0.2, max_times=3)
+
+
+def test_bidirectional_sweep_matches_connected_results():
+    left_mid_sweep = 0
+    for g in sweep_graphs():
+        assert bidirectional_cvim_width(g) == derived_bidirectional(g), g
+        vs = vim_sequence(g)
+        if any(vs.bags[t] - vs.bags[t + 1] for t in range(1, g.lifetime)):
+            left_mid_sweep += 1
+    assert left_mid_sweep > 100
+
+
+def test_bidirectional_reads_neither_sequence_nor_connected_results(monkeypatch):
+    graphs = [g for g, _ in zip(sweep_graphs(), range(60))]
+    want = [derived_bidirectional(g) for g in graphs]
+
+    def refuse(*args):
+        raise AssertionError("bidirectional_cvim_width called a width function")
+
+    monkeypatch.setattr(widths, "vim_sequence", refuse)
+    monkeypatch.setattr(widths, "connected_vim_width", refuse)
+    assert [bidirectional_cvim_width(g) for g in graphs] == want
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        # another lifetime: the bags run out before the graph's times
+        TemporalGraph(4, [(0, 1, 1), (2, 3, 1), (0, 3, 2)]),
+        # the same lifetime and vertex count, other bags
+        TemporalGraph(3, [(0, 2, 1), (0, 1, 2), (1, 2, 3)]),
+    ],
+)
+def test_connected_width_refuses_another_graphs_sequence(other):
+    g = TemporalGraph(3, [(0, 1, 1), (1, 2, 3)])
+    for direction in ("le", "ge"):
+        with pytest.raises(ValueError, match="another graph"):
+            connected_vim_width(g, direction, vim_sequence(other))
+        # an equal graph built separately is the same graph
+        same = TemporalGraph(3, [(1, 2, 3), (0, 1, 1)])
+        assert connected_vim_width(g, direction, vim_sequence(same)) == connected_vim_width(g, direction)
 
 
 @settings(max_examples=80)
