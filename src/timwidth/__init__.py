@@ -22,9 +22,7 @@ from .widths import (
 from .decomposition import (
     RootedTimDecomposition,
     TimDecomposition,
-    TwoStepDecomposition,
     ValidationReport,
-    build_two_step,
     compute_tim_decomposition,
     decomposition_from_vim,
     root_and_augment,

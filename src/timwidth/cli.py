@@ -13,13 +13,7 @@ import time
 
 from .bench import run_suite, table_peak, write_csv
 from .core import TemporalGraphError
-from .decomposition import (
-    build_two_step,
-    compute_tim_decomposition,
-    root_and_augment,
-    tim_width,
-    validate_decomposition,
-)
+from .decomposition import compute_tim_decomposition, tim_width, validate_decomposition
 from .generators import (
     GeneratorError,
     gen_hard_ham_path,
@@ -50,6 +44,7 @@ from .problems import (
     solve_matching,
     solve_tred,
 )
+from .tim_engine import TwoStepStructure
 from .vim_engine import ResourceLimitError
 from .widths import bidirectional_cvim_width, connected_vim_width, vim_sequence
 
@@ -99,13 +94,10 @@ def cmd_decompose(args):
         return 0
     sys.stdout.write(emit_decomposition(d))
     if args.two_step:
-        rd = root_and_augment(d)
-        ts = build_two_step(rd, gf.graph)
-        for s in range(len(rd.bags)):
-            pairs = ",".join(
-                f"{v}@{t}" for v, t in sorted(ts.pairs[s], key=lambda p: (p[1], p[0]))
-            )
-            print(f"two-step {s} time={rd.times[s]} pairs={pairs}")
+        ts = TwoStepStructure(gf.graph, d)
+        for s, (t, pair_set) in enumerate(zip(ts.rooted.times, ts.pairs)):
+            pairs = ",".join(f"{v}@{u}" for v, u in sorted(pair_set, key=lambda p: (p[1], p[0])))
+            print(f"two-step {s} time={t} pairs={pairs}")
         print(f"two-step-width {ts.width}")
     return 0
 

@@ -1,11 +1,11 @@
-"""Minimum TIM decompositions: construction, validation, rooting, 2-step bags."""
+"""Minimum TIM decompositions: construction, validation, rooting."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import ComponentGraph, TemporalGraph, _built_once, _edge_components, component_graphs
+from .core import TemporalGraph, _built_once, _edge_components
 from .widths import vim_sequence
 
 
@@ -523,8 +523,10 @@ class RootedTimDecomposition:
     s holds its singleton bag from times[s], the timestep next to its parent
     (Lambda at a root), to the timestep next to its only child, which is a
     singleton bag too: a time-0 copy, or the interval's own last bag, split
-    off as a node. So s is an interval node exactly when it and its only
-    child are singleton bags, and it spans |times[s] - times[child]| bags.
+    off as a node. So a node whose bag and only child's bag are singletons
+    spans |times[s] - times[child]| bags. That shape also matches a
+    singleton bag over a singleton child in an expanded tree, one timestep
+    away: it spans one bag, exactly its own.
     copy_of, derived on first access, maps each time-0 copy to the node it
     copies, its one tree neighbour.
     """
@@ -660,82 +662,3 @@ def root_and_augment(d: TimDecomposition, root=None) -> RootedTimDecomposition:
         tuple(parent),
         tuple(tuple(c) for c in children),
     )
-
-
-@dataclass(frozen=True)
-class TwoStepDecomposition:
-    """2-step bags over a rooted decomposition.
-
-    The 2-step bag B2(s) holds the node's own (vertex, time) pairs plus each
-    child's pairs at the child's time. A component of snapshot t is keyed
-    (t, v) by its smallest vertex v; time 0 takes the components of the
-    first snapshot, mirroring F_0 = F_1. own_comps[s] lists the keys of the
-    components bag s covers at rooted.times[s], sorted, and
-    snapshot_components maps each key listed to its ComponentGraph: the
-    sorted vertex tuple with the snapshot's edges inside it;
-    each component of snapshot t is covered by exactly one bag at time t,
-    and an interval node lists only its bag at rooted.times[s].
-    components[s], the timed components of B2(s) as (t, vertex-tuple)
-    entries ordered by time, then smallest member, pairs[s], the pair set
-    of B2(s), and width, max |B2(s)|, are derived on first access. A
-    child's time differs from its parent's and bags at one time are
-    disjoint, so |B2(s)| is |B(s)| plus the children's |B(c)|.
-    """
-
-    rooted: RootedTimDecomposition
-    snapshot_components: dict
-    own_comps: tuple
-
-    @_built_once
-    def components(self):
-        own, comps = self.own_comps, self.snapshot_components
-        return tuple(
-            tuple(
-                (key[0], comps[key].vertices)
-                for key in sorted(own[s] + tuple(key for c in children for key in own[c]))
-            )
-            for s, children in enumerate(self.rooted.children)
-        )
-
-    @_built_once
-    def pairs(self):
-        return tuple(
-            frozenset((v, t) for t, verts in comps for v in verts) for comps in self.components
-        )
-
-    @_built_once
-    def width(self):
-        rd = self.rooted
-        return max(
-            (len(bag) + sum(len(rd.bags[c]) for c in children)
-             for bag, children in zip(rd.bags, rd.children)),
-            default=0,
-        )
-
-
-def build_two_step(rd: RootedTimDecomposition, g: TemporalGraph) -> TwoStepDecomposition:
-    # the component of each vertex with an edge, per snapshot, time 0
-    # mirroring time 1; a vertex without one is a component alone
-    comp_of = {}
-    for t in range(rd.lifetime + 1):
-        edges = g.edges_at(t or 1)
-        for comp in component_graphs(t, _edge_components(edges), edges):
-            for v in comp.vertices:
-                comp_of[t, v] = comp
-
-    table = {}
-    own = []
-    for s, (bag, t) in enumerate(zip(rd.bags, rd.times)):
-        mine = {}
-        for v in bag:
-            comp = comp_of.get((t, v)) or ComponentGraph(t, (v,), ())
-            mine[t, comp.vertices[0]] = comp
-        if sum(len(c.vertices) for c in mine.values()) != len(bag):
-            v = min(
-                x for c in mine.values() if not bag.issuperset(c.vertices)
-                for x in bag.intersection(c.vertices)
-            )
-            raise ValueError(f"bag {s} at time {t} splits the snapshot component of vertex {v}")
-        table.update(mine)
-        own.append(tuple(sorted(mine)))
-    return TwoStepDecomposition(rd, table, tuple(own))

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from itertools import product
 from operator import add, le
 
-from .core import ComponentGraph, TemporalGraph
+from .core import ComponentGraph, TemporalGraph, _built_once, _edge_components, component_graphs
 # no solve calls compute_tim_decomposition; perfbench/tracing.py patches it here
 from .decomposition import (
-    build_two_step,
     compute_tim_decomposition,
     interval_decomposition,
     root_and_augment,
+    validate_decomposition,
 )
 from .vim_engine import ResourceLimitError
 
@@ -136,48 +136,109 @@ def _minimal(totals):
     return set(kept)
 
 
-class TwoStepStructure:
-    """Static data shared by a solve: components and Tr sites.
+def build_two_step(rd, g: TemporalGraph):
+    """comps, own_comps, checks_from_child and extra_vertices of
+    TwoStepStructure, in one walk over rd's nodes."""
+    # the component of each vertex with an edge, per snapshot, time 0
+    # mirroring time 1; a vertex without one is a component alone
+    comp_of = {}
+    for t in range(rd.lifetime + 1):
+        edges = g.edges_at(t or 1)
+        for comp in component_graphs(t, _edge_components(edges), edges):
+            for v in comp.vertices:
+                comp_of[t, v] = comp
 
-    The tree is rooted, any valid rooted TIM decomposition of g as
-    root_and_augment returns it; its width bounds the tables. By default it
-    is root_and_augment's over interval_decomposition, so each idle run off
-    the cycles is one interval node (see RootedTimDecomposition), which
-    fold_idle_run walks; it holds only the key of its bag next to its
-    parent. comps is build_two_step's table, mapping each (t, v) key to its
-    ComponentGraph, and own_comps[s] lists the keys bag s covers, its home.
-    A key at t >= 1 has its Tr checked at the home's parent when the parent
-    is one time earlier and holds one of its vertices, else at the home.
-    checks_from_child lists the keys moved to a parent by (parent, home),
-    and extra_vertices[s] lists the vertices of those keys outside the
-    parent's bag, whose labels s hands up.
+    comps, own_comps, checks_from_child, extra_vertices = {}, [], {}, []
+    for s, (bag, t, p) in enumerate(zip(rd.bags, rd.times, rd.parent)):
+        mine = {}
+        for v in bag:
+            comp = comp_of.get((t, v)) or ComponentGraph(t, (v,), ())
+            mine[t, comp.vertices[0]] = comp
+        comps.update(mine)
+        keys = tuple(sorted(mine))
+        own_comps.append(keys)
+        extra = set()
+        if p is not None and rd.times[p] < t:
+            for key in keys:
+                verts = mine[key].vertices
+                if not rd.bags[p].isdisjoint(verts):
+                    checks_from_child.setdefault((p, s), []).append(key)
+                    extra.update(verts)
+        extra_vertices.append(tuple(sorted(extra - rd.bags[p])) if extra else ())
+    return comps, tuple(own_comps), checks_from_child, extra_vertices
+
+
+class TwoStepStructure:
+    """The rooted 2-step TIM decomposition a solve walks, built once.
+
+    d is a decomposition of g in any form validate_decomposition accepts;
+    one handed in is checked once by it (ValueError with its message). By
+    default it is interval_decomposition(g), not checked again, where each
+    idle run off the cycles is one interval node (see
+    RootedTimDecomposition), which fold_idle_run walks. rooted is
+    root_and_augment(d, root); its width bounds the tables.
+
+    The 2-step bag B2(s) holds the node's own (vertex, time) pairs plus each
+    child's pairs at the child's time. A component of snapshot t is keyed
+    (t, v) by its smallest vertex v; time 0 takes the components of the
+    first snapshot, mirroring F_0 = F_1. comps maps each key to its
+    ComponentGraph: the sorted vertex tuple with the snapshot's edges inside
+    it. own_comps[s] lists, sorted, the keys bag s covers at rooted.times[s]
+    (an interval node's bag next to its parent only): each component of
+    snapshot t is covered by exactly one bag at time t, its home.
+
+    Tr of a component at time t runs where its time-(t-1) labels are
+    visible. Every bag at t-1 holding one of its vertices is a tree
+    neighbour of its home, and a parent lies wholly before or after t,
+    interval nodes included. So a key at t >= 1 has its Tr checked at the
+    home's parent when the parent is one time earlier and holds one of its
+    vertices, else at the home. checks_from_child lists the keys moved to a
+    parent by (parent, home), and extra_vertices[s] lists the vertices of
+    those keys outside the parent's bag, whose labels s hands up.
+
+    Built on first read: components[s], the timed components of B2(s) as
+    (t, vertex-tuple) entries ordered by time, then smallest member;
+    pairs[s], the pair set of B2(s); and width, max |B2(s)|. A child's time
+    differs from its parent's and bags at one time are disjoint, so |B2(s)|
+    is |B(s)| plus the children's |B(c)|.
     """
 
-    def __init__(self, g: TemporalGraph, rooted=None):
+    def __init__(self, g: TemporalGraph, d=None, root=None):
         self.graph = g
-        if rooted is None:
-            rooted = root_and_augment(interval_decomposition(g))
-        self.rooted = rd = rooted
-        two_step = build_two_step(rd, g)
-        self.comps = comps = two_step.snapshot_components
-        self.own_comps = two_step.own_comps
+        if d is None:
+            d = interval_decomposition(g)
+        else:
+            report = validate_decomposition(g, d)
+            if not report.ok:
+                raise ValueError(report.violation.message)
+        self.rooted = rd = root_and_augment(d, root)
+        self.comps, self.own_comps, self.checks_from_child, self.extra_vertices = build_two_step(rd, g)
 
-        # Tr of a component at time t runs where its time-(t-1) labels are
-        # visible. Every bag at t-1 holding one of its vertices is a tree
-        # neighbour of its home, so that is the home unless the parent is one.
-        # A parent lies wholly before or after t, interval nodes included.
-        self.checks_from_child = {}
-        self.extra_vertices = []
-        for s, keys in enumerate(self.own_comps):
-            p = rd.parent[s]
-            extra = set()
-            if p is not None and rd.times[p] < rd.times[s]:
-                for key in keys:
-                    verts = comps[key].vertices
-                    if not rd.bags[p].isdisjoint(verts):
-                        self.checks_from_child.setdefault((p, s), []).append(key)
-                        extra.update(verts)
-            self.extra_vertices.append(tuple(sorted(extra - rd.bags[p])) if extra else ())
+    @_built_once
+    def components(self):
+        own, comps = self.own_comps, self.comps
+        return tuple(
+            tuple(
+                (key[0], comps[key].vertices)
+                for key in sorted(own[s] + tuple(key for c in children for key in own[c]))
+            )
+            for s, children in enumerate(self.rooted.children)
+        )
+
+    @_built_once
+    def pairs(self):
+        return tuple(
+            frozenset((v, t) for t, verts in comps for v in verts) for comps in self.components
+        )
+
+    @_built_once
+    def width(self):
+        rd = self.rooted
+        return max(
+            (len(bag) + sum(len(rd.bags[c]) for c in children)
+             for bag, children in zip(rd.bags, rd.children)),
+            default=0,
+        )
 
     def postorder(self):
         rd = self.rooted

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -8,8 +9,11 @@ import pytest
 
 import timwidth
 from timwidth.cli import main
-from timwidth.io import parse_graph_file
+from timwidth.generators import gen_hard_ham_path, gen_ordered_tree, gen_random
+from timwidth.io import emit_graph_file, parse_graph_file
 from timwidth.problems import MatchingInstance
+
+TWO_STEP_STDOUT_DIGEST = "ddc75425166e4b9e95101d18ed55f5539b14c6940218b9b65f0316b8c8b82199"
 
 
 def run_cli(capsys, *argv):
@@ -249,3 +253,26 @@ def test_package_runs_as_a_module(single_edge):
     proc = run_module("timwidth", "widths", single_edge)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "vim=2 cvim_le=2 cvim_ge=2 cvim_bi=2 tim=2"
+
+
+def two_step_stdout_digest(capsys, tmp_path):
+    """sha256 over the stdout of `decompose --two-step` on a fixed graph set."""
+    graphs = (
+        gen_hard_ham_path(20),
+        gen_ordered_tree(12, seed=1, max_times_per_edge=2, max_children=2),
+        gen_ordered_tree(9, seed=2),
+        gen_random(6, 4, 0.5, max_times_per_edge=2, seed=1),
+        gen_random(7, 3, 0.4, seed=2),
+    )
+    digest = hashlib.sha256()
+    for i, g in enumerate(graphs):
+        path = tmp_path / f"{i}.tg"
+        path.write_text(emit_graph_file(g))
+        code, out, err = run_cli(capsys, "decompose", str(path), "--two-step")
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    return digest.hexdigest()
+
+
+def test_decompose_two_step_stdout_is_pinned(capsys, tmp_path):
+    assert two_step_stdout_digest(capsys, tmp_path) == TWO_STEP_STDOUT_DIGEST

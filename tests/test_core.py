@@ -182,3 +182,34 @@ def test_shift_graph():
     s = shift_graph(g, 2)
     assert s.time_edges == ((0, 1, 1), (1, 2, 3))
     assert shift_graph(g, 3).time_edges == ((1, 2, 2),)
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (lambda g: shift_graph(g, 0), "first kept time must be >= 1"),
+        (lambda g: components_at(g, g.lifetime + 1), "time 3 outside [0, 2]"),
+        (lambda g: components_at(g, -1), "time -1 outside [0, 2]"),
+        (lambda g: TemporalGraph(3, [(0, 1)]), "bad time-edge (0, 1)"),
+    ],
+)
+def test_core_refusals(refuse, message):
+    g = TemporalGraph(3, [(0, 1, 1), (1, 2, 2)])
+    with pytest.raises(TemporalGraphError) as err:
+        refuse(g)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "seq, verdict",
+    [
+        # consecutive edges that share no endpoint
+        ([((0, 1), 1), ((2, 3), 2)], False),
+        ([((1, 0), 2)], True),
+        # {0, 1}, {1, 2}, {1, 3}: the walk stands at 2 when {1, 3} comes
+        ([((0, 1), 1), ((1, 2), 2), ((1, 3), 3)], False),
+    ],
+)
+def test_strict_temporal_path_verdicts(seq, verdict):
+    g = TemporalGraph(4, [(0, 1, 1), (0, 1, 2), (1, 2, 2), (2, 3, 2), (1, 3, 3)])
+    assert is_strict_temporal_path(g, seq) is verdict

@@ -11,7 +11,6 @@ from timwidth import decomposition
 from timwidth.core import TemporalGraph
 from timwidth.decomposition import (
     TimDecomposition,
-    build_two_step,
     compute_tim_decomposition,
     decomposition_from_vim,
     interval_decomposition,
@@ -22,6 +21,7 @@ from timwidth.decomposition import (
 from timwidth.generators import gen_hard_ham_path, gen_ordered_tree, gen_random
 from timwidth.io import emit_decomposition, parse_decomposition
 from timwidth.oracles import enumerate_tim_decompositions, min_tim_width_exhaustive
+from timwidth.tim_engine import TwoStepStructure
 from timwidth.widths import bidirectional_cvim_width, connected_vim_width, vim_sequence
 
 from .conftest import random_graph, temporal_graphs
@@ -437,9 +437,8 @@ def two_step_digest():
     `timwidth decompose --two-step` prints, over golden_graphs()."""
     h = hashlib.sha256()
     for g in golden_graphs():
-        rd = root_and_augment(compute_tim_decomposition(g))
-        ts = build_two_step(rd, g)
-        for t, pairs in zip(rd.times, ts.pairs):
+        ts = TwoStepStructure(g, compute_tim_decomposition(g))
+        for t, pairs in zip(ts.rooted.times, ts.pairs):
             h.update(f"{t} {sorted(pairs, key=lambda p: (p[1], p[0]))}\n".encode())
         h.update(f"width {ts.width}\n==\n".encode())
     return h.hexdigest()
@@ -503,3 +502,18 @@ def test_validator_rejects_ends_outside_the_lifetime():
         assert not report.ok
         assert report.violation.condition == "bags"
         assert report.violation.witness == (i,)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # two underlying components: one tree each
+        TemporalGraph(4, [(0, 1, 1), (2, 3, 2)]),
+        TemporalGraph(3, [(0, 1, 1)]),
+    ],
+)
+def test_root_of_a_forest_is_refused(g):
+    rd = root_and_augment(compute_tim_decomposition(g))
+    assert len(rd.roots) > 1
+    with pytest.raises(ValueError, match=r"^decomposition is a forest; use \.roots$"):
+        rd.root

@@ -110,3 +110,20 @@ def test_hard_family_shape():
         assert g.lifetime == n
         assert tim_width(g) == 2
         assert g.underlying_edges() == frozenset((i - 1, i) for i in range(1, n))
+
+
+@pytest.mark.parametrize(
+    "generate, message",
+    [
+        (lambda: gen_random(-1, 3, 0.5), "bad parameters"),
+        (lambda: gen_random(4, -1, 0.5), "bad parameters"),
+        (lambda: gen_random(4, 3, 1.5), "bad parameters"),
+        (lambda: gen_random(4, 3, -0.1), "bad parameters"),
+        (lambda: gen_random(4, 3, 0.5, max_times_per_edge=0), "max_times_per_edge must be >= 1"),
+        (lambda: gen_ordered_tree(0), "need at least one vertex"),
+        (lambda: gen_hard_ham_path(7), "family needs n >= 8"),
+    ],
+)
+def test_generators_refuse_bad_parameters(generate, message):
+    with pytest.raises(GeneratorError, match=f"^{message}$"):
+        generate()

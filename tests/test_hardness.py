@@ -93,3 +93,10 @@ def test_reduction_round_trip_small():
             assert (best_sat >= k) == (
                 best_saved >= hardness_target(cnf, k)
             ), (cnf, k, best_sat, best_saved)
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+def test_hardness_refuses_k_outside_the_clause_count(k):
+    cnf = TwoCnf(2, ((1, 2), (-1, 2)))
+    with pytest.raises(CnfError, match="^k must lie between 0 and the clause count$"):
+        gen_firefighter_hardness(cnf, k)

@@ -182,3 +182,62 @@ def test_decomposition_errors_name_lines():
         with pytest.raises(ParseError) as err:
             parse_decomposition(bad, 2, 2)
         assert err.value.line_no == line_no, bad
+
+
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("tgraph 2 1\ntgraph 2 1\n", 2, "duplicate header"),
+        ("# two fields\ntgraph 2\n", 2, "header needs: tgraph <n> <lifetime>"),
+        ("tgraph 2 1\ne 0 1\n", 2, "edge needs: e <u> <v> <t>"),
+        ("tgraph 2 1\ne 1 1 1\n", 2, "self-loop"),
+        ("tgraph 2 2\ne 0 1 3\n", 2, "time out of range 1..2"),
+        ("tgraph 2 1\ne 0 1 0\n", 2, "time out of range 1..1"),
+        ("root 0\ntgraph 2 1\n", 1, "root before header"),
+        ("source 0\ntgraph 2 1\n", 1, "source before header"),
+        ("tgraph 2 1\nroot 0 1\n", 2, "root needs one vertex id"),
+        ("tgraph 2 1\nsource\n", 2, "source needs one vertex id"),
+        ("tgraph 2 1\nroot 2\n", 2, "vertex out of range"),
+        ("tgraph 2 1\nsource -1\n", 2, "vertex out of range"),
+        ("tgraph 2 1\nedge 0 1 1\n", 2, "unknown record 'edge'"),
+        ("# no header\n\n", 0, "missing tgraph header"),
+    ],
+)
+def test_graph_file_errors_are_located(text, line_no, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph_file(text)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("node 0 time=1\n", 1, "node needs: node <id> time=<t> bag=<..>"),
+        ("node 0 time=1 bag=0\nnode 1 t=1 bag=1\n", 2, "malformed node record"),
+        ("node 0 time=1 bag=0,1\nnode 1 1 bag=1\n", 2, "malformed node record"),
+        ("node 0 time=1 bag=0\narc 0\n", 2, "arc needs: arc <i> <j>"),
+        ("node 0 time=1 bag=0\nedge 0 1\n", 2, "unknown record 'edge'"),
+    ],
+)
+def test_decomposition_file_errors_are_located(text, line_no, message):
+    with pytest.raises(ParseError) as err:
+        parse_decomposition(text, 2, 1)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("p cnf 2\n", 1, "header needs: p cnf <vars> <clauses>"),
+        ("p sat 2 1\n", 1, "header needs: p cnf <vars> <clauses>"),
+        ("p cnf 2 1\n1 2\n", 2, "clause must end with 0"),
+        ("c comment only\n", 0, "missing p cnf header"),
+    ],
+)
+def test_dimacs_errors_are_located(text, line_no, message):
+    with pytest.raises(ParseError) as err:
+        parse_dimacs_2cnf(text)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message}"

@@ -157,3 +157,21 @@ def test_tim_vectors_equal_with_repeated_defence_count():
         answers.add((kind, got.answer))
     # yes and no on both kinds
     assert len(answers) == 4
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (lambda g: solve_firefighter(FirefighterInstance(g, 4, 1)), "root out of range"),
+        (lambda g: solve_firefighter(FirefighterInstance(g, -1, 1), "tim"), "root out of range"),
+        # vertex 3 has no edge
+        (
+            lambda g: normalize_firefighter(FirefighterInstance(g, 3, 1)),
+            "root has no incident time-edge; instance is trivial",
+        ),
+    ],
+)
+def test_firefighter_refuses_bad_roots(refuse, message):
+    g = TemporalGraph(4, [(0, 1, 1), (1, 2, 2)])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        refuse(g)

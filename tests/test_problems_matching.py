@@ -1,3 +1,5 @@
+import pytest
+
 from timwidth.core import TemporalGraph
 from timwidth.oracles import oracle_matching
 from timwidth.problems import MatchingInstance, MatchingTimPlugin, solve_matching
@@ -87,3 +89,10 @@ def test_matching_across_delta_gap(rng):
     # first match late in the lifetime still allowed for large delta
     g3 = TemporalGraph(2, [(0, 1, 1)])
     assert solve_matching(MatchingInstance(g3, 3, 1))[0]
+
+
+@pytest.mark.parametrize("delta", [0, -1])
+def test_solve_matching_refuses_delta_below_one(delta):
+    g = TemporalGraph(3, [(0, 1, 1), (1, 2, 2)])
+    with pytest.raises(ValueError, match="^delta must be >= 1$"):
+        solve_matching(MatchingInstance(g, delta, 1))

@@ -1,3 +1,5 @@
+import pytest
+
 from timwidth.core import TemporalGraph
 from timwidth.oracles import oracle_tred
 from timwidth.problems import TredInstance, TredTimPlugin, solve_tred
@@ -54,3 +56,18 @@ def test_plugin_routines_are_pure(rng):
         lab2 = tuple(rng.choice("RNU") for _ in range(2))
         first = lab2 in plugin.successors(lab1, comp)
         assert (lab2 in plugin.successors(lab1, comp)) == first
+
+
+@pytest.mark.parametrize(
+    "source, max_reached, max_deletions, message",
+    [
+        (3, 1, 0, "source out of range"),
+        (-1, 1, 0, "source out of range"),
+        (0, -1, 0, "bounds must be nonnegative"),
+        (0, 1, -1, "bounds must be nonnegative"),
+    ],
+)
+def test_solve_tred_refuses_bad_instances(source, max_reached, max_deletions, message):
+    g = TemporalGraph(3, [(0, 1, 1), (1, 2, 2)])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_tred(TredInstance(g, source, max_reached, max_deletions))

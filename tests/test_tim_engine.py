@@ -336,7 +336,7 @@ def test_every_component_tr_checked_exactly_once(rng):
         d = interval_decomposition(g)
         nodes, copies = one_bag_nodes(d), len(base.rooted.copy_of)
         roots = [nodes[len(nodes) // 2], len(d.bags) + copies // 2] if copies else []
-        for structure in [base] + [TwoStepStructure(g, root_and_augment(d, r)) for r in roots]:
+        for structure in [base] + [TwoStepStructure(g, d, r) for r in roots]:
             check_tr_sites(g, structure)
 
 
@@ -383,7 +383,7 @@ def test_root_choice_invariance(rng):
         base = solve_component_exchangeable(plugin, g)
         expanded = compute_tim_decomposition(g)
         for alt in range(min(len(expanded.bags), 4)):
-            structure = TwoStepStructure(g, root_and_augment(expanded, alt))
+            structure = TwoStepStructure(g, expanded, alt)
             res = solve_component_exchangeable(plugin, g, structure=structure)
             assert res.answer == base.answer
 
@@ -470,7 +470,7 @@ def test_long_idle_runs_match_oracles():
         d = interval_decomposition(g)
         nodes = one_bag_nodes(d)
         for r in (None, nodes[0], nodes[len(nodes) // 2]):
-            structure = TwoStepStructure(g, root_and_augment(d, r))
+            structure = TwoStepStructure(g, d, r)
             directions |= _run_directions(structure)
             rd = structure.rooted
             folded += sum(abs(rd.times[s] - rd.times[c]) for s, c in _interval_nodes(structure))
@@ -493,7 +493,7 @@ def test_long_idle_runs_match_oracles():
 
 def expanded_structure(g):
     """TwoStepStructure over compute_tim_decomposition: one node per bag."""
-    return TwoStepStructure(g, root_and_augment(compute_tim_decomposition(g)))
+    return TwoStepStructure(g, compute_tim_decomposition(g))
 
 
 def bag_by_bag_tables(structure, plugin):
@@ -673,7 +673,7 @@ def test_answers_agree_on_interval_expanded_and_vim_trees():
             answers = set()
             for d, width in trees:
                 assert validate_decomposition(h, d).ok
-                structure = TwoStepStructure(h, root_and_augment(d))
+                structure = TwoStepStructure(h, d)
                 res = solve_component_exchangeable(plugin, h, structure=structure)
                 assert res.phi == width
                 answers.add(res.answer)
@@ -693,7 +693,7 @@ def test_root_must_name_a_node():
         with pytest.raises(ValueError):
             root_and_augment(d, bad)
     # four nodes and two time-0 copies: 5 names the second copy
-    rd = TwoStepStructure(g, root_and_augment(d, 5)).rooted
+    rd = TwoStepStructure(g, d, 5).rooted
     assert rd.copy_of[rd.root] == 1
     # vertex 1 idles over 2..3 and vertex 2 over 1..3, before Lambda = 4;
     # vertex 0 idles over 2..4 and roots its tree whole
@@ -776,12 +776,12 @@ def test_shared_cache_folds_like_a_fresh_one(monkeypatch):
             d = interval_decomposition(inst.graph)
             nodes = one_bag_nodes(d)
             for root in (None, nodes[len(nodes) // 2]):
-                structure = TwoStepStructure(inst.graph, root_and_augment(d, root))
+                structure = TwoStepStructure(inst.graph, d, root)
                 solve_component_exchangeable(plugin, inst.graph, structure=structure)
     hard = gen_hard_ham_path(35)
     d = interval_decomposition(hard)
     for root in (None, one_bag_nodes(d)[0]):
-        structure = TwoStepStructure(hard, root_and_augment(d, root))
+        structure = TwoStepStructure(hard, d, root)
         solve_component_exchangeable(
             HamiltonianTimPlugin(HamiltonianInstance(hard)), hard, structure=structure
         )
@@ -1186,7 +1186,7 @@ def test_join_tables_equal_previous_join(monkeypatch):
         d = interval_decomposition(inst.graph)
         limit = plugin.total_cap
         for root in (None, one_bag_nodes(d)[len(one_bag_nodes(d)) // 2]):
-            structure = TwoStepStructure(inst.graph, root_and_augment(d, root))
+            structure = TwoStepStructure(inst.graph, d, root)
             rd = structure.rooted
             seen, previous_seen, tables = {}, {}, {}
             one_vertex_asks.append(Counter())
@@ -1217,3 +1217,18 @@ def test_join_tables_equal_previous_join(monkeypatch):
     assert {up for _, up in shapes} >= {0, 1, 2}
     assert sum(map(len, one_vertex_asks)) > 100
     assert both_ways > 50
+
+
+def test_default_solve_enters_each_structure_layer_once(monkeypatch):
+    # perfbench times its per-layer spans by these module attributes; a solve
+    # that stopped calling through them would leave those spans blank
+    calls = Counter()
+    for name in ("root_and_augment", "build_two_step"):
+        def counted(*args, _inner=getattr(tim_engine, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(tim_engine, name, counted)
+    g = gen_hard_ham_path(20)
+    solve_component_exchangeable(HamiltonianTimPlugin(HamiltonianInstance(g)), g)
+    assert calls == {"root_and_augment": 1, "build_two_step": 1}

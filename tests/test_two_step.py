@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,12 +9,9 @@ from hypothesis import given, settings
 
 import timwidth
 from timwidth.core import TemporalGraph, _components
-from timwidth.decomposition import (
-    build_two_step,
-    compute_tim_decomposition,
-    root_and_augment,
-)
-from timwidth.tim_engine import TwoStepStructure
+from timwidth.decomposition import TimDecomposition, compute_tim_decomposition, root_and_augment
+from timwidth.problems import HamiltonianInstance, HamiltonianTimPlugin
+from timwidth.tim_engine import TwoStepStructure, solve_component_exchangeable
 
 from .conftest import temporal_graphs
 
@@ -55,8 +53,8 @@ def test_two_step_bag_shape(g):
     if g.lifetime == 0:
         return
     d = compute_tim_decomposition(g)
-    rd = root_and_augment(d)
-    ts = build_two_step(rd, g)
+    ts = TwoStepStructure(g, d)
+    rd = ts.rooted
     phi = d.width
     assert ts.width <= 3 * phi * phi
     assert ts.width == max(len(p) for p in ts.pairs)
@@ -74,8 +72,8 @@ def test_two_step_bag_shape(g):
 def test_pairs_appear_at_most_twice_in_adjacent_bags(g):
     if g.lifetime == 0:
         return
-    rd = rooted(g)
-    ts = build_two_step(rd, g)
+    ts = TwoStepStructure(g, compute_tim_decomposition(g))
+    rd = ts.rooted
     holders = {}
     for s, pairs in enumerate(ts.pairs):
         for pair in pairs:
@@ -92,8 +90,8 @@ def test_pairs_appear_at_most_twice_in_adjacent_bags(g):
 def test_component_pairs_live_in_at_most_one_child(g):
     if g.lifetime == 0:
         return
-    rd = rooted(g)
-    ts = build_two_step(rd, g)
+    ts = TwoStepStructure(g, compute_tim_decomposition(g))
+    rd = ts.rooted
     for s in range(len(rd.bags)):
         for t, comp in ts.components[s]:
             pair_set = {(v, t) for v in comp}
@@ -110,8 +108,8 @@ def test_component_pairs_live_in_at_most_one_child(g):
 def test_components_are_the_snapshot_components_of_the_bags(g):
     if g.lifetime == 0:
         return
-    rd = rooted(g)
-    ts = build_two_step(rd, g)
+    ts = TwoStepStructure(g, compute_tim_decomposition(g))
+    rd = ts.rooted
     for s, children in enumerate(rd.children):
         # time 0 takes the components of the first snapshot
         expected = sorted(
@@ -127,20 +125,20 @@ def test_components_are_the_snapshot_components_of_the_bags(g):
 # the second graph's time-2 component {1, 2}
 HANDED_TREE_PROBE = """
 from timwidth.core import TemporalGraph
-from timwidth.decomposition import compute_tim_decomposition, root_and_augment
+from timwidth.decomposition import compute_tim_decomposition
 from timwidth.tim_engine import TwoStepStructure
 first = TemporalGraph(3, [(0, 1, 1), (0, 2, 2)])
 second = TemporalGraph(3, [(0, 1, 1), (1, 2, 2)])
-TwoStepStructure(second, root_and_augment(compute_tim_decomposition(first)))
+TwoStepStructure(second, compute_tim_decomposition(first))
 """
-SPLIT_MESSAGE = "bag 2 at time 2 splits the snapshot component of vertex 2"
+SPLIT_MESSAGE = "time-edge (1, 2, 2) lies in 0 bags"
 
 
 def test_handed_tree_that_splits_a_component_is_refused():
     first = TemporalGraph(3, [(0, 1, 1), (0, 2, 2)])
     second = TemporalGraph(3, [(0, 1, 1), (1, 2, 2)])
-    with pytest.raises(ValueError, match=SPLIT_MESSAGE):
-        TwoStepStructure(second, rooted(first))
+    with pytest.raises(ValueError, match=re.escape(SPLIT_MESSAGE)):
+        TwoStepStructure(second, compute_tim_decomposition(first))
 
 
 def test_handed_tree_is_refused_under_python_O():
@@ -155,3 +153,35 @@ def test_handed_tree_is_refused_under_python_O():
     )
     assert proc.returncode == 1
     assert proc.stderr.splitlines()[-1] == f"ValueError: {SPLIT_MESSAGE}"
+
+
+F = frozenset
+# handed trees that leave a vertex out of every bag at some time: unchecked,
+# the first solved a Hamiltonian-path no-instance to yes, the second failed
+# inside the join on the missing vertex
+GAP_PROBES = [
+    (
+        TemporalGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 1, 2)]),
+        TimDecomposition(4, 2, (F({0, 1, 2, 3}), F({0, 1}), F({2})), (1, 2, 2), ((0, 1), (0, 2))),
+        "vertex 3 in no bag at time 2",
+    ),
+    (
+        TemporalGraph(3, [(0, 1, 1), (1, 2, 3)]),
+        TimDecomposition(
+            3,
+            3,
+            (F({0, 1}), F({0}), F({1}), F({2}), F({0}), F({1, 2})),
+            (1, 2, 2, 2, 3, 3),
+            ((0, 1), (0, 2), (1, 4), (2, 5), (3, 5)),
+        ),
+        "vertex 2 in no bag at time 1",
+    ),
+]
+
+
+@pytest.mark.parametrize("g, d, message", GAP_PROBES)
+def test_handed_tree_with_a_vertex_in_no_bag_is_refused(g, d, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_component_exchangeable(
+            HamiltonianTimPlugin(HamiltonianInstance(g)), g, structure=TwoStepStructure(g, d)
+        )

@@ -239,3 +239,10 @@ def test_width_ordering_chain(g):
     assert le <= om and ge <= om
     assert tw <= min(le, ge)
     assert tw <= bi
+
+
+@pytest.mark.parametrize("direction", ["lt", "both", ""])
+def test_connected_width_refuses_an_unknown_direction(direction):
+    g = TemporalGraph(3, [(0, 1, 1), (1, 2, 3)])
+    with pytest.raises(ValueError, match="^direction must be 'le' or 'ge'$"):
+        connected_vim_width(g, direction)
