@@ -36,23 +36,19 @@ CSV_COLUMNS = (
 )
 
 
-def table_peak(runs):
-    """(bags, peak) over engine results: the most tables one run kept
-    (VIM timesteps or TIM bags) and the largest table of any run."""
-    bags = peak = 0
-    for r in runs:
-        if hasattr(r, "table_sizes"):
-            count, sizes = len(r.table_sizes), r.table_sizes
-        else:
-            count, sizes = r.bag_count, r.profile_counts.values()
-        bags = max(bags, count)
-        peak = max(peak, max(sizes, default=0))
-    return bags, peak
+def table_peak(result):
+    """(bags, peak) of one engine result: the tables it kept (VIM timesteps
+    or TIM bags) and the largest; (0, 0) when no engine ran (None)."""
+    if result is None:
+        return 0, 0
+    if hasattr(result, "table_sizes"):
+        return len(result.table_sizes), max(result.table_sizes, default=0)
+    return result.bag_count, max(result.profile_counts.values(), default=0)
 
 
 def _row(instance_id, g, problem, engine, solver):
     start = time.perf_counter()
-    answer, runs = solver()
+    answer, result = solver()
     micros = int((time.perf_counter() - start) * 1e6)
     return {
         "instance_id": instance_id,
@@ -64,7 +60,7 @@ def _row(instance_id, g, problem, engine, solver):
         "engine": engine,
         "answer": "yes" if answer else "no",
         "micros": micros,
-        "peak_table_entries": table_peak(runs)[1],
+        "peak_table_entries": table_peak(result)[1],
     }
 
 

@@ -83,22 +83,26 @@ def cmd_widths(args):
 
 
 def cmd_decompose(args):
-    gf = parse_graph_file(_read(args.file))
-    d = compute_tim_decomposition(gf.graph)
-    report = validate_decomposition(gf.graph, d)
-    if not report.ok:
-        print(f"internal error: decomposition invalid: {report.violation}", file=sys.stderr)
-        return 2
-    if args.dot:
-        sys.stdout.write(decomposition_to_dot(d))
-        return 0
-    sys.stdout.write(emit_decomposition(d))
+    g = parse_graph_file(_read(args.file)).graph
+    d = compute_tim_decomposition(g)
     if args.two_step:
-        ts = TwoStepStructure(gf.graph, d)
+        # the structure validates d, the one check on this path
+        try:
+            ts = TwoStepStructure(g, d)
+        except ValueError as exc:
+            print(f"internal error: decomposition invalid: {exc}", file=sys.stderr)
+            return 2
+        sys.stdout.write(emit_decomposition(d))
         for s, (t, pair_set) in enumerate(zip(ts.rooted.times, ts.pairs)):
             pairs = ",".join(f"{v}@{u}" for v, u in sorted(pair_set, key=lambda p: (p[1], p[0])))
             print(f"two-step {s} time={t} pairs={pairs}")
         print(f"two-step-width {ts.width}")
+        return 0
+    report = validate_decomposition(g, d)
+    if not report.ok:
+        print(f"internal error: decomposition invalid: {report.violation}", file=sys.stderr)
+        return 2
+    sys.stdout.write(decomposition_to_dot(d) if args.dot else emit_decomposition(d))
     return 0
 
 
@@ -137,10 +141,10 @@ def cmd_solve(args):
     gf = parse_graph_file(_read(args.file))
     start = time.perf_counter()
     engine = args.engine or ("tim" if problem in ("matching", "tred") else "vim")
-    answer, runs = _solve_instance(problem, gf, args, engine)
+    answer, result = _solve_instance(problem, gf, args, engine)
     elapsed_ms = (time.perf_counter() - start) * 1000
     print("yes" if answer else "no")
-    bag_count, peak = table_peak(runs)
+    bag_count, peak = table_peak(result)
     print(f"bags={bag_count} max_table={peak}")
     print(f"time_ms={elapsed_ms:.1f}", file=sys.stderr)
     return 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import TemporalGraph, _built_once, _edge_components
+from .core import TemporalGraph, _built_once, _edge_components, _find
 from .widths import vim_sequence
 
 
@@ -176,13 +176,6 @@ def _forced_sweep(state, direction):
     for i in state.core:
         by_time.setdefault(times[i], []).append(i)
     uf = {}
-
-    def find(x):
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
     label = {}  # time -> {node: its component in the lattice up to that time}
     merged = False
     for t in sorted(by_time, reverse=direction == -1):
@@ -211,8 +204,8 @@ def _forced_sweep(state, direction):
             uf[i] = i  # a root until a later node of this level joins it
             for nb in adj[i]:
                 if nb in earlier:
-                    uf[find(nb)] = i
-        label[t] = {i: find(i) for i in level}
+                    uf[_find(uf, nb)] = i
+        label[t] = {i: _find(uf, i) for i in level}
     return merged
 
 

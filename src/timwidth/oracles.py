@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
-from .core import TemporalGraph, _components
+from .core import TemporalGraph
 
 
 class OracleBudgetExceeded(Exception):
@@ -263,6 +263,43 @@ def _set_partitions(items):
             yield part[:i] + [part[i] + [first]] + part[i + 1 :]
 
 
+def _components(n, edges):
+    """Connected components of (range(n), edges) by breadth-first search, as
+    sorted vertex tuples ordered by smallest member."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen, out = set(), []
+    for s in range(n):
+        if s not in seen:
+            comp = [s]
+            seen.add(s)
+            for u in comp:
+                fresh = adj[u] - seen
+                seen |= fresh
+                comp.extend(fresh)
+            out.append(tuple(sorted(comp)))
+    return out
+
+
+def _bag_groupings(comps):
+    """Every grouping of one snapshot's components into bags, each bag a
+    sorted vertex tuple."""
+    return [
+        tuple(tuple(sorted(v for comp in block for v in comp)) for block in part)
+        for part in _set_partitions(list(comps))
+    ]
+
+
+def _root(parent, x):
+    """x's root in the union-find parent, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 @lru_cache(maxsize=None)
 def _min_width_for_structure(n, comps_by_time):
     """Minimum TIM width given the per-time snapshot component partitions.
@@ -275,16 +312,7 @@ def _min_width_for_structure(n, comps_by_time):
     lam = len(comps_by_time)
     if lam == 0:
         return 1
-    per_time_groupings = []
-    for comps in comps_by_time:
-        options = []
-        for part in _set_partitions(list(comps)):
-            bags = tuple(
-                tuple(sorted(v for block_comp in block for v in block_comp))
-                for block in part
-            )
-            options.append(bags)
-        per_time_groupings.append(options)
+    per_time_groupings = [_bag_groupings(comps) for comps in comps_by_time]
 
     best = None
 
@@ -299,13 +327,6 @@ def _min_width_for_structure(n, comps_by_time):
         for bags in per_time_groupings[t]:
             ids = list(range(next_id, next_id + len(bags)))
             trial_uf = dict(uf)
-
-            def find(x):
-                while trial_uf[x] != x:
-                    trial_uf[x] = trial_uf[trial_uf[x]]
-                    x = trial_uf[x]
-                return x
-
             for nid in ids:
                 trial_uf[nid] = nid
             owner = {}
@@ -317,7 +338,7 @@ def _min_width_for_structure(n, comps_by_time):
                 for bag, pid in zip(prev_bags, prev_ids):
                     touched = {owner[v] for v in bag}
                     for nid in touched:
-                        ra, rb = find(pid), find(nid)
+                        ra, rb = _root(trial_uf, pid), _root(trial_uf, nid)
                         if ra == rb:
                             ok = False
                             break
@@ -347,19 +368,9 @@ def enumerate_tim_decompositions(g: TemporalGraph, limit=100000):
     Each yielded item is a list over nodes of (time, vertex-tuple). Toy-scale
     only; raises if more than limit systems would be produced.
     """
-    from itertools import product
-
-    lam = g.lifetime
-    per_time = []
-    for t in range(1, lam + 1):
-        comps = _components(g.n, g.edges_at(t))
-        options = []
-        for part in _set_partitions(list(comps)):
-            bags = tuple(
-                tuple(sorted(v for comp in block for v in comp)) for block in part
-            )
-            options.append(bags)
-        per_time.append(options)
+    per_time = [
+        _bag_groupings(_components(g.n, g.edges_at(t))) for t in range(1, g.lifetime + 1)
+    ]
 
     count = 0
     for combo in product(*per_time):
@@ -372,13 +383,6 @@ def enumerate_tim_decompositions(g: TemporalGraph, limit=100000):
                 nodes.append((t, bag))
         # acyclicity over forced arcs
         parent = list(range(len(nodes)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         ok = True
         for i, (ti, bi) in enumerate(nodes):
             if not ok:
@@ -387,7 +391,7 @@ def enumerate_tim_decompositions(g: TemporalGraph, limit=100000):
             for j, (tj, bj) in enumerate(nodes):
                 if tj != ti + 1 or not (si & set(bj)):
                     continue
-                ri, rj = find(i), find(j)
+                ri, rj = _root(parent, i), _root(parent, j)
                 if ri == rj:
                     ok = False
                     break

@@ -131,17 +131,17 @@ class FirefighterTimPlugin(TimProblemPlugin):
 
 
 def solve_firefighter(inst: FirefighterInstance, engine="vim", **kwargs):
-    """Decide reserve temporal firefighter; returns (answer, engine runs)."""
+    """Decide reserve temporal firefighter; returns (answer, engine result or None if none ran)."""
     g = inst.graph
     if engine not in ("vim", "tim"):
         raise ValueError(f"unknown engine {engine!r}")
     if inst.root < 0 or inst.root >= g.n:
         raise ValueError("root out of range")
     if not any(inst.root in (u, v) for u, v, _ in g.time_edges):
-        return g.n - 1 >= inst.saves_target, []
+        return g.n - 1 >= inst.saves_target, None
     norm = normalize_firefighter(inst)
     if engine == "vim":
         res = solve_locally_uniform(FirefighterVimPlugin(norm), norm.graph, **kwargs)
     else:
         res = solve_component_exchangeable(FirefighterTimPlugin(norm), norm.graph, **kwargs)
-    return res.answer, [res]
+    return res.answer, res

@@ -127,17 +127,17 @@ class HamiltonianTimPlugin(TimProblemPlugin):
 
 
 def solve_hamiltonian(g, engine="vim", **kwargs):
-    """Decide Temporal Hamiltonian Path; returns (answer, engine runs)."""
+    """Decide Temporal Hamiltonian Path; returns (answer, engine result or None if none ran)."""
     if engine not in ("vim", "tim"):
         raise ValueError(f"unknown engine {engine!r}")
     if g.n <= 1:
-        return True, []
+        return True, None
     # a strict temporal path through n vertices takes n - 1 time-edges
     if len(g.time_edges) < g.n - 1:
-        return False, []
+        return False, None
     inst = HamiltonianInstance(g)
     if engine == "tim":
         res = solve_component_exchangeable(HamiltonianTimPlugin(inst), g, **kwargs)
     else:
         res = solve_locally_uniform(HamiltonianVimPlugin(inst), g, **kwargs)
-    return res.answer, [res]
+    return res.answer, res

@@ -161,11 +161,12 @@ class MatchingTimPlugin(TimProblemPlugin):
 
 
 def solve_matching(inst: MatchingInstance, **kwargs):
+    """Decide delta-temporal matching; returns (answer, TIM result or None if it did not run)."""
     if inst.delta < 1:
         raise ValueError("delta must be >= 1")
     if inst.size_target <= 0:
-        return True, []
+        return True, None
     if not inst.graph.time_edges:
-        return False, []
+        return False, None
     res = solve_component_exchangeable(MatchingTimPlugin(inst), inst.graph, **kwargs)
-    return res.answer, [res]
+    return res.answer, res

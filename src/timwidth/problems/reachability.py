@@ -74,12 +74,13 @@ class TredTimPlugin(TimProblemPlugin):
 
 
 def solve_tred(inst: TredInstance, **kwargs):
+    """Decide single-source tred; returns (answer, TIM result or None if it did not run)."""
     g = inst.graph
     if inst.source < 0 or inst.source >= g.n:
         raise ValueError("source out of range")
     if inst.max_reached < 0 or inst.max_deletions < 0:
         raise ValueError("bounds must be nonnegative")
     if not g.time_edges:
-        return 1 <= inst.max_reached, []
+        return 1 <= inst.max_reached, None
     res = solve_component_exchangeable(TredTimPlugin(inst), g, **kwargs)
-    return res.answer, [res]
+    return res.answer, res

@@ -164,16 +164,16 @@ def engine_suites():
     for _ in range(200):
         g = _random_instance_graph(rng, 3, 7, 5)
         expected = oracle_ham(g)
-        vim_ans, vim_runs = solve_hamiltonian(g, "vim")
-        tim_ans, tim_runs = solve_hamiltonian(g, "tim")
+        vim_ans, vim_result = solve_hamiltonian(g, "vim")
+        tim_ans, tim_result = solve_hamiltonian(g, "tim")
         ham.append(
             {
                 "graph": g,
                 "oracle": expected,
                 "vim": vim_ans,
                 "tim": tim_ans,
-                "vim_runs": vim_runs,
-                "tim_runs": tim_runs,
+                "vim_result": vim_result,
+                "tim_result": tim_result,
             }
         )
     suites["ham"] = ham
@@ -186,16 +186,16 @@ def engine_suites():
         h = rng.randint(0, g.n)
         inst = FirefighterInstance(g, root, h)
         expected = oracle_firefighter_max(g, root) >= h
-        vim_ans, vim_runs = solve_firefighter(inst, "vim")
-        tim_ans, tim_runs = solve_firefighter(inst, "tim")
+        vim_ans, vim_result = solve_firefighter(inst, "vim")
+        tim_ans, tim_result = solve_firefighter(inst, "tim")
         ff.append(
             {
                 "instance": inst,
                 "oracle": expected,
                 "vim": vim_ans,
                 "tim": tim_ans,
-                "vim_runs": vim_runs,
-                "tim_runs": tim_runs,
+                "vim_result": vim_result,
+                "tim_result": tim_result,
             }
         )
     suites["ff"] = ff
@@ -206,9 +206,9 @@ def engine_suites():
         g = _random_instance_graph(rng, 3, 7, 5)
         inst = MatchingInstance(g, rng.randint(1, 3), rng.randint(0, 3))
         expected = oracle_matching(g, inst.delta, inst.size_target)
-        ans, runs = solve_matching(inst)
+        ans, result = solve_matching(inst)
         matching.append(
-            {"instance": inst, "oracle": expected, "tim": ans, "tim_runs": runs}
+            {"instance": inst, "oracle": expected, "tim": ans, "tim_result": result}
         )
     suites["matching"] = matching
 
@@ -218,9 +218,9 @@ def engine_suites():
         g = _random_instance_graph(rng, 3, 7, 5)
         inst = TredInstance(g, rng.randrange(g.n), rng.randint(1, g.n), rng.randint(0, 3))
         expected = oracle_tred(g, inst.source, inst.max_reached, inst.max_deletions)
-        ans, runs = solve_tred(inst)
+        ans, result = solve_tred(inst)
         tred.append(
-            {"instance": inst, "oracle": expected, "tim": ans, "tim_runs": runs}
+            {"instance": inst, "oracle": expected, "tim": ans, "tim_result": result}
         )
     suites["tred"] = tred
 
@@ -270,44 +270,42 @@ def _tim_bound_ok(result, labels, k, b):
 
 
 def test_criterion_6_table_size_bounds(engine_suites):
+    # one result per engine; None where the solver answered before any engine
     violations = 0
 
     for entry in engine_suites["ham"]:
-        for run in entry["vim_runs"]:
-            if not _vim_bound_ok(run, len(HamiltonianVimPlugin.labels), 1, run.n):
-                violations += 1
-        inst = None
-        for run in entry["tim_runs"]:
-            if not _tim_bound_ok(run, 3, 1, 1):
-                violations += 1
+        vim, tim = entry["vim_result"], entry["tim_result"]
+        labels = len(HamiltonianVimPlugin.labels)
+        if vim is not None and not _vim_bound_ok(vim, labels, 1, vim.n):
+            violations += 1
+        if tim is not None and not _tim_bound_ok(tim, 3, 1, 1):
+            violations += 1
 
     for entry in engine_suites["ff"]:
-        norm = None
-        if entry["vim_runs"] or entry["tim_runs"]:
-            norm = normalize_firefighter(entry["instance"])
-        for run in entry["vim_runs"]:
-            b = FirefighterVimPlugin(norm).counter_bound
-            if not _vim_bound_ok(run, 3, 2, b):
+        vim, tim = entry["vim_result"], entry["tim_result"]
+        if vim is None and tim is None:
+            continue
+        norm = normalize_firefighter(entry["instance"])
+        if vim is not None:
+            if not _vim_bound_ok(vim, 3, 2, FirefighterVimPlugin(norm).counter_bound):
                 violations += 1
-        for run in entry["tim_runs"]:
+        if tim is not None:
             ff_t = FirefighterTimPlugin(norm)
-            k = len(ff_t.v_upper)
-            b = ff_t.counter_bound
-            if not _tim_bound_ok(run, 4, k, b):
+            if not _tim_bound_ok(tim, 4, len(ff_t.v_upper), ff_t.counter_bound):
                 violations += 1
 
     for entry in engine_suites["matching"]:
         match_t = MatchingTimPlugin(entry["instance"])
-        for run in entry["tim_runs"]:
-            labels = len(match_t.labels)
-            if not _tim_bound_ok(run, labels, 1, match_t.counter_bound):
-                violations += 1
+        tim = entry["tim_result"]
+        labels = len(match_t.labels)
+        if tim is not None and not _tim_bound_ok(tim, labels, 1, match_t.counter_bound):
+            violations += 1
 
     for entry in engine_suites["tred"]:
         tred_t = TredTimPlugin(entry["instance"])
-        for run in entry["tim_runs"]:
-            if not _tim_bound_ok(run, 3, 2, tred_t.counter_bound):
-                violations += 1
+        tim = entry["tim_result"]
+        if tim is not None and not _tim_bound_ok(tim, 3, 2, tred_t.counter_bound):
+            violations += 1
 
     _report(
         6,

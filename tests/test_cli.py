@@ -9,6 +9,7 @@ import pytest
 
 import timwidth
 from timwidth.cli import main
+from timwidth.decomposition import TimDecomposition, validate_decomposition
 from timwidth.generators import gen_hard_ham_path, gen_ordered_tree, gen_random
 from timwidth.io import emit_graph_file, parse_graph_file
 from timwidth.problems import MatchingInstance
@@ -102,6 +103,35 @@ def test_decompose_round_trips(capsys, tmp_path, two_hop):
     assert code == 0 and dot.startswith("digraph")
 
 
+def test_decompose_validates_once_per_form(capsys, monkeypatch, tmp_path):
+    # with --two-step, TwoStepStructure's check is the only one; the plain
+    # and --dot forms keep cmd_decompose's own
+    path = tmp_path / "hard.tg"
+    path.write_text(emit_graph_file(gen_hard_ham_path(20)))
+    calls = []
+
+    def counted(g, d):
+        calls.append(d)
+        return validate_decomposition(g, d)
+
+    for module in (timwidth.cli, timwidth.tim_engine, timwidth.decomposition):
+        monkeypatch.setattr(module, "validate_decomposition", counted)
+    for form in (["--two-step"], ["--dot"], []):
+        calls.clear()
+        code, _, err = run_cli(capsys, "decompose", str(path), *form)
+        assert (code, err, len(calls)) == (0, "", 1), form
+
+
+def test_decompose_reports_an_invalid_tree_in_every_form(capsys, monkeypatch, two_hop):
+    # vertex 2 sits in no bag at time 1
+    broken = TimDecomposition(3, 2, (frozenset({0, 1}), frozenset({1, 2})), (1, 2), ((0, 1),))
+    monkeypatch.setattr(timwidth.cli, "compute_tim_decomposition", lambda g: broken)
+    for form in (["--two-step"], ["--dot"], []):
+        code, out, err = run_cli(capsys, "decompose", two_hop, *form)
+        assert (code, out) == (2, ""), form
+        assert err.startswith("internal error: decomposition invalid: "), form
+
+
 def test_decompose_forms_exclude_each_other(capsys, two_hop):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", two_hop, "--two-step", "--dot"])
@@ -129,8 +159,8 @@ def test_verify_prints_each_disagreement(capsys, monkeypatch, tmp_path):
     def flipped(solve):
         def wrong(*args):
             seen.append(args)
-            answer, runs = solve(*args)
-            return not answer, runs
+            answer, result = solve(*args)
+            return not answer, result
 
         return wrong
 

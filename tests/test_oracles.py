@@ -1,3 +1,6 @@
+import random
+
+from timwidth import core, oracles
 from timwidth.core import TemporalGraph
 from timwidth.oracles import (
     earliest_arrival,
@@ -110,3 +113,20 @@ def test_max2sat_brute():
     # x1 v x2, -x1 v x2, x1 v -x2, -x1 v -x2: any assignment satisfies 3
     clauses = [(1, 2), (-1, 2), (1, -2), (-1, -2)]
     assert max_satisfiable_clauses(2, clauses) == 3
+
+
+def test_oracle_components_equal_the_programs():
+    # the oracles search components on their own; min_tim_width_exhaustive's
+    # cache keys need the same canonical form as core._components
+    rng = random.Random(31)
+    for _ in range(500):
+        n = rng.randint(0, 12)
+        edges = [
+            (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))
+        ] if n else []
+        assert oracles._components(n, edges) == core._components(n, edges), (n, edges)
+    for _ in range(100):
+        g = random_graph(rng, n_max=8, lam_max=4)
+        for t in range(1, g.lifetime + 1):
+            edges = g.edges_at(t)
+            assert oracles._components(g.n, edges) == core._components(g.n, edges)

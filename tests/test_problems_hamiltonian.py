@@ -96,7 +96,7 @@ def test_too_few_time_edges_answer_no_without_a_run():
     for g in graphs:
         assert not oracle_ham(g), g
         for engine in ("vim", "tim"):
-            assert solve_hamiltonian(g, engine) == (False, []), (engine, g)
+            assert solve_hamiltonian(g, engine) == (False, None), (engine, g)
 
 
 def test_unknown_engine_rejected_before_shortcuts():
@@ -146,12 +146,13 @@ def test_one_run_matches_per_shift_runs():
     graphs.append(gen_hard_ham_path(8))
     yes = sparse = 0
     for g in graphs:
-        answer, runs = solve_hamiltonian(g, "vim")
+        answer, result = solve_hamiltonian(g, "vim")
         assert answer == solve_per_shift(g), g
-        assert len(runs) <= 1
         if len(g.time_edges) < g.n - 1:
-            assert runs == []
+            assert result is None
             sparse += 1
+        else:
+            assert result.answer == answer
         yes += answer
     assert yes >= 20 and sparse >= 10
 

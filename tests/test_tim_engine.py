@@ -737,7 +737,7 @@ def test_one_vertex_answers_do_not_depend_on_the_vertex():
 def test_hard_family_materialises_few_profiles():
     # run folding keeps one table per run, not one per idle bag; without it
     # this solve materialised 83,446 profile entries
-    answer, (res,) = solve_hamiltonian(gen_hard_ham_path(80), "tim")
+    answer, res = solve_hamiltonian(gen_hard_ham_path(80), "tim")
     assert not answer
     assert sum(res.profile_counts.values()) < 83_446 // 2
 
@@ -749,9 +749,9 @@ def test_firefighter_heavy_tail_stays_small():
     g = gen_random(10, 10, 0.25, max_times_per_edge=2, seed=2)
     for target, expected in ((9, True), (10, False)):
         inst = FirefighterInstance(g, 0, target)
-        answer, runs = solve_firefighter(inst, "tim")
+        answer, res = solve_firefighter(inst, "tim")
         assert answer == solve_firefighter(inst, "vim")[0] == expected
-        assert max(c for res in runs for c in res.profile_counts.values()) <= 57_870
+        assert max(res.profile_counts.values()) <= 57_870
 
 
 def test_shared_cache_folds_like_a_fresh_one(monkeypatch):
