@@ -100,7 +100,7 @@ def cmd_decompose(args):
         return 0
     report = validate_decomposition(g, d)
     if not report.ok:
-        print(f"internal error: decomposition invalid: {report.violation}", file=sys.stderr)
+        print(f"internal error: decomposition invalid: {report.violation.message}", file=sys.stderr)
         return 2
     sys.stdout.write(decomposition_to_dot(d) if args.dot else emit_decomposition(d))
     return 0

@@ -418,6 +418,8 @@ def validate_decomposition(g: TemporalGraph, d: TimDecomposition) -> ValidationR
             f"decomposition has n={d.n}, Lambda={d.lifetime} but the graph has n={g.n}, Lambda={lam}",
             (d.n, d.lifetime),
         )
+    if len(d.times) != len(d.bags):
+        return fail("bags", f"{len(d.times)} times for {len(d.bags)} nodes", (len(d.times),))
     if d.ends and len(d.ends) != len(d.bags):
         return fail("bags", f"{len(d.ends)} ends for {len(d.bags)} nodes", (len(d.ends),))
     ends = d.ends or d.times
@@ -558,17 +560,20 @@ def root_and_augment(d: TimDecomposition, root=None) -> RootedTimDecomposition:
     k-th time-1 node, and roots its tree there; every other tree is rooted
     at its time-Lambda node holding the lowest vertex id. Each tree is
     oriented by one breadth-first search from its root, children in id
-    order. ValueError when root names no node, or an interval node that
-    ends before Lambda: to root inside an idle run, root an expanded
-    decomposition (compute_tim_decomposition's) instead; when an arc
-    closes a cycle, which the search finds as a neighbour reached before
-    that is not the parent; and when a tree has no time-Lambda node to root
-    it at.
+    order. ValueError when an arc names no node of d; when root names no
+    node, or an interval node that ends before Lambda: to root inside an
+    idle run, root an expanded decomposition (compute_tim_decomposition's)
+    instead; when an arc closes a cycle, which the search finds as a
+    neighbour reached before that is not the parent; and when a tree has no
+    time-Lambda node to root it at.
     """
     bags = list(d.bags)
     times = list(d.times)
     ends = list(d.ends or d.times)
     arcs = list(d.arcs)
+    for i, j in arcs:
+        if not (0 <= i < len(bags) and 0 <= j < len(bags)):
+            raise ValueError(f"arc {(i, j)} names none of the {len(bags)} nodes")
 
     for i in range(len(bags)):
         if times[i] == 1:

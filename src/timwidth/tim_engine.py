@@ -137,8 +137,8 @@ def _minimal(totals):
 
 
 def build_two_step(rd, g: TemporalGraph):
-    """comps, own_comps, checks_from_child and extra_vertices of
-    TwoStepStructure, in one walk over rd's nodes."""
+    """own_comps, parent_checks and extra_vertices of TwoStepStructure, in
+    one walk over rd's nodes."""
     # the component of each vertex with an edge, per snapshot, time 0
     # mirroring time 1; a vertex without one is a component alone
     comp_of = {}
@@ -148,24 +148,22 @@ def build_two_step(rd, g: TemporalGraph):
             for v in comp.vertices:
                 comp_of[t, v] = comp
 
-    comps, own_comps, checks_from_child, extra_vertices = {}, [], {}, []
-    for s, (bag, t, p) in enumerate(zip(rd.bags, rd.times, rd.parent)):
+    own_comps, parent_checks, extra_vertices = [], [], []
+    for bag, t, p in zip(rd.bags, rd.times, rd.parent):
         mine = {}
         for v in bag:
             comp = comp_of.get((t, v)) or ComponentGraph(t, (v,), ())
-            mine[t, comp.vertices[0]] = comp
-        comps.update(mine)
-        keys = tuple(sorted(mine))
-        own_comps.append(keys)
-        extra = set()
+            mine[comp.vertices[0]] = comp
+        own = tuple([mine[v] for v in sorted(mine)])
+        checks = extra = ()
         if p is not None and rd.times[p] < t:
-            for key in keys:
-                verts = mine[key].vertices
-                if not rd.bags[p].isdisjoint(verts):
-                    checks_from_child.setdefault((p, s), []).append(key)
-                    extra.update(verts)
-        extra_vertices.append(tuple(sorted(extra - rd.bags[p])) if extra else ())
-    return comps, tuple(own_comps), checks_from_child, extra_vertices
+            checks = tuple([i for i, comp in enumerate(own) if not rd.bags[p].isdisjoint(comp.vertices)])
+            if checks:
+                extra = sorted({v for i in checks for v in own[i].vertices} - rd.bags[p])
+        own_comps.append(own)
+        parent_checks.append(checks)
+        extra_vertices.append(tuple(extra))
+    return tuple(own_comps), tuple(parent_checks), tuple(extra_vertices)
 
 
 class TwoStepStructure:
@@ -179,28 +177,29 @@ class TwoStepStructure:
     root_and_augment(d, root); its width bounds the tables.
 
     The 2-step bag B2(s) holds the node's own (vertex, time) pairs plus each
-    child's pairs at the child's time. A component of snapshot t is keyed
-    (t, v) by its smallest vertex v; time 0 takes the components of the
-    first snapshot, mirroring F_0 = F_1. comps maps each key to its
-    ComponentGraph: the sorted vertex tuple with the snapshot's edges inside
-    it. own_comps[s] lists, sorted, the keys bag s covers at rooted.times[s]
-    (an interval node's bag next to its parent only): each component of
-    snapshot t is covered by exactly one bag at time t, its home.
+    child's pairs at the child's time. build_two_step states it in three
+    per-node tuples:
+    - own_comps[s], the ComponentGraphs of snapshot rooted.times[s] that bag
+      s covers (an interval node's bag next to its parent only), sorted by
+      smallest vertex: each the sorted vertex tuple with the snapshot's
+      edges inside it, time 0 taking the first snapshot's, mirroring
+      F_0 = F_1. Each component of snapshot t is own to exactly one bag at
+      time t, its home;
+    - parent_checks[s], the positions in own_comps[s] whose Tr the parent
+      checks;
+    - extra_vertices[s], the vertices of those components outside the
+      parent's bag, whose labels s hands up.
 
     Tr of a component at time t runs where its time-(t-1) labels are
     visible. Every bag at t-1 holding one of its vertices is a tree
     neighbour of its home, and a parent lies wholly before or after t,
-    interval nodes included. So a key at t >= 1 has its Tr checked at the
-    home's parent when the parent is one time earlier and holds one of its
-    vertices, else at the home. checks_from_child lists the keys moved to a
-    parent by (parent, home), and extra_vertices[s] lists the vertices of
-    those keys outside the parent's bag, whose labels s hands up.
+    interval nodes included. So a component at t >= 1 has its Tr checked at
+    the home's parent when the parent is one time earlier and holds one of
+    its vertices, else at the home.
 
     Built on first read: components[s], the timed components of B2(s) as
     (t, vertex-tuple) entries ordered by time, then smallest member;
-    pairs[s], the pair set of B2(s); and width, max |B2(s)|. A child's time
-    differs from its parent's and bags at one time are disjoint, so |B2(s)|
-    is |B(s)| plus the children's |B(c)|.
+    pairs[s], the pair set of B2(s); and width, max |B2(s)|.
     """
 
     def __init__(self, g: TemporalGraph, d=None, root=None):
@@ -212,16 +211,13 @@ class TwoStepStructure:
             if not report.ok:
                 raise ValueError(report.violation.message)
         self.rooted = rd = root_and_augment(d, root)
-        self.comps, self.own_comps, self.checks_from_child, self.extra_vertices = build_two_step(rd, g)
+        self.own_comps, self.parent_checks, self.extra_vertices = build_two_step(rd, g)
 
     @_built_once
     def components(self):
-        own, comps = self.own_comps, self.comps
+        own = self.own_comps
         return tuple(
-            tuple(
-                (key[0], comps[key].vertices)
-                for key in sorted(own[s] + tuple(key for c in children for key in own[c]))
-            )
+            tuple(sorted((comp.t, comp.vertices) for x in (s, *children) for comp in own[x]))
             for s, children in enumerate(self.rooted.children)
         )
 
@@ -233,12 +229,7 @@ class TwoStepStructure:
 
     @_built_once
     def width(self):
-        rd = self.rooted
-        return max(
-            (len(bag) + sum(len(rd.bags[c]) for c in children)
-             for bag, children in zip(rd.bags, rd.children)),
-            default=0,
-        )
+        return max(map(len, self.pairs), default=0)
 
     def postorder(self):
         rd = self.rooted
@@ -281,29 +272,29 @@ def realisable_profiles(structure, plugin, node, child_results, cap=DEFAULT_PROF
     its label sits in a rho, so the earlier labelling of a component, the
     extra labels and an up-child's restriction are tuples read straight off
     the rhos. Each own component's options come from one memo per call,
-    keyed by the component and its earlier labelling: the successors of
-    that labelling the role admits, or, for None (Tr checked at the parent,
-    or t = 0), the plugin's assignments, taken once per bag. Each up-child's
-    table is grouped once per call, by the labels it hands up and then by
-    the labellings of the components whose Tr this bag checks, each with
-    the union of its totals; per restriction of rho to the vertices those
-    components share with this bag, the join walks the product of their
-    cached successor sets and looks the groups up. A bag with one
-    down-child reads that child's entries and totals as they are; several
-    are summed per combination. Each rho's sums go straight into its key's
-    set.
+    keyed by the component's position and its earlier labelling: the
+    successors of that labelling the role admits, or, for None (Tr checked
+    at the parent, or t = 0), the plugin's assignments, taken once per bag.
+    Each up-child's table is grouped once per call, by the labels it hands
+    up and then by the labellings at its parent_checks positions, whose Tr
+    this bag checks, each with the union of its totals; per restriction of
+    rho to the vertices those components share with this bag, the join
+    walks the product of their cached successor sets and looks the groups
+    up. A bag with one down-child reads that child's entries and totals as
+    they are; several are summed per combination. Each rho's sums go
+    straight into its key's set.
     """
-    rd, comps = structure.rooted, structure.comps
+    rd, own_comps = structure.rooted, structure.own_comps
     t = rd.times[node]
     role = _role(t, structure.graph.lifetime)
     down = [c for c in rd.children[node] if rd.times[c] == t - 1]
     up = [c for c in rd.children[node] if rd.times[c] == t + 1]
 
-    own = structure.own_comps[node]
+    own = own_comps[node]
     # a Tr-checked component's options depend on the labels below it; the
     # others' are the same for every combination of down-children
-    moved = structure.checks_from_child.get((rd.parent[node], node), ())
-    tr_here = [t >= 1 and key not in moved for key in own]
+    moved = structure.parent_checks[node]
+    tr_here = [t >= 1 and x not in moved for x in range(len(own))]
 
     # guard before materialising anything: the label product alone ought to
     # stay below the cap
@@ -311,16 +302,16 @@ def realisable_profiles(structure, plugin, node, child_results, cap=DEFAULT_PROF
     estimate = 1
     for c in down:
         estimate *= max(len(child_results[c]), 1)
-    for key, here in zip(own, tr_here):
+    for comp, here in zip(own, tr_here):
         if not here:
-            estimate *= max(n_labels ** len(comps[key].vertices), 1)
+            estimate *= max(n_labels ** len(comp.vertices), 1)
     if estimate > cap:
         raise ResourceLimitError(f"bag {node}", estimate, cap)
 
     option_cache = {}
 
-    def options_of(key, prev):
-        comp = comps[key]
+    def options_of(x, prev):
+        comp = own[x]
         if prev is None:
             opts = plugin.assignments(comp, role)
         else:
@@ -329,7 +320,7 @@ def realisable_profiles(structure, plugin, node, child_results, cap=DEFAULT_PROF
                 vec = plugin.check(l, comp, role)
                 if vec is not None:
                     opts.append((l, vec))
-        option_cache[key, prev] = opts
+        option_cache[x, prev] = opts
         return opts
 
     # where each label one timestep before sits: (down-child, component,
@@ -337,29 +328,29 @@ def realisable_profiles(structure, plugin, node, child_results, cap=DEFAULT_PROF
     below = {
         v: (d, i, j)
         for d, c in enumerate(down)
-        for i, key in enumerate(structure.own_comps[c])
-        for j, v in enumerate(comps[key].vertices)
+        for i, comp in enumerate(own_comps[c])
+        for j, v in enumerate(comp.vertices)
     }
     free_options = []
-    tr_keys = []
-    for x, (key, here) in enumerate(zip(own, tr_here)):
+    tr_at = []
+    for x, (comp, here) in enumerate(zip(own, tr_here)):
         if here:
             free_options.append(None)
-            tr_keys.append((x, key, [below[v] for v in comps[key].vertices]))
+            tr_at.append((x, [below[v] for v in comp.vertices]))
         else:
-            free_options.append(options_of(key, None))
+            free_options.append(options_of(x, None))
     extra_at = [(v, *below[v]) for v in structure.extra_vertices[node]]
 
-    # Tr as sets, by (component key, earlier labelling)
+    # Tr as sets, by (up-child, component position, earlier labelling)
     succ_cache = {}
 
-    def successor_set(key, prev):
-        succ = succ_cache.get((key, prev))
+    def successor_set(c, i, prev):
+        succ = succ_cache.get((c, i, prev))
         if succ is None:
-            succ = succ_cache[key, prev] = frozenset(plugin.successors(prev, comps[key]))
+            succ = succ_cache[c, i, prev] = frozenset(plugin.successors(prev, own_comps[c][i]))
         return succ
 
-    def joined_up(groups, need, checks, restriction):
+    def joined_up(groups, need, c, restriction):
         # the union of the child's totals whose checked labellings follow
         # rho's restriction and the labels the child hands up
         combined = set()
@@ -367,8 +358,8 @@ def realisable_profiles(structure, plugin, node, child_results, cap=DEFAULT_PROF
             label_at = dict(extra_c)
             label_at.update(zip(need, restriction))
             succs = [
-                successor_set(key, tuple(label_at[v] for v in comps[key].vertices))
-                for key in checks
+                successor_set(c, i, tuple(label_at[v] for v in own_comps[c][i].vertices))
+                for i in structure.parent_checks[c]
             ]
             for nxt in product(*succs):
                 if nxt in by_nxt:
@@ -378,12 +369,11 @@ def realisable_profiles(structure, plugin, node, child_results, cap=DEFAULT_PROF
 
     if up:
         # where each own label sits in a rho: (component, position)
-        own_at = {v: (i, j) for i, key in enumerate(own) for j, v in enumerate(comps[key].vertices)}
+        own_at = {v: (i, j) for i, comp in enumerate(own) for j, v in enumerate(comp.vertices)}
     ups = []
     for c in up:
-        checks = structure.checks_from_child.get((node, c), ())
-        need = sorted({v for key in checks for v in comps[key].vertices} & rd.bags[node])
-        at = [structure.own_comps[c].index(key) for key in checks]
+        at = structure.parent_checks[c]
+        need = sorted({v for i in at for v in own_comps[c][i].vertices} & rd.bags[node])
         # the child's totals by the labels it hands up, then by the
         # labellings of the components whose Tr this bag checks
         groups = {}
@@ -392,7 +382,7 @@ def realisable_profiles(structure, plugin, node, child_results, cap=DEFAULT_PROF
             nxt = tuple([rho_c[i][0] for i in at])
             have = by_nxt.get(nxt)
             by_nxt[nxt] = totals_c if have is None else have | totals_c
-        ups.append(([own_at[v] for v in need], {}, groups, need, checks))
+        ups.append(([own_at[v] for v in need], {}, groups, need, c))
 
     # per combination of down-children: their rhos and summed totals
     if not down:
@@ -411,19 +401,19 @@ def realisable_profiles(structure, plugin, node, child_results, cap=DEFAULT_PROF
     for rhos, down_totals in combos:
         extra = tuple([(v, rhos[d][i][0][j]) for v, d, i, j in extra_at]) if extra_at else ()
         options = free_options
-        if tr_keys:
+        if tr_at:
             options = list(free_options)
-            for x, key, where in tr_keys:
+            for x, where in tr_at:
                 prev = tuple([rhos[d][i][0][j] for d, i, j in where])
-                opts = option_cache.get((key, prev))
-                options[x] = options_of(key, prev) if opts is None else opts
+                opts = option_cache.get((x, prev))
+                options[x] = options_of(x, prev) if opts is None else opts
         for rho in product(*options):
             sets = [] if down_totals is None else [down_totals]
-            for need_at, cache, groups, need, checks in ups:
+            for need_at, cache, groups, need, c in ups:
                 restriction = tuple([rho[i][0][j] for i, j in need_at])
                 joined = cache.get(restriction)
                 if joined is None:
-                    joined = cache[restriction] = joined_up(groups, need, checks, restriction)
+                    joined = cache[restriction] = joined_up(groups, need, c, restriction)
                 if not joined:
                     break
                 sets.append(joined)

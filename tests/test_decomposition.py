@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import signal
 from contextlib import contextmanager
 from dataclasses import replace
@@ -21,6 +22,7 @@ from timwidth.decomposition import (
 from timwidth.generators import gen_hard_ham_path, gen_ordered_tree, gen_random
 from timwidth.io import emit_decomposition, parse_decomposition
 from timwidth.oracles import enumerate_tim_decompositions, min_tim_width_exhaustive
+from timwidth.problems import solve_hamiltonian
 from timwidth.tim_engine import TwoStepStructure
 from timwidth.widths import bidirectional_cvim_width, connected_vim_width, vim_sequence
 
@@ -98,17 +100,23 @@ def test_validator_rejects_decomposition_of_other_shape():
         ("node 0 time=0 bag=0,1\n", "bags", "bag 0 has time 0 outside [1, 1]"),
         ("node 0 time=1 bag=0,1\nnode 1 time=1 bag=1\n", "condition1", "vertex 1 in bags 0 and 1 at time 1"),
         (TimDecomposition(2, 1, (frozenset({0, 1}),), (1,), (), ends=(1, 1)), "bags", "2 ends for 1 nodes"),
+        (TimDecomposition(2, 1, (frozenset({0, 1}), frozenset({0})), (1,), ()), "bags",
+         "1 times for 2 nodes"),
         ("node 0 time=1 bag=0\nnode 1 time=1 bag=1\nnode 2 time=1 bag=0\n", "bags",
          "3 bags exceed n*Lambda = 2"),
     ],
-    ids=["empty-bag", "time-0", "vertex-twice", "ends", "too-many-bags"],
+    ids=["empty-bag", "time-0", "vertex-twice", "ends", "times", "too-many-bags"],
 )
 def test_validator_refusals(decomp, condition, message):
     if isinstance(decomp, str):
         decomp = parse_decomposition(decomp, 2, 1)
-    report = validate_decomposition(TemporalGraph(2, [(0, 1, 1)]), decomp)
+    g = TemporalGraph(2, [(0, 1, 1)])
+    report = validate_decomposition(g, decomp)
     assert not report.ok
     assert (report.violation.condition, report.violation.message) == (condition, message)
+    # a structure handed the decomposition refuses it with the same message
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TwoStepStructure(g, decomp)
 
 
 def test_validator_catches_wrong_arcs():
@@ -208,6 +216,14 @@ def test_rooting_refuses_arcs_that_close_a_cycle():
         root_and_augment(d)
 
 
+@pytest.mark.parametrize("arc", [(0, 5), (0, -1)], ids=["past-the-end", "negative"])
+def test_rooting_refuses_an_arc_that_names_no_node(arc):
+    # -1 would index the time-0 copy that rooting appends
+    d = TimDecomposition(2, 1, (frozenset({0, 1}),), (1,), (arc,))
+    with pytest.raises(ValueError, match=rf"^arc \({arc[0]}, {arc[1]}\) names none of the 1 nodes$"):
+        root_and_augment(d)
+
+
 def test_forest_on_disconnected_underlying():
     g = TemporalGraph(4, [(0, 1, 1), (2, 3, 2)])
     d = compute_tim_decomposition(g)
@@ -265,6 +281,32 @@ def test_widths_pool_graph_decomposes_quickly():
     ge = connected_vim_width(g, "ge", vs).width
     assert d.width <= min(le, ge) and d.width <= bidirectional_cvim_width(g)
     assert le <= vs.width and ge <= vs.width
+
+
+# CHANGES.md FOUND line 56: a path through all 20 vertices at shuffled
+# times, plus two edges
+SHUFFLED_PATH_GRAPH = TemporalGraph(20, [
+    (1, 18, 1), (0, 14, 2), (0, 18, 8), (1, 8, 10), (14, 17, 12), (1, 13, 13), (5, 9, 27),
+    (11, 18, 34), (5, 7, 41), (8, 16, 43), (4, 12, 46), (17, 19, 47), (10, 19, 54), (4, 7, 56),
+    (2, 3, 57), (15, 16, 61), (3, 9, 62), (2, 11, 67), (6, 15, 72), (11, 13, 73), (6, 12, 80),
+])
+
+
+def test_shuffled_path_has_no_hamiltonian_path_on_vim():
+    with deadline(30):
+        answer, _ = solve_hamiltonian(SHUFFLED_PATH_GRAPH, "vim")
+    assert answer is False
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=TimeoutError,
+    reason="CHANGES.md FOUND line 56: the exact minimum-width search does not finish "
+    "on this graph; ROADMAP items 1 and 5 make it return, and flip this test",
+)
+def test_shuffled_path_decomposes_quickly():
+    with deadline(1):
+        tim_width(SHUFFLED_PATH_GRAPH)
 
 
 def test_widths_pool_graph_search_tree_is_pinned(monkeypatch):

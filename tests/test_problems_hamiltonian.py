@@ -237,7 +237,7 @@ def test_tim_vectors_are_never_negative():
         if not g.time_edges:
             continue
         plugin = HamiltonianTimPlugin(HamiltonianInstance(g))
-        for comp in TwoStepStructure(g).comps.values():
+        for comp in (c for own in TwoStepStructure(g).own_comps for c in own):
             for role in ("start", "val", "fin"):
                 vectors = [vec for _, vec in plugin.assignments(comp, role)]
                 for labelling in product(plugin.labels, repeat=len(comp.vertices)):

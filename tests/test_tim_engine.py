@@ -259,7 +259,7 @@ def test_realisable_profiles_at_time0_leaf():
     for (rho, extra), totals in profiles.items():
         assert extra == ()
         ((labelling, vector),) = rho
-        assert plugin.check(labelling, structure.comps[(0, 0)], "start") == vector
+        assert plugin.check(labelling, structure.own_comps[leaf][0], "start") == vector
         assert totals == {vector}
 
 
@@ -298,26 +298,20 @@ def node_times(rd, x):
     return set(range(below + 1, top + 1)) if below < top else set(range(top, below))
 
 
-def home_of(structure, key):
-    """The bag whose own components include key."""
-    return next(s for s, keys in enumerate(structure.own_comps) if key in keys)
+def tr_site(structure, home, i):
+    """The bag that checks the Tr of own component i of home, at t >= 1, as
+    parent_checks says."""
+    return structure.rooted.parent[home] if i in structure.parent_checks[home] else home
 
 
-def tr_site(structure, key):
-    """The bag that checks the Tr of key, at t >= 1, as checks_from_child says."""
-    home = home_of(structure, key)
-    parent = structure.rooted.parent[home]
-    return parent if key in structure.checks_from_child.get((parent, home), ()) else home
-
-
-def reference_tr_site(structure, key):
+def reference_tr_site(structure, home, i):
     """The Tr site by a scan of the rooted nodes other than its home that
     hold a bag at t-1 meeting the component's vertices: its home if all of
     them are children of the home, otherwise the home's parent."""
     rd = structure.rooted
-    home = home_of(structure, key)
-    verts = set(structure.comps[key].vertices)
-    prev = {x for x, bag in enumerate(rd.bags) if key[0] - 1 in node_times(rd, x) and bag & verts}
+    comp = structure.own_comps[home][i]
+    verts = set(comp.vertices)
+    prev = {x for x, bag in enumerate(rd.bags) if comp.t - 1 in node_times(rd, x) and bag & verts}
     return home if prev - {home} <= set(rd.children[home]) else rd.parent[home]
 
 
@@ -341,35 +335,38 @@ def test_every_component_tr_checked_exactly_once(rng):
 
 
 def check_tr_sites(g, structure):
-    rd = structure.rooted
-    # comps holds snapshot components, each once, with that snapshot's
-    # edges inside it; time 0 mirrors time 1, and an edgeless graph has
-    # no bags and so no components. Every component with an edge is there;
+    rd, own_comps = structure.rooted, structure.own_comps
+    # own_comps holds snapshot components with that snapshot's edges
+    # inside them; time 0 mirrors time 1, and an edgeless graph has no
+    # bags and so no components. Every component with an edge is there;
     # an interval node adds only the one of its bag at rd.times
     snapshot_comps = {
         (t, verts): tuple(e for e in g.edges_at(t or 1) if e[0] in verts)
         for t in range(g.lifetime + 1 if g.lifetime else 0)
         for verts in _components(g.n, g.edges_at(t or 1))
     }
-    got = {(c.t, c.vertices): c.edges for c in structure.comps.values()}
-    assert len(got) == len(structure.comps)
+    owned = [(c.t, c.vertices) for own in own_comps for c in own]
+    got = {(c.t, c.vertices): c.edges for own in own_comps for c in own}
+    # each component is own to exactly one bag, its home
+    assert len(got) == len(owned)
     assert all(snapshot_comps[comp] == edges for comp, edges in got.items())
     assert {comp for comp in snapshot_comps if len(comp[1]) > 1} <= got.keys()
-    assert all(key == (c.t, c.vertices[0]) for key, c in structure.comps.items())
-    owned = [key for keys in structure.own_comps for key in keys]
-    # each component is own to exactly one bag, its home
-    assert len(owned) == len(set(owned)) and set(owned) == set(structure.comps)
-    # each key at t >= 1 is checked at its home unless checks_from_child
+    # a bag's components sit at its time, sorted by smallest vertex
+    for s, own in enumerate(own_comps):
+        assert all(c.t == rd.times[s] for c in own)
+        firsts = [c.vertices[0] for c in own]
+        assert firsts == sorted(set(firsts))
+    # each component at t >= 1 is checked at its home unless parent_checks
     # moves it to the home's parent
-    moved = structure.checks_from_child
-    for (site, home), keys in moved.items():
-        assert site == rd.parent[home] and keys
-        assert all(key[0] >= 1 and home_of(structure, key) == home for key in keys)
-    for key in owned:
-        if key[0] >= 1:
-            assert tr_site(structure, key) == reference_tr_site(structure, key)
+    for s, checks in enumerate(structure.parent_checks):
+        assert list(checks) == sorted(set(checks))
+        assert all(0 <= i < len(own_comps[s]) and own_comps[s][i].t >= 1 for i in checks)
+    for s, own in enumerate(own_comps):
+        for i, c in enumerate(own):
+            if c.t >= 1:
+                assert tr_site(structure, s, i) == reference_tr_site(structure, s, i)
     for s, p in enumerate(rd.parent):
-        verts = {v for key in moved.get((p, s), ()) for v in structure.comps[key].vertices}
+        verts = {v for i in structure.parent_checks[s] for v in own_comps[s][i].vertices}
         extra = tuple(sorted(verts - rd.bags[p])) if verts else ()
         assert structure.extra_vertices[s] == extra
 
@@ -548,45 +545,44 @@ def reference_bag_step(structure, plugin, inst, node, child_results):
     down-children's entries and every choice of own labellings, each
     up-child's whole table is scanned and Tr re-asked per entry, and every
     achievable total is kept."""
-    rd, comps = structure.rooted, structure.comps
+    rd, own_comps = structure.rooted, structure.own_comps
     t = rd.times[node]
     role = "start" if t == 0 else ("fin" if t == inst.graph.lifetime else "val")
     down = [c for c in rd.children[node] if rd.times[c] == t - 1]
     up = [c for c in rd.children[node] if rd.times[c] == t + 1]
-    own = structure.own_comps[node]
+    own = own_comps[node]
 
-    def labels_of(keys, rho):
+    def labels_of(comps, rho):
         return {
             v: label
-            for key, (labelling, _vec) in zip(keys, rho)
-            for v, label in zip(comps[key].vertices, labelling)
+            for comp, (labelling, _vec) in zip(comps, rho)
+            for v, label in zip(comp.vertices, labelling)
         }
 
-    def tr_holds(key, label_at, nxt):
-        prev = tuple(label_at[v] for v in comps[key].vertices)
-        return nxt in plugin.successors(prev, comps[key])
+    def tr_holds(comp, label_at, nxt):
+        prev = tuple(label_at[v] for v in comp.vertices)
+        return nxt in plugin.successors(prev, comp)
 
     results = {}
     for down_combo in product(*(child_results[c].items() for c in down)):
         prev_at = {}
         for c, ((rho_c, _extra), _totals) in zip(down, down_combo):
-            prev_at.update(labels_of(structure.own_comps[c], rho_c))
+            prev_at.update(labels_of(own_comps[c], rho_c))
         options = []
-        for key in own:
-            opts = plugin.assignments(comps[key], role)
-            if t >= 1 and tr_site(structure, key) == node:
-                opts = [(lab, vec) for lab, vec in opts if tr_holds(key, prev_at, lab)]
+        for i, comp in enumerate(own):
+            opts = plugin.assignments(comp, role)
+            if t >= 1 and tr_site(structure, node, i) == node:
+                opts = [(lab, vec) for lab, vec in opts if tr_holds(comp, prev_at, lab)]
             options.append(opts)
         for rho in product(*options):
             own_at = labels_of(own, rho)
             sets = [totals for _key, totals in down_combo]
             for c in up:
-                checked = structure.checks_from_child.get((node, c), ())
+                checked = structure.parent_checks[c]
                 joined = set()
                 for (rho_c, extra_c), totals_c in child_results[c].items():
-                    nxt = dict(zip(structure.own_comps[c], rho_c))
                     label_at = {**own_at, **dict(extra_c)}
-                    if all(tr_holds(key, label_at, nxt[key][0]) for key in checked):
+                    if all(tr_holds(own_comps[c][i], label_at, rho_c[i][0]) for i in checked):
                         joined |= totals_c
                 sets.append(joined)
             own_sum = tuple(sum(vals) for vals in zip(*(vec for _, vec in rho)))
@@ -982,14 +978,14 @@ def previous_join(structure, plugin, node, child_results):
     """realisable_profiles as it was before it read labels by position: a
     label map per entry and per rho, the down-children's totals summed
     from a zero vector, each rho's sums built apart and then merged."""
-    rd, comps = structure.rooted, structure.comps
+    rd, own_comps = structure.rooted, structure.own_comps
     t = rd.times[node]
     role = "start" if t == 0 else ("fin" if t == structure.graph.lifetime else "val")
     down = [c for c in rd.children[node] if rd.times[c] == t - 1]
     up = [c for c in rd.children[node] if rd.times[c] == t + 1]
-    own = structure.own_comps[node]
-    moved = structure.checks_from_child.get((rd.parent[node], node), ())
-    tr_here = [t >= 1 and key not in moved for key in own]
+    own = own_comps[node]
+    moved = structure.parent_checks[node]
+    tr_here = [t >= 1 and x not in moved for x in range(len(own))]
 
     def sumset(base, sets):
         acc = {tuple(base)}
@@ -999,43 +995,42 @@ def previous_join(structure, plugin, node, child_results):
 
     option_cache = {}
 
-    def options_of(key, prev):
-        opts = option_cache.get((key, prev))
+    def options_of(x, prev):
+        opts = option_cache.get((x, prev))
         if opts is None:
-            comp = comps[key]
+            comp = own[x]
             if prev is None:
                 opts = plugin.assignments(comp, role)
             else:
                 succ = plugin.successors(prev, comp)
                 checked = ((l, plugin.check(l, comp, role)) for l in succ)
                 opts = [(l, vec) for l, vec in checked if vec is not None]
-            option_cache[key, prev] = opts
+            option_cache[x, prev] = opts
         return opts
 
-    free_options = [None if here else options_of(key, None) for key, here in zip(own, tr_here)]
-    up_checks = {c: structure.checks_from_child.get((node, c), ()) for c in up}
+    free_options = [None if here else options_of(x, None) for x, here in enumerate(tr_here)]
+    up_checks = {c: structure.parent_checks[c] for c in up}
     up_need = {
-        c: sorted({v for key in up_checks[c] for v in comps[key].vertices} & rd.bags[node])
+        c: sorted({v for i in up_checks[c] for v in own_comps[c][i].vertices} & rd.bags[node])
         for c in up
     }
     up_cache = {c: {} for c in up}
     up_groups = {}
     succ_cache = {}
 
-    def successor_set(key, prev):
-        succ = succ_cache.get((key, prev))
+    def successor_set(c, i, prev):
+        succ = succ_cache.get((c, i, prev))
         if succ is None:
-            succ = succ_cache[key, prev] = frozenset(plugin.successors(prev, comps[key]))
+            succ = succ_cache[c, i, prev] = frozenset(plugin.successors(prev, own_comps[c][i]))
         return succ
 
     def groups_of(c):
         groups = up_groups.get(c)
         if groups is None:
             groups = up_groups[c] = {}
-            at = [structure.own_comps[c].index(key) for key in up_checks[c]]
             for (rho_c, extra_c), totals_c in child_results[c].items():
                 by_nxt = groups.setdefault(extra_c, {})
-                nxt = tuple(rho_c[i][0] for i in at)
+                nxt = tuple(rho_c[i][0] for i in up_checks[c])
                 by_nxt[nxt] = by_nxt[nxt] | totals_c if nxt in by_nxt else totals_c
         return groups
 
@@ -1049,8 +1044,8 @@ def previous_join(structure, plugin, node, child_results):
             label_at = dict(extra_c)
             label_at.update(zip(up_need[c], restriction))
             succs = [
-                successor_set(key, tuple(label_at[v] for v in comps[key].vertices))
-                for key in up_checks[c]
+                successor_set(c, i, tuple(label_at[v] for v in own_comps[c][i].vertices))
+                for i in up_checks[c]
             ]
             for nxt in product(*succs):
                 if nxt in by_nxt:
@@ -1058,15 +1053,15 @@ def previous_join(structure, plugin, node, child_results):
         cache[restriction] = combined = _minimal(combined)
         return combined
 
-    def label_at_of(keys, rho):
+    def label_at_of(comps, rho):
         return {
             v: l
-            for key, (labelling, _vec) in zip(keys, rho)
-            for v, l in zip(comps[key].vertices, labelling)
+            for comp, (labelling, _vec) in zip(comps, rho)
+            for v, l in zip(comp.vertices, labelling)
         }
 
     down_entries = [
-        [(label_at_of(structure.own_comps[c], rho_c), totals_c)
+        [(label_at_of(own_comps[c], rho_c), totals_c)
          for (rho_c, _extra), totals_c in child_results[c].items()]
         for c in down
     ]
@@ -1082,8 +1077,8 @@ def previous_join(structure, plugin, node, child_results):
             down_sets = [sumset(zero, down_sets)]
         options = [
             opts if opts is not None
-            else options_of(key, tuple(prev_label_at[v] for v in comps[key].vertices))
-            for key, opts in zip(own, free_options)
+            else options_of(x, tuple(prev_label_at[v] for v in own[x].vertices))
+            for x, opts in enumerate(free_options)
         ]
         for rho in product(*options):
             own_label_at = label_at_of(own, rho)

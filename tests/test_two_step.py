@@ -63,6 +63,9 @@ def test_two_step_bag_shape(g):
         assert times_present <= {rd.times[s] - 1, rd.times[s], rd.times[s] + 1}
         own = {(v, rd.times[s]) for v in rd.bags[s]}
         assert own <= ts.pairs[s]
+        # a child's time differs from its parent's and bags at one time are
+        # disjoint, so |B2(s)| is |B(s)| plus the children's |B(c)|
+        assert len(ts.pairs[s]) == len(rd.bags[s]) + sum(len(rd.bags[c]) for c in rd.children[s])
         if not rd.children[s]:
             assert ts.pairs[s] == frozenset(own)
 
