@@ -560,7 +560,8 @@ def root_and_augment(d: TimDecomposition, root=None) -> RootedTimDecomposition:
     k-th time-1 node, and roots its tree there; every other tree is rooted
     at its time-Lambda node holding the lowest vertex id. Each tree is
     oriented by one breadth-first search from its root, children in id
-    order. ValueError when an arc names no node of d; when root names no
+    order. ValueError when times, or a non-empty ends, is not as long as
+    bags; when an arc names no node of d; when root names no
     node, or an interval node that ends before Lambda: to root inside an
     idle run, root an expanded decomposition (compute_tim_decomposition's)
     instead; when an arc closes a cycle, which the search finds as a
@@ -571,6 +572,10 @@ def root_and_augment(d: TimDecomposition, root=None) -> RootedTimDecomposition:
     times = list(d.times)
     ends = list(d.ends or d.times)
     arcs = list(d.arcs)
+    if len(times) != len(bags):
+        raise ValueError(f"{len(times)} times for {len(bags)} nodes")
+    if len(ends) != len(bags):
+        raise ValueError(f"{len(ends)} ends for {len(bags)} nodes")
     for i, j in arcs:
         if not (0 <= i < len(bags) and 0 <= j < len(bags)):
             raise ValueError(f"arc {(i, j)} names none of the {len(bags)} nodes")

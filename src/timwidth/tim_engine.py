@@ -144,22 +144,34 @@ def build_two_step(rd, g: TemporalGraph):
     comp_of = {}
     for t in range(rd.lifetime + 1):
         edges = g.edges_at(t or 1)
-        for comp in component_graphs(t, _edge_components(edges), edges):
-            for v in comp.vertices:
-                comp_of[t, v] = comp
+        if edges:
+            for comp in component_graphs(t, _edge_components(edges), edges):
+                for v in comp.vertices:
+                    comp_of[t, v] = comp
 
+    times, bags = rd.times, rd.bags
     own_comps, parent_checks, extra_vertices = [], [], []
-    for bag, t, p in zip(rd.bags, rd.times, rd.parent):
-        mine = {}
-        for v in bag:
-            comp = comp_of.get((t, v)) or ComponentGraph(t, (v,), ())
-            mine[comp.vertices[0]] = comp
-        own = tuple([mine[v] for v in sorted(mine)])
+    for bag, t, p in zip(bags, times, rd.parent):
         checks = extra = ()
-        if p is not None and rd.times[p] < t:
-            checks = tuple([i for i, comp in enumerate(own) if not rd.bags[p].isdisjoint(comp.vertices)])
-            if checks:
-                extra = sorted({v for i in checks for v in own[i].vertices} - rd.bags[p])
+        earlier = p is not None and times[p] < t
+        if len(bag) == 1:
+            # a bag holds each edge of its time whole, so its one vertex has
+            # none and is its component alone; an earlier parent holding it
+            # checks its Tr and needs no label handed up
+            (v,) = bag
+            own = (ComponentGraph(t, (v,), ()),)
+            if earlier and v in bags[p]:
+                checks = (0,)
+        else:
+            mine = {}
+            for v in bag:
+                comp = comp_of.get((t, v)) or ComponentGraph(t, (v,), ())
+                mine[comp.vertices[0]] = comp
+            own = tuple([mine[v] for v in sorted(mine)])
+            if earlier:
+                checks = tuple([i for i, comp in enumerate(own) if not bags[p].isdisjoint(comp.vertices)])
+                if checks:
+                    extra = sorted({v for i in checks for v in own[i].vertices} - bags[p])
         own_comps.append(own)
         parent_checks.append(checks)
         extra_vertices.append(tuple(extra))
@@ -283,14 +295,38 @@ def realisable_profiles(structure, plugin, node, child_results, cap=DEFAULT_PROF
     up. A bag with one down-child reads that child's entries and totals as
     they are; several are summed per combination. Each rho's sums go
     straight into its key's set.
+
+    A leaf returns before any of that, behind the same guard. A time-0 copy
+    has no Tr. A leaf at t >= 1 has one tree neighbour, its parent, which
+    therefore holds every vertex of the leaf at t - 1 (condition 3 of
+    validate_decomposition): the parent checks each component's Tr, and the
+    leaf hands up no label. So the leaf's table is {(rho, ()): {the sum of
+    rho's vectors}} over the product of its components' assignments.
+    child_results maps at least the node's children to their tables.
     """
     rd, own_comps = structure.rooted, structure.own_comps
     t = rd.times[node]
     role = _role(t, structure.graph.lifetime)
-    down = [c for c in rd.children[node] if rd.times[c] == t - 1]
-    up = [c for c in rd.children[node] if rd.times[c] == t + 1]
-
+    children = rd.children[node]
     own = own_comps[node]
+    n_labels = len(plugin.labels)
+
+    if not children:
+        # a leaf checks no Tr and hands up no label (see the docstring)
+        estimate = 1
+        for comp in own:
+            estimate *= max(n_labels ** len(comp.vertices), 1)
+        if estimate > cap:
+            raise ResourceLimitError(f"bag {node}", estimate, cap)
+        if len(own) == 1:
+            return {((opt,), ()): {opt[1]} for opt in plugin.assignments(own[0], role)}
+        return {
+            (rho, ()): {tuple(map(sum, zip(*(vec for _, vec in rho))))}
+            for rho in product(*[plugin.assignments(comp, role) for comp in own])
+        }
+
+    down = [c for c in children if rd.times[c] == t - 1]
+    up = [c for c in children if rd.times[c] == t + 1]
     # a Tr-checked component's options depend on the labels below it; the
     # others' are the same for every combination of down-children
     moved = structure.parent_checks[node]
@@ -298,7 +334,6 @@ def realisable_profiles(structure, plugin, node, child_results, cap=DEFAULT_PROF
 
     # guard before materialising anything: the label product alone ought to
     # stay below the cap
-    n_labels = len(plugin.labels)
     estimate = 1
     for c in down:
         estimate *= max(len(child_results[c]), 1)
@@ -568,13 +603,15 @@ def solve_component_exchangeable(
 
     A structure handed in must be built for g (ValueError).
 
-    Tables are built children first: fold_idle_run walks each interval node
-    whose child is a singleton bag, realisable_profiles joins every other
-    bag, and a node with a child whose table is empty gets an empty table,
-    which either would return. Each table drops the totals past
-    plugin.total_cap as it is stored, and a key left with none; profile_counts
-    counts those capped tables, per node. cap bounds each bag's label
-    product (ResourceLimitError).
+    Tables are built children first, in one pass over the post-order that
+    pops each child's table as its parent takes it: fold_idle_run walks each
+    interval node whose child is a singleton bag, realisable_profiles joins
+    every other bag (a leaf's table is its components' assignments, with no
+    join; see there), and a node with a child whose table is empty gets an
+    empty table, which either would return. Each table drops the totals past
+    plugin.total_cap as it is stored, and a key left with none, in the same
+    pass that counts it for profile_counts, per node. cap bounds each bag's
+    label product (ResourceLimitError).
     """
     if g.lifetime == 0:
         raise ValueError("engine needs lifetime >= 1; handle edgeless instances upstream")
@@ -583,39 +620,50 @@ def solve_component_exchangeable(
     elif structure.graph is not g and structure.graph != g:
         raise ValueError("structure was built for another graph than g")
     rd = structure.rooted
+    bags, times = rd.bags, rd.times
     limit = plugin.total_cap
 
     idle_seen = {}
+    # the tables of the nodes whose parent is still to come
     results = {}
     profile_counts = {}
     bag_count = 0
     for node in structure.postorder():
         children = rd.children[node]
-        run = len(rd.bags[node]) == len(children) == 1 and len(rd.bags[children[0]]) == 1
-        bag_count += abs(rd.times[node] - rd.times[children[0]]) if run else 1
-        if not all(results[c] for c in children):
-            # a child with no profile leaves none to its parent
-            res = {}
-        elif run:
-            res = fold_idle_run(structure, plugin, node, results[children[0]], idle_seen)
+        if len(children) == 1 and len(bags[node]) == 1 == len(bags[children[0]]):
+            (c,) = children
+            bag_count += abs(times[node] - times[c])
+            base = results.pop(c)
+            res = fold_idle_run(structure, plugin, node, base, idle_seen) if base else {}
         else:
-            child_results = {c: results[c] for c in children}
-            res = realisable_profiles(structure, plugin, node, child_results, cap)
-        for c in children:
-            del results[c]
-        if limit is not None and res:
+            bag_count += 1
+            # a child with no profile leaves none to its parent; the step
+            # reads the children's tables from results
+            for c in children:
+                if not results[c]:
+                    res = {}
+                    break
+            else:
+                res = realisable_profiles(structure, plugin, node, results, cap)
+            for c in children:
+                del results[c]
+        if limit is None:
+            count = sum(map(len, res.values()))
+        else:
             # totals only grow towards the root: one past the cap stays past
             # it; a set with none past it is kept as it is
-            capped = {}
+            capped, count = {}, 0
             for key, totals in res.items():
-                over = [total for total in totals if not _leq(total, limit)]
-                if over:
-                    totals = totals.difference(over)
+                for total in totals:
+                    if not all(map(le, total, limit)):
+                        totals = {x for x in totals if all(map(le, x, limit))}
+                        break
                 if totals:
                     capped[key] = totals
+                    count += len(totals)
             res = capped
         results[node] = res
-        profile_counts[node] = sum(len(v) for v in res.values())
+        profile_counts[node] = count
 
     per_tree = []
     for root in rd.roots:

@@ -224,6 +224,22 @@ def test_rooting_refuses_an_arc_that_names_no_node(arc):
         root_and_augment(d)
 
 
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        # raised a bare IndexError from the time-0 copy loop
+        (TimDecomposition(2, 1, (frozenset({0, 1}), frozenset({0})), (1,), ()), "1 times for 2 nodes"),
+        # rooted without a word
+        (TimDecomposition(2, 1, (frozenset({0, 1}),), (1,), (), ends=(1, 1, 1)), "3 ends for 1 nodes"),
+    ],
+    ids=["short-times", "long-ends"],
+)
+def test_rooting_refuses_times_or_ends_not_as_long_as_bags(d, message):
+    assert validate_decomposition(TemporalGraph(2, [(0, 1, 1)]), d).violation.message == message
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        root_and_augment(d)
+
+
 def test_forest_on_disconnected_underlying():
     g = TemporalGraph(4, [(0, 1, 1), (2, 3, 2)])
     d = compute_tim_decomposition(g)
@@ -234,15 +250,25 @@ def test_forest_on_disconnected_underlying():
 
 @contextmanager
 def deadline(seconds):
-    """Fail with TimeoutError instead of hanging when the body runs too long."""
+    """Fail with TimeoutError instead of hanging when the body runs too long.
+
+    The handler's error can land on an instruction with no line number,
+    whose traceback entry pytest cannot print (a TypeError that ends the
+    whole session), so the body's error is replaced by a fresh one raised
+    here."""
+    expired = f"still running after {seconds} s"
 
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise TimeoutError(expired)
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(seconds)
     try:
         yield
+    except TimeoutError as err:
+        if err.args != (expired,):
+            raise
+        raise TimeoutError(expired) from None
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -8,6 +8,7 @@ import pytest
 from timwidth import tim_engine
 from timwidth.core import TemporalGraph, _components
 from timwidth.decomposition import (
+    TimDecomposition,
     compute_tim_decomposition,
     decomposition_from_vim,
     interval_decomposition,
@@ -34,6 +35,7 @@ from timwidth.problems.matching import MatchingTimPlugin
 from timwidth.problems.reachability import TredTimPlugin
 from timwidth.tim_engine import (
     ComponentGraph,
+    TimSolveResult,
     TwoStepStructure,
     _minimal,
     fold_idle_run,
@@ -262,6 +264,37 @@ def test_realisable_profiles_at_time0_leaf():
         assert plugin.check(labelling, structure.own_comps[leaf][0], "start") == vector
         assert totals == {vector}
 
+    # a leaf at t >= 1 makes no join either. {0, 1, 2}@1 and {3}@1 below
+    # {0, 2}@2 and {1, 3}@2, rooted at {1, 3}@2: {0, 2}@2 is a leaf of two
+    # idle components whose parent, one time earlier, holds both vertices,
+    # so the parent checks both Tr
+    g = TemporalGraph(4, [(0, 1, 1), (1, 2, 1), (1, 3, 2)])
+    bags = tuple(frozenset(b) for b in ({0, 1, 2}, {0, 2}, {1, 3}, {3}))
+    d = TimDecomposition(4, 2, bags, (1, 2, 2, 1), ((0, 1), (0, 2), (3, 2)))
+    structure = TwoStepStructure(g, d, root=2)
+    rd = structure.rooted
+    leaf = 1
+    assert rd.children[leaf] == () and rd.times[rd.parent[leaf]] == rd.times[leaf] - 1
+    assert structure.parent_checks[leaf] == (0, 1) and structure.extra_vertices[leaf] == ()
+
+    plugin = HamiltonianTimPlugin(HamiltonianInstance(g))
+    asked = []
+
+    def counting(prev_labelling, comp):
+        asked.append((comp.t, comp.vertices, prev_labelling))
+        return HamiltonianTimPlugin.successors(plugin, prev_labelling, comp)
+
+    plugin.successors = counting
+    profiles = realisable_profiles(structure, plugin, leaf, {})
+    assert asked == []
+    # the product of the components' assignments, one total per key: the
+    # sum of the rho's vectors
+    options = [plugin.assignments(comp, "fin") for comp in structure.own_comps[leaf]]
+    assert profiles == {
+        (rho, ()): {tuple(map(sum, zip(*(vec for _, vec in rho))))} for rho in product(*options)
+    }
+    assert len(profiles) == len(options[0]) * len(options[1]) > 1
+
 
 def test_realisable_profiles_empty_when_children_incompatible():
     from timwidth.tim_engine import realisable_profiles
@@ -409,7 +442,8 @@ def test_profile_cap_names_bag():
         solve_component_exchangeable(
             HamiltonianTimPlugin(HamiltonianInstance(g)), g, cap=2
         )
-    assert "bag" in str(err.value)
+    # bag 1 is the time-0 leaf: 3 labels on each of 6 vertices
+    assert str(err.value) == "state space at bag 1 would reach 729 entries (cap 2)"
 
 
 def test_engine_requires_lifetime():
@@ -1212,6 +1246,86 @@ def test_join_tables_equal_previous_join(monkeypatch):
     assert {up for _, up in shapes} >= {0, 1, 2}
     assert sum(map(len, one_vertex_asks)) > 100
     assert both_ways > 50
+
+
+def previous_solve(plugin, g, cap, structure):
+    """solve_component_exchangeable's post-order loop as it was before it
+    popped each child's table once and capped and counted in one pass: a
+    child dict per node, a capped copy of each table, then its count."""
+    rd = structure.rooted
+    limit = plugin.total_cap
+    idle_seen = {}
+    results = {}
+    profile_counts = {}
+    bag_count = 0
+    for node in structure.postorder():
+        children = rd.children[node]
+        run = len(rd.bags[node]) == len(children) == 1 and len(rd.bags[children[0]]) == 1
+        bag_count += abs(rd.times[node] - rd.times[children[0]]) if run else 1
+        if not all(results[c] for c in children):
+            res = {}
+        elif run:
+            res = fold_idle_run(structure, plugin, node, results[children[0]], idle_seen)
+        else:
+            child_results = {c: results[c] for c in children}
+            res = realisable_profiles(structure, plugin, node, child_results, cap)
+        for c in children:
+            del results[c]
+        if limit is not None and res:
+            capped = {}
+            for key, totals in res.items():
+                over = [total for total in totals if not all(map(le, total, limit))]
+                if over:
+                    totals = totals.difference(over)
+                if totals:
+                    capped[key] = totals
+            res = capped
+        results[node] = res
+        profile_counts[node] = sum(len(v) for v in res.values())
+
+    per_tree = []
+    for root in rd.roots:
+        combined = set()
+        for totals in results[root].values():
+            combined |= totals
+        per_tree.append(_minimal(combined))
+    vu = plugin.v_upper
+    if any(not tree for tree in per_tree):
+        answer = False
+    else:
+        overall = tim_engine._add_sums(set(), (0,) * len(vu), per_tree)
+        answer = any(all(map(le, total, vu)) for total in overall)
+    return TimSolveResult(answer, rd.width, profile_counts, bag_count, g.n, g.lifetime)
+
+
+def test_solve_loop_equals_previous_loop():
+    cases = [
+        (HamiltonianTimPlugin(inst), inst)
+        for inst in (HamiltonianInstance(gen_hard_ham_path(n)) for n in range(20, 81, 15))
+    ]
+    rng = random.Random(33)
+    for _ in range(6):
+        cases += four_plugin_cases(_sparse_long_graph(rng), rng)
+    cases += four_plugin_cases(SEARCH_GRAPH, rng)
+    # a forest: two trees, each with its own root
+    forest = TemporalGraph(7, [(0, 1, 1), (1, 2, 2), (0, 2, 4), (3, 4, 1), (4, 5, 3), (5, 6, 2), (3, 6, 4)])
+    cases += four_plugin_cases(forest, rng)
+    kinds = set()
+    for plugin, inst in cases:
+        g = inst.graph
+        structure = TwoStepStructure(g)
+        res = solve_component_exchangeable(plugin, g, structure=structure)
+        assert res == previous_solve(plugin, g, tim_engine.DEFAULT_PROFILE_CAP, structure), (
+            type(plugin).__name__,
+            g,
+        )
+        kinds.add((type(plugin), plugin.total_cap is not None, len(structure.rooted.roots) > 1, res.answer))
+    capped = {cls for cls, is_capped, _, _ in kinds if is_capped}
+    uncapped = {cls for cls, is_capped, _, _ in kinds if not is_capped}
+    assert capped == {HamiltonianTimPlugin}
+    assert uncapped >= {FirefighterTimPlugin, TredTimPlugin}
+    assert any(forest for _, _, forest, _ in kinds)
+    assert {answer for *_, answer in kinds} == {True, False}
 
 
 def test_default_solve_enters_each_structure_layer_once(monkeypatch):
