@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import TemporalGraph, snapshot
+from .core import TemporalGraph, _built_once, snapshot
 from .widths import vim_sequence
 
 
@@ -26,7 +26,11 @@ class KXState:
     """A vertex labelling plus a fixed-arity counter vector.
 
     Only non-default labels are stored; every unlisted vertex implicitly
-    carries the plugin's default label U.
+    carries the plugin's default label U. label and labelled read two views,
+    label_map and by_label, each built on first read once per state, as TIM
+    plugins read ComponentGraph's adjacency and index. The views are shared
+    by every reader of the state and must not be mutated; label_dict
+    returns a fresh dict that the caller may change.
     """
 
     labels: tuple  # sorted ((vertex, label), ...) with label != default
@@ -40,17 +44,27 @@ class KXState:
         )
         return KXState(items, tuple(counters), default)
 
+    @_built_once
+    def label_map(self):
+        """Vertex -> its non-default label."""
+        return dict(self.labels)
+
+    @_built_once
+    def by_label(self):
+        """Non-default label -> frozenset of the vertices that carry it."""
+        groups = {}
+        for v, l in self.labels:
+            groups.setdefault(l, []).append(v)
+        return {l: frozenset(vs) for l, vs in groups.items()}
+
     def label(self, v):
-        for x, l in self.labels:
-            if x == v:
-                return l
-        return self.default
+        return self.label_map.get(v, self.default)
 
     def label_dict(self):
         return dict(self.labels)
 
     def labelled(self, label):
-        return frozenset(v for v, l in self.labels if l == label)
+        return self.by_label.get(label, frozenset())
 
     def restrict(self, vertex_set):
         return KXState(

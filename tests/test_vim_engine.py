@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from timwidth import generators
 from timwidth.core import TemporalGraph, snapshot
 from timwidth.oracles import oracle_ham
 from timwidth.problems import FirefighterInstance, HamiltonianInstance, normalize_firefighter
@@ -164,3 +167,78 @@ def test_kxstate_accessors():
     assert s.label(9) == "U"
     assert s.labelled("C") == {0}
     assert s.restrict({1}).labels == ()
+
+
+def test_kxstate_views_match_stored_pairs():
+    rng = random.Random(34)
+    for plugin_cls in (HamiltonianVimPlugin, FirefighterVimPlugin):
+        alphabet, default = plugin_cls.labels, plugin_cls.default_label
+        for _ in range(50):
+            label_map = {v: rng.choice(alphabet) for v in range(8) if rng.random() < 0.7}
+            counters = (rng.randint(0, 5),)
+            s = KXState.make(label_map, counters, default)
+            for v in range(9):
+                assert s.label(v) == next((l for x, l in s.labels if x == v), default)
+            for l in alphabet:
+                assert s.labelled(l) == frozenset(x for x, y in s.labels if y == l)
+            assert s.label_dict() == dict(s.labels)
+            fresh = KXState.make(label_map, counters, default)
+            assert s == fresh
+            assert hash(s) == hash(fresh)
+            assert repr(s) == repr(fresh)
+            d = s.label_dict()
+            d[0] = "X"
+            d.clear()
+            assert s == fresh
+            assert s.label_dict() == dict(fresh.labels)
+            assert all(s.label(v) == fresh.label(v) for v in range(9))
+
+
+def scanning_label(self, v):
+    """KXState.label as it was before the views: a scan of the pairs."""
+    for x, l in self.labels:
+        if x == v:
+            return l
+    return self.default
+
+
+def scanning_labelled(self, label):
+    """KXState.labelled as it was before the views: a new frozenset per call."""
+    return frozenset(v for v, l in self.labels if l == label)
+
+
+def test_label_views_match_scanning_accessors(monkeypatch):
+    # n 3-6 with the perfbench pools' shapes, ff n=6 included, which the pools leave out
+    rng = random.Random(3406)
+
+    def draw(n):
+        lam = rng.randint(1, 4)
+        return generators.gen_random(n, lam, 0.35, max_times_per_edge=2, seed=rng.randrange(1 << 30))
+
+    cases = []
+    for n in range(3, 7):
+        for _ in range(3):
+            g = draw(n)
+            cases.append((HamiltonianVimPlugin, HamiltonianInstance(g)))
+        drawn = 0
+        while drawn < 4:
+            g = draw(n)
+            root = rng.randrange(n)
+            if not any(root in (u, v) for u, v, _ in g.time_edges):
+                continue
+            inst = normalize_firefighter(FirefighterInstance(g, root, rng.randint(0, n)))
+            cases.append((FirefighterVimPlugin, inst))
+            drawn += 1
+    assert any(cls is FirefighterVimPlugin and inst.graph.n == 6 for cls, inst in cases)
+
+    def run_all():
+        return [
+            solve_locally_uniform(cls(inst), inst.graph, record=True) for cls, inst in cases
+        ]
+
+    with_views = run_all()
+    monkeypatch.setattr(KXState, "label", scanning_label)
+    monkeypatch.setattr(KXState, "labelled", scanning_labelled)
+    scanning = run_all()
+    for a, b in zip(with_views, scanning):
+        assert (a.answer, a.table_sizes, a.tables) == (b.answer, b.table_sizes, b.tables)
